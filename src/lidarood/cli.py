@@ -103,14 +103,19 @@ def _scene_stems(directory: Path, suffix: str) -> list[Path]:
     return files
 
 
+def _load_scene(bin_path: Path, label_path: Path, spec) -> tuple[PointCloud, LabelMap]:
+    if not label_path.exists():
+        raise ContractError(f"missing label file for {bin_path.name}")
+    cloud, labels = load_point_cloud(bin_path), load_labels(label_path, spec)
+    if labels.count != cloud.count:
+        raise ContractError(
+            f"{label_path.name}: {labels.count} labels for {cloud.count} points")
+    return cloud, labels
+
+
 def _load_dataset(directory: Path, spec) -> list[tuple[PointCloud, LabelMap]]:
-    pairs = []
-    for bin_path in _scene_stems(directory, ".bin"):
-        label_path = bin_path.with_suffix(".label")
-        if not label_path.exists():
-            raise ContractError(f"missing label file for {bin_path.name}")
-        pairs.append((load_point_cloud(bin_path), load_labels(label_path, spec)))
-    return pairs
+    return [_load_scene(bin_path, bin_path.with_suffix(".label"), spec)
+            for bin_path in _scene_stems(directory, ".bin")]
 
 
 # --------------------------------------------------------------------------
@@ -158,8 +163,7 @@ def cmd_raise(args) -> int:
     rng = np.random.default_rng(args.seed)
     n_raised = 0
     for bin_path in _scene_stems(src, ".bin"):
-        cloud = load_point_cloud(bin_path)
-        labels = load_labels(bin_path.with_suffix(".label"), spec)
+        cloud, labels = _load_scene(bin_path, bin_path.with_suffix(".label"), spec)
         rcfg = RaiseConfig(
             r=float(rng.uniform(args.r_min, args.r_max)),
             alpha=args.alpha, rho=args.rho,
@@ -251,8 +255,7 @@ def cmd_eval(args) -> int:
     score_dir = Path(args.scores)
     scenes = []
     for bin_path in _scene_stems(data, ".bin"):
-        cloud = load_point_cloud(bin_path)
-        labels = load_labels(label_dir / (bin_path.stem + ".label"), spec)
+        cloud, labels = _load_scene(bin_path, label_dir / (bin_path.stem + ".label"), spec)
         scores = load_scores(score_dir / (bin_path.stem + ".score"))
         if scores.count != cloud.count:
             raise ContractError(f"score length mismatch for {bin_path.name}")

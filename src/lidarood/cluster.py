@@ -3,10 +3,13 @@
 Semantics: a core point has at least ``min_pts`` neighbors within ``eps``
 (inclusive of itself, boundary inclusive d <= eps); clusters are maximal
 density-connected sets of core points plus the border points they reach.
-DBSCAN leaves border-point ownership implementation-defined; here clusters
-are grown from seed points in ascending index order, so a border point
-belongs to the first core cluster that reaches it. Output is therefore a
-pure, deterministic function of the input ordering.
+Exact grid DBSCAN in array form: one ``GridIndex`` lists all neighbor pairs,
+clusters are the connected components of core-core pairs (min-label hooking
+with pointer jumping), numbered in order of their smallest core index.
+DBSCAN leaves border ownership implementation-defined; here a border point
+joins the smallest cluster id among its core neighbors, which is what a
+sequential DBSCAN growing clusters from seeds in ascending index order
+produces. Output is a pure, deterministic function of the input ordering.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .neighbors import GridIndex
 
 __all__ = ["ClusterAssignment", "dbscan", "largest_cluster"]
 
-_UNVISITED = -2
 NOISE = -1
 
 
@@ -46,36 +48,29 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
         raise ContractError("min_pts must be >= 1")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
-    labels = np.full(n, _UNVISITED, dtype=np.int64)
-    if n == 0:
-        return ClusterAssignment(cluster_id=labels, num_clusters=0)
+    i, j = map(np.concatenate, zip(*GridIndex(points, cell_size=eps).pairs(eps)))
+    core = np.bincount(i, minlength=n) >= min_pts
+    edge = core[i] & core[j]
+    a, b = i[edge], j[edge]
 
-    index = GridIndex(points, cell_size=eps)
-    next_id = 0
-    for i in range(n):
-        if labels[i] != _UNVISITED:
-            continue
-        neighbors = index.query_ball_point(i, eps)
-        if neighbors.size < min_pts:
-            labels[i] = NOISE
-            continue
-        labels[i] = next_id
-        queue = list(neighbors)
-        head = 0
-        while head < len(queue):
-            j = queue[head]
-            head += 1
-            if labels[j] == NOISE:
-                labels[j] = next_id  # border point claimed by this cluster
-            if labels[j] != _UNVISITED:
-                continue
-            labels[j] = next_id
-            j_neighbors = index.query_ball_point(j, eps)
-            if j_neighbors.size >= min_pts:
-                queue.extend(j_neighbors)
-        next_id += 1
+    # label[x] <= x is a node of x's component: each round hooks every
+    # edge's tree onto the smaller label and jumps each pointer once. At the
+    # fixed point every component carries its smallest index.
+    label = np.arange(n)
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, label[a], label[b])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
 
-    return ClusterAssignment(cluster_id=labels, num_clusters=next_id)
+    is_root = core & (label == np.arange(n))
+    cluster_id = np.where(core, np.cumsum(is_root)[label] - 1, n)
+    border = ~core[i] & core[j]
+    np.minimum.at(cluster_id, i[border], cluster_id[j[border]])
+    cluster_id[cluster_id == n] = NOISE
+    return ClusterAssignment(cluster_id=cluster_id, num_clusters=int(is_root.sum()))
 
 
 def largest_cluster(assign: ClusterAssignment) -> int:

@@ -37,6 +37,7 @@ __all__ = [
     "save_labels",
     "load_scores",
     "save_scores",
+    "read_exact",
 ]
 
 
@@ -124,9 +125,11 @@ class ClassSpec:
     def logit_width(self) -> int:
         return 2 * self.num_classes if self.extended else self.num_classes
 
-    def class_index(self) -> dict[int, int]:
-        """Map semantic id -> position in the inlier class list."""
-        return {c: i for i, c in enumerate(self.inlier_classes)}
+    def class_index(self) -> np.ndarray:
+        """Inlier-list position per semantic id (0..max inlier id); -1 elsewhere."""
+        index = np.full(max(self.inlier_classes) + 1, -1, dtype=np.int64)
+        index[list(self.inlier_classes)] = np.arange(self.num_classes)
+        return index
 
 
 def roles_from_semantic(
@@ -279,3 +282,11 @@ def load_scores(path) -> ScoreField:
 
 def save_scores(scores: ScoreField, path) -> None:
     scores.scores.astype("<f4").tofile(path)
+
+
+def read_exact(fh, size: int) -> bytes:
+    """Read exactly ``size`` bytes from a binary file handle."""
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise FormatError(f"truncated input: expected {size} more bytes, found {len(buf)}")
+    return buf

@@ -81,11 +81,10 @@ def ce_loss(field: LogitField, labels: LabelMap, spec: ClassSpec,
         return 0.0, grad
 
     sem = labels.semantic[in_mask]
-    lookup = spec.class_index()
     unknown = ~np.isin(sem, list(spec.inlier_classes))
     if np.any(unknown):
         raise ContractError("inlier-role point carries a non-inlier semantic id")
-    targets = np.array([lookup[s] for s in sem], dtype=np.int64)
+    targets = spec.class_index()[sem]
 
     sub = values[in_mask][:, :c]
     shifted = sub - sub.max(axis=1, keepdims=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractError, LogitField
+from .core import ContractError, FormatError, LogitField, read_exact
 
 __all__ = ["PriorParams", "PriorTape", "init_params", "prior_weight", "prior_backward",
            "save_params", "load_params", "zeros_like_params"]
@@ -230,15 +230,16 @@ def save_params(params: PriorParams, fh) -> None:
 
 
 def load_params(fh) -> PriorParams:
-    magic = fh.read(4)
+    """Read the container through the end of ``fh``; FormatError if cut short or longer."""
+    magic = read_exact(fh, 4)
     if magic != _MAGIC:
         raise ContractError(f"bad checkpoint magic {magic!r}")
-    version, c, d = struct.unpack("<III", fh.read(12))
+    version, c, d = struct.unpack("<III", read_exact(fh, 12))
     if version != 1:
         raise ContractError(f"unsupported checkpoint version {version}")
 
     def mat(rows, cols):
-        buf = fh.read(rows * cols * 4)
+        buf = read_exact(fh, rows * cols * 4)
         return np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(rows, cols)
 
     w_proj = mat(c, d)
@@ -247,7 +248,9 @@ def load_params(fh) -> PriorParams:
     w_k = mat(d, d)
     w_v = mat(d, d)
     w_head = mat(1, 2 * d).reshape(-1)
-    (b,) = struct.unpack("<f", fh.read(4))
+    (b,) = struct.unpack("<f", read_exact(fh, 4))
+    if fh.read(1):
+        raise FormatError("trailing bytes after the checkpoint")
     params = PriorParams(w_proj=w_proj, psi=psi, w_q=w_q, w_k=w_k, w_v=w_v,
                          w_head=w_head, b=float(b))
     params.validate()

@@ -13,13 +13,15 @@ order, and every augmentation draw derive from seeded generators.
 
 from __future__ import annotations
 
+import io
 import logging
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .core import ClassSpec, ContractError, LabelMap, LogitField, PointCloud
+from .core import ClassSpec, ContractError, LabelMap, LogitField, PointCloud, read_exact
 from .losses import LossConfig, total_loss
 from .neighbors import GridIndex
 from .perlin import RaiseConfig, perlin_raise
@@ -306,22 +308,21 @@ def save_checkpoint(path, backbone: Backbone, params: PriorParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[Backbone, PriorParams]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CKPT_MAGIC:
-            raise ContractError(f"bad checkpoint magic {magic!r}")
-        version, hidden, out = struct.unpack("<III", fh.read(12))
-        if version != 1:
-            raise ContractError(f"unsupported checkpoint version {version}")
+    fh = io.BytesIO(Path(path).read_bytes())  # a bad header size cannot over-allocate a read
+    magic = read_exact(fh, 4)
+    if magic != _CKPT_MAGIC:
+        raise ContractError(f"bad checkpoint magic {magic!r}")
+    version, hidden, out = struct.unpack("<III", read_exact(fh, 12))
+    if version != 1:
+        raise ContractError(f"unsupported checkpoint version {version}")
 
-        def mat(*shape):
-            n = int(np.prod(shape))
-            return np.frombuffer(fh.read(n * 4), dtype="<f4").astype(np.float64).reshape(shape)
+    def mat(*shape):
+        n = int(np.prod(shape))
+        return np.frombuffer(read_exact(fh, n * 4), dtype="<f4").astype(np.float64).reshape(shape)
 
-        scale = mat(FEATURE_DIM)
-        backbone = Backbone(
-            w1=mat(FEATURE_DIM, hidden), b1=mat(hidden),
-            w2=mat(hidden, out), b2=mat(out), feature_scale=scale,
-        )
-        params = load_params(fh)
-    return backbone, params
+    scale = mat(FEATURE_DIM)
+    backbone = Backbone(
+        w1=mat(FEATURE_DIM, hidden), b1=mat(hidden),
+        w2=mat(hidden, out), b2=mat(out), feature_scale=scale,
+    )
+    return backbone, load_params(fh)

@@ -100,6 +100,47 @@ class TestScoreEval:
         assert code == 1
 
 
+class TestBadInput:
+    """Malformed inputs end with exit 1 and a one-line message."""
+
+    @staticmethod
+    def assert_one_line_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing-byte"])
+    def test_damaged_checkpoint(self, pipeline, tmp_path, capsys, damage):
+        good = (pipeline / "model.ckpt").read_bytes()
+        bad = good[:len(good) // 2] if damage == "truncated" else good + b"\0"
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(bad)
+        capsys.readouterr()
+        code = main(["score", "--data", str(pipeline / "eval"), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["train", "raise", "eval"])
+    def test_short_label_file(self, pipeline, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        for src in sorted((pipeline / "eval").glob("scene_*")):
+            (data / src.name).write_bytes(src.read_bytes())
+        label = sorted(data.glob("*.label"))[0]
+        label.write_bytes(label.read_bytes()[:400])
+        args = {
+            "train": ["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                      "--epochs", "1"],
+            "raise": ["raise", "--in", str(data), "--out", str(tmp_path / "r")],
+            "eval": ["eval", "--data", str(data), "--scores", str(pipeline / "scores"),
+                     "--gamma", "0.5", "--report", str(tmp_path / "r.txt")],
+        }[command]
+        capsys.readouterr()
+        assert main(args) == 1
+        self.assert_one_line_error(capsys)
+
+
 class TestExportMap:
     def test_raster_header_and_colors(self, pipeline, tmp_path):
         cloud = sorted((pipeline / "eval").glob("*.bin"))[0]

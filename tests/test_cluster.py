@@ -1,10 +1,13 @@
 """Density clustering against a brute-force O(n^2) reference."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from lidarood.cluster import ClusterAssignment, dbscan, largest_cluster
 from lidarood.core import ContractError
+from lidarood.scenes import SceneConfig, default_budget, generate_scene
 
 
 def brute_force_dbscan(points, eps, min_pts):
@@ -39,6 +42,26 @@ def brute_force_dbscan(points, eps, min_pts):
     return labels, next_id
 
 
+def random_points(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 200))
+    return rng.uniform(-2, 2, size=(n, 3))
+
+
+def scrambled_chain():
+    """A 400-point line, 0.15 apart, in shuffled index order: labels must
+    travel far along the chain, so component search takes many rounds."""
+    rng = np.random.default_rng(11)
+    x = rng.permutation(400) * 0.15
+    return np.c_[x, np.zeros_like(x), rng.uniform(0, 0.01, size=x.size)]
+
+
+def scene_points():
+    cloud, _ = generate_scene(SceneConfig(seed=5, extent=5.0,
+                                          class_budget=default_budget(1200)))
+    return cloud.points
+
+
 class TestDbscan:
     def test_two_blobs(self):
         rng = np.random.default_rng(0)
@@ -71,13 +94,15 @@ class TestDbscan:
         with pytest.raises(ContractError):
             dbscan(np.zeros((3, 3)), eps=1.0, min_pts=0)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_brute_force(self, seed):
-        """Exact partition equality (same ids) with the reference on random
-        instances across an eps/min_pts grid."""
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(20, 200))
-        points = rng.uniform(-2, 2, size=(n, 3))
+    @pytest.mark.parametrize("make_points", [
+        *(pytest.param(partial(random_points, seed), id=str(seed)) for seed in range(10)),
+        pytest.param(scrambled_chain, id="scrambled-chain"),
+        pytest.param(scene_points, id="scene"),
+    ])
+    def test_matches_brute_force(self, make_points):
+        """Exact partition equality (same ids) with the reference across an
+        eps/min_pts grid."""
+        points = make_points()
         for eps in (0.2, 0.5, 1.0):
             for min_pts in (2, 4, 8):
                 assign = dbscan(points, eps=eps, min_pts=min_pts)

@@ -1,4 +1,4 @@
-"""Grid-hash spatial index vs brute-force distance checks."""
+"""Sorted-cell spatial index vs brute-force distance checks."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,19 @@ from lidarood.neighbors import GridIndex
 
 
 class TestQueryBall:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_brute_force(self, seed):
+    @pytest.mark.parametrize("seed, center_span, max_radius", [
+        *(pytest.param(seed, 4.0, 2.5, id=str(seed)) for seed in range(5)),
+        # centres mostly outside the indexed box, radii up to 12 cells: the
+        # scanned cells are clipped to the occupied box
+        pytest.param(5, 16.0, 10.0, id="far-centres-wide-radii"),
+    ])
+    def test_matches_brute_force(self, seed, center_span, max_radius):
         rng = np.random.default_rng(seed)
         points = rng.uniform(-4, 4, size=(300, 3))
         index = GridIndex(points, cell_size=0.8)
         for _ in range(20):
-            center = rng.uniform(-4, 4, size=3)
-            radius = float(rng.uniform(0.1, 2.5))
+            center = rng.uniform(-center_span, center_span, size=3)
+            radius = float(rng.uniform(0.1, max_radius))
             got = index.query_ball(center, radius)
             d = np.linalg.norm(points - center, axis=1)
             want = np.flatnonzero(d <= radius)

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from lidarood.core import ContractError
+from lidarood.core import ContractError, FormatError
 from lidarood.priornet import (
     init_params, load_params, prior_backward, prior_weight, save_params,
 )
@@ -178,3 +178,11 @@ class TestCheckpoint:
     def test_bad_magic(self):
         with pytest.raises(ContractError):
             load_params(io.BytesIO(b"XXXX" + b"\x00" * 32))
+
+    def test_truncated_or_trailing_bytes_rejected(self):
+        buf = io.BytesIO()
+        save_params(init_params(6, d=5, seed=9), buf)
+        good = buf.getvalue()
+        for bad in [good[:size] for size in range(len(good))] + [good + b"\0"]:
+            with pytest.raises(FormatError):
+                load_params(io.BytesIO(bad))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lidarood.core import ContractError, LabelMap, PointCloud
+from lidarood.core import ContractError, FormatError, LabelMap, PointCloud
+from lidarood.priornet import init_params
 from lidarood.scenes import SceneConfig, default_budget, default_class_spec, generate_scene
 from lidarood.trainer import (
     Backbone, TrainConfig, backbone_backward, extract_features, forward,
@@ -201,6 +202,17 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.ckpt"
         save_checkpoint(path2, bb2, params2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_truncated_or_trailing_bytes_rejected(self, tmp_path):
+        spec = default_class_spec(extended=True)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_backbone(8, spec.logit_width, seed=1),
+                        init_params(spec.logit_width, d=4, seed=2))
+        good = path.read_bytes()
+        for bad in [good[:size] for size in range(len(good))] + [good + b"\0"]:
+            path.write_bytes(bad)
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
