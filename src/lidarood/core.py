@@ -38,6 +38,7 @@ __all__ = [
     "load_scores",
     "save_scores",
     "read_exact",
+    "to_float32",
 ]
 
 
@@ -281,7 +282,17 @@ def load_scores(path) -> ScoreField:
 
 
 def save_scores(scores: ScoreField, path) -> None:
-    scores.scores.astype("<f4").tofile(path)
+    to_float32(scores.scores, "scores").tofile(path)
+
+
+def to_float32(values, what: str) -> np.ndarray:
+    """``values`` narrowed to little-endian float32 for writing; ContractError
+    (before anything is written) if an entry is not finite as float32."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(values, dtype=np.float64).astype("<f4")
+    if not np.all(np.isfinite(out)):
+        raise ContractError(f"{what} has values that are not finite as float32")
+    return out
 
 
 def read_exact(fh, size: int) -> bytes:

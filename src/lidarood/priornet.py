@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractError, FormatError, LogitField, read_exact
+from .core import ContractError, FormatError, LogitField, read_exact, to_float32
 
 __all__ = ["PriorParams", "PriorTape", "init_params", "prior_weight", "prior_backward",
            "save_params", "load_params", "zeros_like_params"]
@@ -220,13 +220,15 @@ def prior_backward(tape: PriorTape, grad_w: np.ndarray) -> tuple[PriorParams, np
 # --------------------------------------------------------------------------
 
 def save_params(params: PriorParams, fh) -> None:
-    """Write to an open binary file handle."""
+    """Write to an open binary file handle; ContractError, with nothing
+    written, if a tensor or b overflows float32."""
     params.validate()
+    names = ("w_proj", "psi", "w_q", "w_k", "w_v", "w_head", "b")
+    narrowed = [to_float32(getattr(params, name), name) for name in names]
     fh.write(_MAGIC)
     fh.write(struct.pack("<III", 1, params.logit_width, params.latent_dim))
-    for name in ("w_proj", "psi", "w_q", "w_k", "w_v", "w_head"):
-        fh.write(getattr(params, name).astype("<f4").tobytes())
-    fh.write(struct.pack("<f", params.b))
+    for values in narrowed:
+        fh.write(values.tobytes())
 
 
 def load_params(fh) -> PriorParams:

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ClassSpec, ContractError, LabelMap, LogitField, PointCloud, read_exact
+from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, read_exact,
+                   to_float32)
 from .losses import LossConfig, total_loss
 from .neighbors import GridIndex
 from .perlin import RaiseConfig, perlin_raise
@@ -192,11 +193,22 @@ def train(
     configured scoring method, then take one Adam step over every trainable
     tensor (the attention tensors only when ``use_prior``; the bias b
     always). Scans without enough road points are skipped and logged.
+
+    Each scan's features are computed once per call, on first use, and
+    reused at every step whose raises moved no point; a step whose raises
+    moved points recomputes them on the raised cloud.
     """
     if not scenes:
         raise ContractError("training requires at least one scene")
     if not spec.extended and cfg.method.requires_extended:
         raise ContractError("extended-energy training needs an extended class spec")
+
+    scan_features: dict[int, np.ndarray] = {}
+
+    def base_features(k: int) -> np.ndarray:
+        if k not in scan_features:
+            scan_features[k] = extract_features(scenes[k][0])
+        return scan_features[k]
 
     init_rng = np.random.default_rng([cfg.seed, 0])
     backbone = init_backbone(cfg.hidden, spec.logit_width,
@@ -210,7 +222,7 @@ def train(
         # the head only receives gradient through points with a positive
         # pre-activation; if the draw leaves every point of the first scan
         # inactive, flip its sign so the head is trainable
-        probe = forward(backbone, extract_features(scenes[0][0]), spec)
+        probe = forward(backbone, base_features(0), spec)
         _, tape = prior_weight(probe, params)
         if not np.any(tape.pre > 0.0):
             params.w_head = -params.w_head
@@ -248,6 +260,7 @@ def train(
                 train_log.skipped.append((epoch, int(scan_idx)))
                 continue
 
+            moved = False
             for _ in range(cfg.raise_per_scan):
                 r = float(loop_rng.uniform(*cfg.raise_r_range))
                 raise_seed = int(loop_rng.integers(2**63))
@@ -256,9 +269,10 @@ def train(
                     dbscan_eps=cfg.raise_eps, dbscan_min_pts=cfg.raise_min_pts,
                     seed=raise_seed, road_class=cfg.road_class,
                 )
-                cloud, labels, _report = perlin_raise(cloud, labels, spec, rcfg)
+                cloud, labels, report = perlin_raise(cloud, labels, spec, rcfg)
+                moved = moved or report.raised_count > 0
 
-            features = extract_features(cloud)
+            features = extract_features(cloud) if moved else base_features(int(scan_idx))
             logits = forward(backbone, features, spec)
             result = total_loss(logits, labels, spec, cfg.method, params,
                                 cfg.loss, use_prior=cfg.use_prior)
@@ -297,14 +311,16 @@ _CKPT_MAGIC = b"LOCK"
 
 
 def save_checkpoint(path, backbone: Backbone, params: PriorParams) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        hidden = backbone.w1.shape[1]
-        fh.write(struct.pack("<III", 1, hidden, backbone.out_width))
-        fh.write(backbone.feature_scale.astype("<f4").tobytes())
-        for name in ("w1", "b1", "w2", "b2"):
-            fh.write(getattr(backbone, name).astype("<f4").tobytes())
-        save_params(params, fh)
+    """Write the checkpoint; ContractError, with no file written, if a tensor
+    overflows float32."""
+    fh = io.BytesIO()
+    fh.write(_CKPT_MAGIC)
+    hidden = backbone.w1.shape[1]
+    fh.write(struct.pack("<III", 1, hidden, backbone.out_width))
+    for name in ("feature_scale", "w1", "b1", "w2", "b2"):
+        fh.write(to_float32(getattr(backbone, name), name).tobytes())
+    save_params(params, fh)
+    Path(path).write_bytes(fh.getvalue())
 
 
 def load_checkpoint(path) -> tuple[Backbone, PriorParams]:

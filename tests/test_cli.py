@@ -9,6 +9,7 @@ import pytest
 from lidarood.cli import PipelineConfig, main
 from lidarood.core import ContractError
 from lidarood.metrics import read_report
+from lidarood.trainer import load_checkpoint, save_checkpoint
 
 
 def dir_digest(directory: Path) -> dict[str, str]:
@@ -120,6 +121,20 @@ class TestBadInput:
                      "--out", str(tmp_path / "s")])
         assert code == 1
         self.assert_one_line_error(capsys)
+
+    def test_scores_overflowing_float32(self, pipeline, tmp_path, capsys):
+        """Logits from float32-sized weights can give scores past float32's
+        range; score must refuse to write them rather than save inf."""
+        backbone, params = load_checkpoint(pipeline / "model.ckpt")
+        backbone.w2 = np.sign(backbone.w2) * 3e38
+        ckpt = tmp_path / "big.ckpt"
+        save_checkpoint(ckpt, backbone, params)
+        out = tmp_path / "s"
+        capsys.readouterr()
+        assert main(["score", "--data", str(pipeline / "eval"), "--ckpt", str(ckpt),
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys)
+        assert not list(out.glob("*.score"))
 
     @pytest.mark.parametrize("command", ["train", "raise", "eval"])
     def test_short_label_file(self, pipeline, tmp_path, capsys, command):

@@ -129,6 +129,12 @@ class TestScoreIO:
         loaded = load_scores(path)
         np.testing.assert_array_equal(loaded.scores, scores.scores)
 
+    def test_float32_overflow_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "big.score"
+        with pytest.raises(ContractError):
+            save_scores(ScoreField(scores=[1.0, 1e39]), path)
+        assert not path.exists()
+
 
 class TestRoles:
     def test_role_assignment_deterministic(self, spec):

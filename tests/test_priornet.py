@@ -175,6 +175,18 @@ class TestCheckpoint:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
         assert loaded.b == params.b
 
+    @pytest.mark.parametrize("name", ["psi", "w_head", "b"])
+    def test_float32_overflow_rejected_before_writing(self, name):
+        params = init_params(6, d=5, seed=9)
+        if name == "b":
+            params.b = 1e39
+        else:
+            getattr(params, name)[0] = -1e39
+        buf = io.BytesIO()
+        with pytest.raises(ContractError):
+            save_params(params, buf)
+        assert buf.getvalue() == b""
+
     def test_bad_magic(self):
         with pytest.raises(ContractError):
             load_params(io.BytesIO(b"XXXX" + b"\x00" * 32))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lidarood import trainer
 from lidarood.core import ContractError, FormatError, LabelMap, PointCloud
 from lidarood.priornet import init_params
 from lidarood.scenes import SceneConfig, default_budget, default_class_spec, generate_scene
@@ -186,6 +187,61 @@ class TestTrain:
         np.testing.assert_array_equal(bb_b.w2, bb_c.w2)
 
 
+class TestFeatureCache:
+    @pytest.mark.parametrize("raise_kw, hits, misses", [
+        (dict(raise_eps=1.0, raise_min_pts=2, raise_rho=1.0), True, False),
+        (dict(raise_eps=0.5, raise_min_pts=4), True, True),
+        (dict(), False, True),
+    ], ids=["raises-hit", "raises-mixed", "raises-miss"])
+    def test_step_features_equal_fresh_extraction(self, monkeypatch, raise_kw, hits, misses):
+        """Each step's features are bitwise those of its raised cloud, and
+        features are extracted at most once per scan plus once per step
+        whose raises moved points."""
+        spec = default_class_spec(extended=True)
+        scenes = small_scenes(3)
+        real_raise, real_forward = trainer.perlin_raise, trainer.forward
+        real_features = trainer.extract_features
+        step_raises = []  # (cloud, raised_count) of the raises since the last forward
+        extracted = []    # clouds extract_features ran on
+        moved_steps = still_steps = 0
+
+        def spy_raise(*args):
+            out = real_raise(*args)
+            step_raises.append((out[0], out[2].raised_count))
+            return out
+
+        def spy_features(cloud):
+            extracted.append(cloud)
+            return real_features(cloud)
+
+        def spy_forward(backbone, features, spec_):
+            nonlocal moved_steps, still_steps
+            if step_raises:  # a training step, not the prior-head probe
+                fresh = real_features(step_raises[-1][0])
+                assert features.tobytes() == fresh.tobytes()
+                if any(count > 0 for _, count in step_raises):
+                    moved_steps += 1
+                else:
+                    still_steps += 1
+                step_raises.clear()
+            return real_forward(backbone, features, spec_)
+
+        monkeypatch.setattr(trainer, "perlin_raise", spy_raise)
+        monkeypatch.setattr(trainer, "extract_features", spy_features)
+        monkeypatch.setattr(trainer, "forward", spy_forward)
+        train(scenes, spec, TrainConfig(lr=1e-3, epochs=3, seed=5, raise_per_scan=2,
+                                        **raise_kw))
+
+        base = [c for c in extracted if any(c is cloud for cloud, _ in scenes)]
+        assert len({id(c) for c in base}) == len(base)  # each scan at most once
+        assert len(extracted) - len(base) == moved_steps
+        assert moved_steps + still_steps == 9
+        assert (moved_steps > 0) == hits
+        assert (still_steps > 0) == misses
+        if not hits:
+            assert still_steps > len(base)  # cached features were reused
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         spec = default_class_spec(extended=True)
@@ -213,6 +269,20 @@ class TestCheckpoint:
             path.write_bytes(bad)
             with pytest.raises(FormatError):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("part", ["backbone", "prior"])
+    def test_float32_overflow_rejected_before_writing(self, tmp_path, part):
+        spec = default_class_spec(extended=True)
+        backbone = init_backbone(8, spec.logit_width, seed=1)
+        params = init_params(spec.logit_width, d=4, seed=2)
+        if part == "backbone":
+            backbone.w2[0, 0] = 1e39
+        else:
+            params.psi[0, 0] = 1e39
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ContractError):
+            save_checkpoint(path, backbone, params)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
