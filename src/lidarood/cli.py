@@ -123,6 +123,8 @@ def _load_dataset(directory: Path, spec) -> list[tuple[PointCloud, LabelMap]]:
 # --------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    if args.scenes < 1:
+        raise ContractError("--scenes must be >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = PipelineConfig(entries={
@@ -151,6 +153,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_raise(args) -> int:
+    if not 0.0 < args.r_min <= args.r_max < np.inf:
+        raise ContractError("need 0 < --r-min <= --r-max, both finite")
     spec = default_class_spec()
     src, out = Path(args.input), Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -42,8 +42,8 @@ class ClusterAssignment:
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     """Cluster an (M, 3) point array; returns -1 ids for noise points."""
-    if eps <= 0:
-        raise ContractError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ContractError(f"eps must be finite and positive, got {eps}")
     if min_pts < 1:
         raise ContractError("min_pts must be >= 1")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)

@@ -95,6 +95,7 @@ def fpr_at_95_tpr(scores: ScoreField, is_ood, ignore=None, tpr: float = 0.95) ->
     Candidate thresholds are the unique score values (scanned descending)
     plus -inf; a point is flagged when its score strictly exceeds the
     threshold."""
+    _check_tpr(tpr)
     s, pos = _validated(scores, is_ood, ignore)
     n_pos = int(pos.sum())
     n_neg = int(pos.size - n_pos)
@@ -104,6 +105,12 @@ def fpr_at_95_tpr(scores: ScoreField, is_ood, ignore=None, tpr: float = 0.95) ->
     tp_above, fp_above = _counts_above_candidates(s, pos)
     hit = np.flatnonzero(tp_above / n_pos >= tpr)[0]
     return float(fp_above[hit] / n_neg)
+
+
+def _check_tpr(tpr: float) -> None:
+    # some candidate (the -inf one flags every point) reaches any TPR in (0, 1]
+    if not 0.0 < tpr <= 1.0:
+        raise ContractError(f"target TPR must be in (0, 1], got {tpr}")
 
 
 def _counts_above_candidates(s: np.ndarray, pos: np.ndarray):
@@ -146,6 +153,7 @@ def average_precision(scores: ScoreField, is_ood, ignore=None) -> float:
 
 def threshold_at_tpr(scores: ScoreField, is_ood, ignore=None, tpr: float = 0.95) -> float:
     """Largest gamma whose strict-> classification reaches the target TPR."""
+    _check_tpr(tpr)
     s, pos = _validated(scores, is_ood, ignore)
     if not pos.any():
         raise ContractError("threshold calibration needs at least one OOD point")

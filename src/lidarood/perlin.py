@@ -103,10 +103,10 @@ class RaiseConfig:
     label_all_clusters: bool = False
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ContractError("patch radius r must be positive")
-        if self.alpha < 0:
-            raise ContractError("alpha must be >= 0")
+        if not 0.0 < self.r < np.inf:
+            raise ContractError("patch radius r must be finite and positive")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ContractError("alpha must be finite and >= 0")
         if not (0.0 < self.rho <= 1.0):
             raise ContractError("rho must be in (0, 1]")
 

@@ -80,6 +80,8 @@ class SceneConfig:
     anomaly_points: tuple[int, int] = (120, 300)
 
     def __post_init__(self):
+        if not 0.0 < self.extent < np.inf:
+            raise ContractError(f"extent must be finite and positive, got {self.extent}")
         if ROAD not in self.class_budget:
             raise ContractError("class budget must include the road class")
         if any(v <= 0 for v in self.class_budget.values()):

@@ -156,6 +156,46 @@ class TestBadInput:
         self.assert_one_line_error(capsys)
 
 
+class TestBadNumericFlags:
+    """No subcommand prints a traceback for a bad numeric flag: each run ends
+    with exit 1 (2 for a usage error) and one stderr line."""
+
+    @pytest.mark.parametrize("args, code", [
+        pytest.param(["eval", "--gamma-from-tpr", "2"], 1, id="eval-tpr-above-1"),
+        pytest.param(["eval", "--gamma-from-tpr", "nan"], 1, id="eval-tpr-nan"),
+        pytest.param(["eval", "--gamma=-inf", "--eps", "nan"], 1, id="eval-eps-nan"),
+        pytest.param(["eval", "--gamma=-inf", "--eps", "inf"], 1, id="eval-eps-inf"),
+        pytest.param(["eval", "--gamma=-inf", "--min-pts", "-3"], 1, id="eval-min-pts"),
+        pytest.param(["eval", "--gamma", "nan"], 1, id="eval-gamma-nan"),
+        pytest.param(["eval", "--gamma", "0", "--gamma-from-tpr", "0.9"], 2,
+                     id="eval-two-gammas"),
+        pytest.param(["synth", "--extent", "nan"], 1, id="synth-extent-nan"),
+        pytest.param(["synth", "--extent", "0"], 1, id="synth-extent-zero"),
+        pytest.param(["synth", "--scenes", "0"], 1, id="synth-no-scenes"),
+        pytest.param(["raise", "--r-min", "nan"], 1, id="raise-r-min-nan"),
+        pytest.param(["raise", "--r-min", "2", "--r-max", "1"], 1, id="raise-r-range"),
+        pytest.param(["raise", "--alpha", "nan"], 1, id="raise-alpha-nan"),
+        pytest.param(["raise", "--eps", "nan"], 1, id="raise-eps-nan"),
+        pytest.param(["export-map", "--resolution", "0"], 1, id="export-map-resolution"),
+    ])
+    def test_one_line_no_traceback(self, pipeline, tmp_path, capsys, args, code):
+        eval_dir = pipeline / "eval"
+        required = {
+            "eval": ["--data", str(eval_dir), "--scores", str(pipeline / "scores"),
+                     "--report", str(tmp_path / "r.txt")],
+            "synth": ["--out", str(tmp_path / "s"), "--points", "600", "--extent", "4"],
+            "raise": ["--in", str(eval_dir), "--out", str(tmp_path / "r")],
+            "export-map": ["--cloud", str(eval_dir / "scene_000.bin"),
+                           "--scores", str(pipeline / "scores" / "scene_000.score"),
+                           "--out", str(tmp_path / "m")],
+        }[args[0]]
+        capsys.readouterr()
+        assert main([args[0], *required, *args[1:]]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: " if code == 1 else "usage error: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 class TestExportMap:
     def test_raster_header_and_colors(self, pipeline, tmp_path):
         cloud = sorted((pipeline / "eval").glob("*.bin"))[0]

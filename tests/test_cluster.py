@@ -94,6 +94,11 @@ class TestDbscan:
         with pytest.raises(ContractError):
             dbscan(np.zeros((3, 3)), eps=1.0, min_pts=0)
 
+    @pytest.mark.parametrize("eps", [-0.5, np.nan, np.inf])
+    def test_eps_not_finite_positive(self, eps):
+        with pytest.raises(ContractError):
+            dbscan(np.zeros((3, 3)), eps=eps, min_pts=2)
+
     @pytest.mark.parametrize("make_points", [
         *(pytest.param(partial(random_points, seed), id=str(seed)) for seed in range(10)),
         pytest.param(scrambled_chain, id="scrambled-chain"),

@@ -349,6 +349,20 @@ class TestThresholdCalibration:
         got_fpr = flagged[~pos].sum() / (~pos).sum()
         assert abs(got_fpr - want_fpr) <= 1e-12
 
+    @pytest.mark.parametrize("metric", [threshold_at_tpr, fpr_at_95_tpr])
+    @pytest.mark.parametrize("tpr", [0.0, -0.5, 1.0 + 1e-12, 2.0, float("nan")])
+    def test_target_tpr_outside_unit_interval(self, metric, tpr):
+        sf = ScoreField(scores=np.array([3.0, 2.0, 1.0, 0.0]))
+        pos = np.array([True, False, True, False])
+        with pytest.raises(ContractError):
+            metric(sf, pos, tpr=tpr)
+
+    @pytest.mark.parametrize("metric, want", [(threshold_at_tpr, 0.0), (fpr_at_95_tpr, 0.5)])
+    def test_target_tpr_one_flags_every_positive(self, metric, want):
+        sf = ScoreField(scores=np.array([3.0, 2.0, 1.0, 0.0]))
+        pos = np.array([True, False, True, False])
+        assert metric(sf, pos, tpr=1.0) == want
+
 
 class TestAurocRocIntegration:
     @pytest.mark.parametrize("seed", range(5))

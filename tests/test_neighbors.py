@@ -1,9 +1,70 @@
 """Sorted-cell spatial index vs brute-force distance checks."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from lidarood.neighbors import GridIndex
+from lidarood.scenes import SceneConfig, default_budget, generate_scene
+
+OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+
+
+def random_cloud(seed):
+    return np.random.default_rng(seed).uniform(-2, 2, size=(300, 3))
+
+
+def scene_cloud(seed=3):
+    """Ground plane plus buildings, vegetation and poles: dense cells."""
+    cloud, _ = generate_scene(SceneConfig(seed=seed, extent=4.0,
+                                          class_budget=default_budget(1500)))
+    return cloud.points.astype(np.float64)
+
+
+def dense_cloud():
+    """800 points in 8 cells: ~10^5 candidate pairs per column of cells, so
+    ``pairs`` splits them over several chunks."""
+    return np.random.default_rng(7).uniform(0, 0.6, size=(800, 3))
+
+
+CLOUDS = [
+    *(pytest.param(partial(random_cloud, seed), id=f"random-{seed}") for seed in range(3)),
+    pytest.param(scene_cloud, id="scene"),
+    pytest.param(dense_cloud, id="dense"),
+]
+
+
+def brute_force_pairs(points, radius):
+    d2 = ((points[:, None] - points[None]) ** 2).sum(axis=2)
+    i, j = np.nonzero(d2 <= radius * radius)
+    return i, j
+
+
+def reference_ball_stats(points, radius):
+    """ball_stats with its summation order spelled out: for each point, the
+    27 cell offsets in lexicographic order, each neighbor cell's points in
+    ascending index, one float add at a time."""
+    keys = np.floor(points / radius).astype(np.int64)
+    cells = {}                                  # cell key -> ascending indices
+    for k, key in enumerate(map(tuple, keys)):
+        cells.setdefault(key, []).append(k)
+    x, y, z = points.T.tolist()
+    counts = np.zeros(len(points), dtype=np.int64)
+    s1 = np.zeros(len(points))
+    s2 = np.zeros(len(points))
+    for i in range(len(points)):
+        count, a, b = 0, 0.0, 0.0
+        for off in OFFSETS:
+            for j in cells.get(tuple(keys[i] + off), ()):
+                dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+                if dx * dx + dy * dy + dz * dz <= radius * radius:
+                    count += 1
+                    a += z[j]
+                    b += z[j] * z[j]
+        counts[i], s1[i], s2[i] = count, a, b
+    mean = s1 / counts
+    return counts, np.maximum(s2 / counts - mean * mean, 0.0)
 
 
 class TestQueryBall:
@@ -46,6 +107,61 @@ class TestQueryBall:
         with pytest.raises(ValueError):
             GridIndex(np.zeros((1, 3)), cell_size=0.0)
 
+    @pytest.mark.parametrize("cell_size", [-1.0, np.nan, np.inf])
+    def test_non_finite_or_negative_cell_size(self, cell_size):
+        with pytest.raises(ValueError):
+            GridIndex(np.zeros((1, 3)), cell_size=cell_size)
+
+
+class TestPairs:
+    @staticmethod
+    def chunks(points, radius, cell_size):
+        return list(GridIndex(points, cell_size=cell_size).pairs(radius))
+
+    @pytest.mark.parametrize("make_points", CLOUDS)
+    @pytest.mark.parametrize("radius", [0.3, 0.5])
+    def test_union_matches_brute_force_once_each(self, make_points, radius):
+        points = make_points()
+        i, j = map(np.concatenate, zip(*self.chunks(points, radius, cell_size=0.5)))
+        got = i * len(points) + j
+        want_i, want_j = brute_force_pairs(points, radius)
+        assert len(np.unique(got)) == len(got)          # no pair twice
+        np.testing.assert_array_equal(np.sort(got), want_i * len(points) + want_j)
+
+    @pytest.mark.parametrize("make_points", CLOUDS)
+    def test_order_per_point_is_cell_offset_then_j(self, make_points):
+        """Over the chunks in order, each point's pairs come by neighbor
+        cell in lexicographic offset order, then by ascending j."""
+        points = make_points()
+        i, j = map(np.concatenate, zip(*self.chunks(points, 0.5, cell_size=0.5)))
+        by_i = np.argsort(i, kind="stable")
+        i, j = i[by_i], j[by_i]
+        cell = np.floor(points[j] / 0.5).astype(np.int64)   # offset = cell - cell of i
+        want = np.lexsort((j, cell[:, 2], cell[:, 1], cell[:, 0], i))
+        np.testing.assert_array_equal(want, np.arange(len(i)))
+
+    def test_dense_cloud_spans_several_chunks(self):
+        chunks = self.chunks(dense_cloud(), 0.5, cell_size=0.5)
+        assert len(chunks) > 9
+
+    def test_boundary_inclusive_across_cells(self):
+        points = np.array([[0.25, 0, 0], [0.75, 0, 0], [-0.25 - 1e-9, 0, 0]])
+        i, j = map(np.concatenate, zip(*self.chunks(points, 0.5, cell_size=0.5)))
+        got = sorted(zip(i.tolist(), j.tolist()))
+        assert got == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+
+    def test_empty_cloud(self):
+        chunks = self.chunks(np.empty((0, 3)), 0.5, cell_size=0.5)
+        assert chunks and all(i.size == 0 and j.size == 0 for i, j in chunks)
+
+    def test_single_point(self):
+        i, j = map(np.concatenate, zip(*self.chunks(np.ones((1, 3)), 0.5, cell_size=0.5)))
+        assert i.tolist() == [0] and j.tolist() == [0]
+
+    def test_radius_larger_than_cell_rejected(self):
+        with pytest.raises(ValueError):
+            next(GridIndex(np.zeros((2, 3)), cell_size=0.5).pairs(0.6))
+
 
 class TestBallStats:
     @pytest.mark.parametrize("seed", range(3))
@@ -61,6 +177,14 @@ class TestBallStats:
         for i in range(0, 250, 17):
             z = points[within[i], 2]
             assert abs(zvar[i] - z.var()) < 1e-10
+
+    @pytest.mark.parametrize("make_points", CLOUDS)
+    def test_bytes_match_order_explicit_reference(self, make_points):
+        points = make_points()
+        counts, zvar = GridIndex(points, cell_size=0.5).ball_stats(0.5)
+        want_counts, want_zvar = reference_ball_stats(points, 0.5)
+        assert counts.tobytes() == want_counts.tobytes()
+        assert zvar.tobytes() == want_zvar.tobytes()
 
     def test_radius_larger_than_cell_rejected(self):
         index = GridIndex(np.zeros((2, 3)), cell_size=0.5)

@@ -62,6 +62,12 @@ class TestRaiseConfig:
         with pytest.raises(ContractError):
             RaiseConfig(alpha=-0.1)
 
+    @pytest.mark.parametrize("field", ["r", "alpha"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ContractError):
+            RaiseConfig(**{field: value})
+
 
 class TestPerlinRaise:
     def test_alpha_zero_flips_labels_only(self):

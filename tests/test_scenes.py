@@ -64,6 +64,11 @@ class TestGenerateScene:
         with pytest.raises(ContractError):
             SceneConfig(seed=0, eval_anomaly_kinds=("pyramid",))
 
+    @pytest.mark.parametrize("extent", [0.0, -3.0, float("nan"), float("inf")])
+    def test_extent_not_finite_positive(self, extent):
+        with pytest.raises(ContractError):
+            SceneConfig(seed=0, extent=extent)
+
 
 class TestInjectEvalAnomaly:
     def test_zero_count_is_identity(self):
