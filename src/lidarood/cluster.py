@@ -10,6 +10,8 @@ DBSCAN leaves border ownership implementation-defined; here a border point
 joins the smallest cluster id among its core neighbors, which is what a
 sequential DBSCAN growing clusters from seeds in ascending index order
 produces. Output is a pure, deterministic function of the input ordering.
+With fewer points than ``min_pts`` no point can be core, so every point is
+noise and no index is built.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
         raise ContractError("min_pts must be >= 1")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
+    if n < min_pts:  # no point can have min_pts neighbors
+        return ClusterAssignment(cluster_id=np.full(n, NOISE, dtype=np.int64), num_clusters=0)
     i, j = map(np.concatenate, zip(*GridIndex(points, cell_size=eps).pairs(eps)))
     core = np.bincount(i, minlength=n) >= min_pts
     edge = core[i] & core[j]

@@ -8,7 +8,8 @@ Binary conventions follow the common LiDAR benchmark layout:
 * score file (``.score``): N x 1 little-endian float32, one scalar per point
 
 All types are immutable after construction (backing arrays are marked
-read-only) and therefore safe to share across threads for reading.
+read-only, and so are the values a ``LogitField`` derives and caches on
+first use) and therefore safe to share across threads for reading.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -174,9 +176,60 @@ class LabelMap:
         return self.semantic.shape[0]
 
 
+class RowSoftmax:
+    """Row-wise softmax of an (M, c) logit block.
+
+    ``max`` (row maxima), ``lse`` (log-sum-exp), ``logp()`` (log-softmax),
+    ``p()`` (softmax) and ``entropy`` (natural log) all derive from one
+    max -> shift -> exp -> sum -> log pass, and each is the same
+    floating-point expression whichever is asked for first. Only the
+    reductions are kept: the row maxima, the log of the row exp-sums and
+    the entropy are computed on first use and kept as read-only (M,)
+    arrays. ``lse``, ``logp()`` and ``p()`` are rebuilt from them on each
+    call (an add, or a subtraction and an exp) and not kept, so a field
+    holds no extra (M, c) array.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self._values = values
+
+    @cached_property
+    def max(self) -> np.ndarray:
+        # from a channel-major copy: a max over short rows is slow in numpy,
+        # and a max is exact in any order
+        return _readonly(np.ascontiguousarray(self._values.T).max(axis=0))
+
+    def _shifted(self) -> np.ndarray:
+        return self._values - self.max[:, None]
+
+    @cached_property
+    def _log_sum(self) -> np.ndarray:
+        return _readonly(np.log(np.exp(self._shifted()).sum(axis=1)))
+
+    @property
+    def lse(self) -> np.ndarray:
+        return self.max + self._log_sum
+
+    def logp(self) -> np.ndarray:
+        return self._shifted() - self._log_sum[:, None]
+
+    def p(self) -> np.ndarray:
+        return np.exp(self.logp())
+
+    @cached_property
+    def entropy(self) -> np.ndarray:
+        logp = self.logp()
+        return _readonly(-(np.exp(logp) * logp).sum(axis=1))
+
+
 @dataclass(frozen=True, eq=False)
 class LogitField:
-    """Per-point logit vectors of width K (standard) or 2K (extended)."""
+    """Per-point logit vectors of width K (standard) or 2K (extended).
+
+    ``softmax`` and ``inlier_softmax`` hold the row-wise softmax parts over
+    all channels and over the first K, so every score, gradient and loss
+    term of one field shares one max / exp-sum / log pass per group.
+    """
 
     values: np.ndarray  # (M, C) float
     class_spec: ClassSpec
@@ -197,6 +250,19 @@ class LogitField:
     @property
     def count(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def softmax(self) -> RowSoftmax:
+        """Softmax parts over all channels."""
+        return RowSoftmax(self.values)
+
+    @cached_property
+    def inlier_softmax(self) -> RowSoftmax:
+        """Softmax parts over the first K (inlier) channels; the same object
+        as ``softmax`` for a standard K-channel field."""
+        if not self.class_spec.extended:
+            return self.softmax
+        return RowSoftmax(self.values[:, :self.class_spec.num_classes])
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +344,11 @@ def load_scores(path) -> ScoreField:
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size % 4 != 0:
         raise FormatError(f"{path}: size {raw.size} is not a multiple of 4 bytes")
-    return ScoreField(scores=raw.view("<f4").astype(np.float64))
+    values = raw.view("<f4")
+    # checked before widening: casting a NaN payload would warn
+    if not np.all(np.isfinite(values)):
+        raise ContractError("scores must be finite")
+    return ScoreField(scores=values.astype(np.float64))
 
 
 def save_scores(scores: ScoreField, path) -> None:

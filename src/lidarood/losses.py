@@ -11,6 +11,11 @@ hinge; ID_HIGH preserves the opposite (swapped) assignment behind a flag.
 Synthetic-anomaly and void points are vastly outnumbered by inliers, so
 their per-point loss terms are scaled by ``ood_weight`` (default 10000)
 inside the total.
+
+The cross-entropy, the score and the score gradient of one logit field read
+the softmax reductions cached on it (``LogitField.softmax`` /
+``inlier_softmax``), so ``total_loss`` takes the row maxima and the log of
+the row exp-sums once per channel group.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ class LossConfig:
     def __post_init__(self):
         if not (0.0 <= self.beta <= 1.0):
             raise ContractError("beta must be in [0, 1]")
-        if self.ood_weight <= 0:
-            raise ContractError("ood_weight must be positive")
+        if not 0.0 < self.ood_weight < np.inf:
+            raise ContractError("ood_weight must be finite and positive")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -70,33 +75,24 @@ def ce_loss(field: LogitField, labels: LabelMap, spec: ClassSpec,
     An inlier point whose semantic id is not an inlier class is a contract
     violation.
     """
-    values = field.values
-    k = spec.num_classes
-    c = values.shape[1] if not positive_only else k
-    grad = np.zeros_like(values)
-
-    in_mask = labels.role == Role.INLIER
-    n = int(np.count_nonzero(in_mask))
+    grad = np.zeros_like(field.values)
+    inliers = np.flatnonzero(labels.role == Role.INLIER)
+    n = inliers.size
     if n == 0:
         return 0.0, grad
 
-    sem = labels.semantic[in_mask]
+    sem = labels.semantic[inliers]
     unknown = ~np.isin(sem, list(spec.inlier_classes))
     if np.any(unknown):
         raise ContractError("inlier-role point carries a non-inlier semantic id")
     targets = spec.class_index()[sem]
 
-    sub = values[in_mask][:, :c]
-    shifted = sub - sub.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    rows = np.arange(n)
-    loss = float(-logp[rows, targets].mean())
+    logp = (field.inlier_softmax if positive_only else field.softmax).logp()
+    loss = float(-logp[inliers, targets].mean())
 
-    p = np.exp(logp)
-    p[rows, targets] -= 1.0
-    grad_rows = np.zeros((n, values.shape[1]))
-    grad_rows[:, :c] = p / n
-    grad[in_mask] = grad_rows
+    p = np.exp(logp[inliers])
+    p[np.arange(n), targets] -= 1.0
+    grad[inliers, :p.shape[1]] = p / n
     return loss, grad
 
 

@@ -132,7 +132,7 @@ class GridIndex:
         s2 = np.zeros(n)
         z = self.points[:, 2]
         for i, j in self.pairs(radius):
-            counts += np.bincount(i, minlength=n)
+            np.add.at(counts, i, 1)  # O(chunk), where a bincount is O(n) per chunk
             np.add.at(s1, i, z[j])
             np.add.at(s2, i, z[j] ** 2)
         mean = s1 / counts

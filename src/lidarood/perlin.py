@@ -4,7 +4,8 @@ The augmentation synthesizes training anomalies directly from a scan: it
 samples a road patch, evaluates a fresh gradient-noise field over the patch,
 selects the top-noise fraction of points, and lifts the largest density
 cluster of the selection by a noise-proportional height gain. Raised points
-are relabeled as synthetic anomalies.
+are relabeled as synthetic anomalies. The patch is one ball query, answered
+by a direct distance pass over the road points (boundary inclusive).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .cluster import dbscan, largest_cluster
 from .core import ClassSpec, ContractError, LabelMap, PointCloud, Role
-from .neighbors import GridIndex
 
 __all__ = ["PerlinField", "perlin2d", "RaiseConfig", "RaiseReport", "perlin_raise"]
 
@@ -154,10 +154,11 @@ def perlin_raise(
     center_index = int(road_idx[rng.integers(road_idx.size)])
     center = cloud.points[center_index].astype(np.float64)
 
+    # one ball around one centre: a direct distance pass is cheaper than
+    # building an index for a single query
     road_points = cloud.points[road_idx].astype(np.float64)
-    index = GridIndex(road_points, cell_size=cfg.r)
-    local = index.query_ball(center, cfg.r)
-    neighborhood = road_idx[local]  # road points within r of c, ascending
+    d2 = np.sum((road_points - center) ** 2, axis=1)
+    neighborhood = road_idx[d2 <= cfg.r * cfg.r]  # road points within r of c, ascending
 
     cell = cfg.cell_size if cfg.cell_size is not None else cfg.r / 2.0
     field_seed = int(rng.integers(2**63))

@@ -82,6 +82,9 @@ class SceneConfig:
     def __post_init__(self):
         if not 0.0 < self.extent < np.inf:
             raise ContractError(f"extent must be finite and positive, got {self.extent}")
+        if not 0.0 <= self.road_noise_sigma < np.inf:
+            raise ContractError(
+                f"road_noise_sigma must be finite and >= 0, got {self.road_noise_sigma}")
         if ROAD not in self.class_budget:
             raise ContractError("class budget must include the road class")
         if any(v <= 0 for v in self.class_budget.values()):

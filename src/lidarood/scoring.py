@@ -4,7 +4,11 @@ All scores share one orientation contract: larger = more out-of-distribution.
 For extended (2K-channel) logit fields, ENTROPY / ENERGY / MAXLOGIT operate
 on the positive (inlier) half of the channels only; EXTENDED_ENERGY is the
 log-ratio of the full-channel partition sum to the positive-channel sum and
-refuses non-extended fields.
+refuses non-extended fields. Scores and their gradients read the softmax
+reductions cached on the field (``LogitField.softmax`` /
+``inlier_softmax``), so a score, its gradient and the cross-entropy of one
+field take the row maxima and the log of the row exp-sums once per channel
+group.
 
 The reweighted form multiplies a static score by the learned per-point
 weight w >= 1 from :mod:`lidarood.priornet`; with a zero weight head the
@@ -44,32 +48,20 @@ class ScoreMethod(enum.Enum):
         raise ContractError(f"unknown score method {name!r}")
 
 
-def _positive_channels(field: LogitField) -> np.ndarray:
-    k = field.class_spec.num_classes
-    return field.values[:, :k]
-
-
-def _log_softmax(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _logsumexp(values: np.ndarray) -> np.ndarray:
-    m = values.max(axis=1)
-    return m + np.log(np.exp(values - m[:, None]).sum(axis=1))
-
-
 def entropy_score(field: LogitField) -> np.ndarray:
     """Shannon entropy (natural log) of the inlier-channel softmax,
     in [0, ln K]."""
-    logp = _log_softmax(_positive_channels(field))
-    p = np.exp(logp)
-    return -(p * logp).sum(axis=1)
+    return field.inlier_softmax.entropy.copy()  # writable, like every other score
 
 
 def energy_score(field: LogitField) -> np.ndarray:
     """Negative log-sum-exp of the inlier-channel logits."""
-    return -_logsumexp(_positive_channels(field))
+    return -field.inlier_softmax.lse
+
+
+def _require_extended(field: LogitField) -> None:
+    if not field.class_spec.extended:
+        raise ContractError("extended energy requires a 2K-channel logit field")
 
 
 def extended_energy_score(field: LogitField) -> np.ndarray:
@@ -77,14 +69,13 @@ def extended_energy_score(field: LogitField) -> np.ndarray:
 
     Always >= 0; grows as the negative channels dominate.
     """
-    if not field.class_spec.extended:
-        raise ContractError("extended energy requires a 2K-channel logit field")
-    return _logsumexp(field.values) - _logsumexp(_positive_channels(field))
+    _require_extended(field)
+    return field.softmax.lse - field.inlier_softmax.lse
 
 
 def maxlogit_score(field: LogitField) -> np.ndarray:
     """Negative maximum inlier-channel logit."""
-    return -_positive_channels(field).max(axis=1)
+    return -field.inlier_softmax.max
 
 
 _DISPATCH = {
@@ -107,23 +98,18 @@ def static_score_grad(field: LogitField, method: ScoreMethod) -> np.ndarray:
     """
     values = field.values
     k = field.class_spec.num_classes
+    pos = field.inlier_softmax
     grad = np.zeros_like(values)
 
     if method is ScoreMethod.ENTROPY:
-        logp = _log_softmax(values[:, :k])
-        p = np.exp(logp)
-        h = -(p * logp).sum(axis=1, keepdims=True)
-        grad[:, :k] = p * (-h - logp)
+        logp = pos.logp()
+        grad[:, :k] = np.exp(logp) * (-pos.entropy[:, None] - logp)
     elif method is ScoreMethod.ENERGY:
-        logp = _log_softmax(values[:, :k])
-        grad[:, :k] = -np.exp(logp)
+        grad[:, :k] = -pos.p()
     elif method is ScoreMethod.EXTENDED_ENERGY:
-        if not field.class_spec.extended:
-            raise ContractError("extended energy requires a 2K-channel logit field")
-        p_all = np.exp(_log_softmax(values))
-        p_pos = np.exp(_log_softmax(values[:, :k]))
-        grad = p_all.copy()
-        grad[:, :k] -= p_pos
+        _require_extended(field)
+        grad = field.softmax.p()
+        grad[:, :k] -= pos.p()
     elif method is ScoreMethod.MAXLOGIT:
         rows = np.arange(values.shape[0])
         grad[rows, values[:, :k].argmax(axis=1)] = -1.0

@@ -137,8 +137,8 @@ class TrainConfig:
     head_init_scale: float = 1e-2
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ContractError("lr must be >= 0")
+        if not 0.0 <= self.lr < np.inf:
+            raise ContractError("lr must be finite and >= 0")
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
         if self.batch_scans < 1:

@@ -177,6 +177,12 @@ class TestBadNumericFlags:
         pytest.param(["raise", "--alpha", "nan"], 1, id="raise-alpha-nan"),
         pytest.param(["raise", "--eps", "nan"], 1, id="raise-eps-nan"),
         pytest.param(["export-map", "--resolution", "0"], 1, id="export-map-resolution"),
+        pytest.param(["train", "--lr", "nan"], 1, id="train-lr-nan"),
+        pytest.param(["train", "--lr", "inf"], 1, id="train-lr-inf"),
+        pytest.param(["train", "--ood-weight", "nan"], 1, id="train-ood-weight-nan"),
+        pytest.param(["train", "--ood-weight", "inf"], 1, id="train-ood-weight-inf"),
+        pytest.param(["synth", "--road-noise-sigma", "-1"], 1, id="synth-road-noise-negative"),
+        pytest.param(["synth", "--road-noise-sigma", "nan"], 1, id="synth-road-noise-nan"),
     ])
     def test_one_line_no_traceback(self, pipeline, tmp_path, capsys, args, code):
         eval_dir = pipeline / "eval"
@@ -185,6 +191,7 @@ class TestBadNumericFlags:
                      "--report", str(tmp_path / "r.txt")],
             "synth": ["--out", str(tmp_path / "s"), "--points", "600", "--extent", "4"],
             "raise": ["--in", str(eval_dir), "--out", str(tmp_path / "r")],
+            "train": ["--data", str(eval_dir), "--out", str(tmp_path / "t" / "model.ckpt")],
             "export-map": ["--cloud", str(eval_dir / "scene_000.bin"),
                            "--scores", str(pipeline / "scores" / "scene_000.score"),
                            "--out", str(tmp_path / "m")],

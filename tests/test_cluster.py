@@ -115,6 +115,17 @@ class TestDbscan:
                 np.testing.assert_array_equal(assign.cluster_id, ref_labels)
                 assert assign.num_clusters == ref_k
 
+    @pytest.mark.parametrize("n", [0, 1, 4, 5, 6])
+    def test_few_points_vs_min_pts(self, n):
+        """n < min_pts is all noise; n == min_pts points within eps of each
+        other still make one cluster."""
+        points = np.random.default_rng(n).uniform(0.0, 0.1, size=(n, 3))
+        assign = dbscan(points, eps=0.3, min_pts=5)
+        ref_labels, ref_k = brute_force_dbscan(points, 0.3, 5)
+        np.testing.assert_array_equal(assign.cluster_id, ref_labels)
+        assert assign.cluster_id.dtype == np.int64
+        assert assign.num_clusters == ref_k == (n >= 5)
+
     def test_noise_points_are_never_core(self):
         rng = np.random.default_rng(42)
         points = rng.uniform(-2, 2, size=(150, 3))

@@ -1,5 +1,7 @@
 """Domain types and bit-exact binary I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,16 @@ class TestScoreIO:
         with pytest.raises(ContractError):
             save_scores(ScoreField(scores=[1.0, 1e39]), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("word", [0x7FC00000, 0x7F800001, 0xFF800000],
+                             ids=["quiet-nan", "signaling-nan", "minus-inf"])
+    def test_non_finite_payload_rejected_without_warning(self, tmp_path, word):
+        path = tmp_path / "bad.score"
+        np.array([0, word], dtype="<u4").tofile(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="finite"):
+                load_scores(path)
 
 
 class TestRoles:

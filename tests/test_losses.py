@@ -9,8 +9,8 @@ from lidarood.core import ClassSpec, ContractError, LabelMap, LogitField, Role
 from lidarood.losses import (
     LossConfig, Orientation, aux_logistic_loss, ce_loss, total_loss, void_soft_loss,
 )
-from lidarood.priornet import init_params
-from lidarood.scoring import ScoreMethod
+from lidarood.priornet import init_params, prior_backward, prior_weight
+from lidarood.scoring import ScoreMethod, static_score, static_score_grad
 
 
 def sigmoid(x):
@@ -269,3 +269,64 @@ class TestTotalLoss:
         for name in ("w_proj", "psi", "w_q", "w_k", "w_v", "w_head"):
             assert not getattr(res.prior_grads, name).any()
         assert res.prior_grads.b != 0.0
+
+
+class TestTotalLossComposition:
+    """``total_loss`` shares one softmax pass between its terms; its result
+    equals, bitwise, the composition of the separately computed terms, each
+    on a field of its own."""
+
+    @pytest.mark.parametrize("use_prior", [False, True])
+    @pytest.mark.parametrize("positive_only", [False, True])
+    @pytest.mark.parametrize("method, extended", [
+        (method, extended) for method in ScoreMethod for extended in (False, True)
+        if extended or not method.requires_extended])
+    def test_matches_composition_bitwise(self, method, extended, positive_only, use_prior):
+        spec = ClassSpec(inlier_classes=(1, 2, 3), void_id=0, ood_id=9,
+                         ignore_id=8, extended=extended)
+        rng = np.random.default_rng(12)
+        m = 400
+        values = rng.normal(scale=4.0, size=(m, spec.logit_width))
+        roles = rng.choice([Role.INLIER, Role.AUX_OOD, Role.VOID], size=m, p=[0.8, 0.1, 0.1])
+        sem = np.where(roles == Role.INLIER, rng.integers(1, 4, size=m),
+                       np.where(roles == Role.AUX_OOD, 9, 0))
+        labels = LabelMap(semantic=sem, instance=np.zeros(m, dtype=np.int64), role=roles)
+        params = init_params(spec.logit_width, 4, seed=5)
+        params.w_head = rng.normal(size=8)
+        params.b = 0.3
+        cfg = LossConfig(beta=0.8, ood_weight=50.0, ce_positive_only=positive_only)
+
+        res = total_loss(LogitField(values=values, class_spec=spec), labels, spec, method,
+                         params, cfg, use_prior=use_prior)
+
+        def fresh():
+            return LogitField(values=values, class_spec=spec)
+
+        ce, dlogits = ce_loss(fresh(), labels, spec, positive_only=positive_only)
+        base = static_score(fresh(), method)
+        base_grad = static_score_grad(fresh(), method)
+        weights, tape = prior_weight(fresh(), params) if use_prior else (np.ones(m), None)
+        scores = base * weights
+        in_mask = roles == Role.INLIER
+        aux_mask = roles == Role.AUX_OOD
+        void_mask = roles == Role.VOID
+        aux, g_in_a, g_aux, b_a = aux_logistic_loss(
+            scores[in_mask], scores[aux_mask], params.b, aux_weight=cfg.ood_weight)
+        void, g_in_v, g_void, b_v = void_soft_loss(
+            scores[in_mask], scores[void_mask], params.b, beta=cfg.beta,
+            void_weight=cfg.ood_weight)
+        g = np.zeros(m)
+        g[in_mask] = g_in_a + g_in_v
+        g[aux_mask] = g_aux
+        g[void_mask] = g_void
+        want_dlogits = dlogits + (g * weights)[:, None] * base_grad
+        if use_prior:
+            prior_grads, dlogits_prior = prior_backward(tape, g * base)
+            want_dlogits = want_dlogits + dlogits_prior
+
+        assert (res.total, res.ce, res.aux, res.void) == (ce + aux + void, ce, aux, void)
+        assert res.prior_grads.b == b_a + b_v
+        assert res.dlogits.tobytes() == want_dlogits.tobytes()
+        for name, grad in res.prior_grads.tensors().items():
+            want = prior_grads.tensors()[name] if use_prior else np.zeros_like(grad)
+            assert grad.tobytes() == want.tobytes(), name

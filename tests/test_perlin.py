@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lidarood.cluster import dbscan
-from lidarood.core import ContractError, Role
+from lidarood.core import ContractError, LabelMap, PointCloud, Role, roles_from_semantic
 from lidarood.perlin import PerlinField, RaiseConfig, perlin2d, perlin_raise
-from lidarood.scenes import ROAD, SceneConfig, default_class_spec, generate_scene
+from lidarood.scenes import (ROAD, SIDEWALK, SceneConfig, default_budget, default_class_spec,
+                             generate_scene)
 
 
 def road_only_scene(seed, n=6000, extent=5.0):
@@ -162,3 +163,55 @@ class TestPerlinRaise:
         clustered = sum(report.cluster_sizes)
         assert n_flagged == clustered
         assert n_flagged >= report.raised_count
+
+
+def lattice_scene():
+    """Road and sidewalk points alternating on a 0.5 m lattice (z = 0): every
+    road point has road neighbors at exactly 1.0 m and 2.0 m."""
+    g = np.arange(-6, 7) * 0.5
+    x, y = np.meshgrid(g, g, indexing="ij")
+    points = np.c_[x.ravel(), y.ravel(), np.zeros(x.size)]
+    semantic = np.where(np.arange(x.size) % 3 == 2, SIDEWALK, ROAD)
+    spec = default_class_spec()
+    labels = LabelMap(semantic=semantic, instance=np.zeros(x.size),
+                      role=roles_from_semantic(semantic, spec))
+    return PointCloud(points=points), labels
+
+
+def mixed_scene():
+    return generate_scene(SceneConfig(seed=8, extent=6.0, class_budget=default_budget(3000)))
+
+
+class TestRaiseNeighborhood:
+    """The patch is the brute-force ball of road points around the centre,
+    boundary inclusive: with rho = 1 and min_pts = 1 every patch point is
+    selected, so ``selected_indices`` lists the whole patch."""
+
+    @pytest.mark.parametrize("make_scene, r", [
+        pytest.param(lattice_scene, 1.0, id="lattice-r1"),
+        pytest.param(lattice_scene, 2.0, id="lattice-r2"),
+        pytest.param(lambda: road_only_scene(7, n=2000), 0.8, id="road-scene-r0.8"),
+        pytest.param(mixed_scene, 1.5, id="mixed-scene-r1.5"),
+    ])
+    def test_patch_is_brute_force_ball(self, make_scene, r):
+        cloud, labels = make_scene()
+        spec = default_class_spec()
+        for seed in range(10):
+            cfg = RaiseConfig(r=r, rho=1.0, dbscan_min_pts=1, seed=seed)
+            _, _, report = perlin_raise(cloud, labels, spec, cfg)
+            center = cloud.points[report.center_index].astype(np.float64)
+            assert labels.semantic[report.center_index] == ROAD
+            np.testing.assert_array_equal(report.center, center)
+            ball = [i for i, p in enumerate(cloud.points.astype(np.float64))
+                    if labels.semantic[i] == ROAD
+                    and sum((p[a] - center[a]) ** 2 for a in range(3)) <= r * r]
+            assert report.neighborhood_size == len(ball)
+            np.testing.assert_array_equal(report.selected_indices, ball)
+
+    def test_lattice_boundary_points_included(self):
+        """On the lattice some patch points lie at exactly d == r."""
+        cloud, labels = lattice_scene()
+        cfg = RaiseConfig(r=1.0, rho=1.0, dbscan_min_pts=1, seed=0)
+        _, _, report = perlin_raise(cloud, labels, default_class_spec(), cfg)
+        d2 = ((cloud.points[report.selected_indices] - report.center) ** 2).sum(axis=1)
+        assert np.any(d2 == 1.0)

@@ -149,6 +149,38 @@ class TestGradients:
         np.testing.assert_array_equal(grad[0], [0.0, -1.0, 0.0])
 
 
+class TestSoftmaxParts:
+    """The softmax parts of a field are the one-pass expressions, bitwise,
+    whichever part is asked for first."""
+
+    @staticmethod
+    def reference(values):
+        m = values.max(axis=1, keepdims=True)
+        log_sum = np.log(np.exp(values - m).sum(axis=1, keepdims=True))
+        logp = (values - m) - log_sum
+        p = np.exp(logp)
+        return {"max": m[:, 0], "lse": (m + log_sum)[:, 0], "logp": logp, "p": p,
+                "entropy": -(p * logp).sum(axis=1)}
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("order", [("lse", "logp", "p", "entropy", "max"),
+                                       ("entropy", "p", "max", "logp", "lse")])
+    def test_bitwise_in_any_order(self, extended, order):
+        rng = np.random.default_rng(3)
+        values = rng.normal(scale=20.0, size=(500, 12 if extended else 6))
+        values[:50] = values[:50, :1]  # rows of ties
+        field = make_field(values, extended=extended)
+        groups = {"softmax": (field.softmax, values),
+                  "inlier_softmax": (field.inlier_softmax, values[:, :6])}
+        for name, (soft, block) in groups.items():
+            want = self.reference(block)
+            for part in order:
+                got = getattr(soft, part)
+                got = got() if callable(got) else got  # (M, c) parts are methods
+                assert got.tobytes() == want[part].tobytes(), (name, part)
+        assert (field.inlier_softmax is field.softmax) is not extended
+
+
 class TestReweighted:
     def test_zero_head_reduction_bitwise(self):
         rng = np.random.default_rng(8)
