@@ -26,7 +26,7 @@ from .core import (
     save_labels, save_point_cloud, save_scores,
 )
 from .losses import LossConfig, Orientation
-from .metrics import EvalConfig, evaluate_scenes, threshold_at_tpr, write_report
+from .metrics import IOU_THRESHOLD, EvalConfig, evaluate_scenes, threshold_at_tpr, write_report
 from .perlin import RaiseConfig, perlin_raise
 from .scenes import SceneConfig, default_budget, default_class_spec, generate_scene, inject_eval_anomaly
 from .scoring import ScoreMethod, reweighted_score, static_score
@@ -141,7 +141,7 @@ def cmd_synth(args) -> int:
             road_noise_sigma=args.road_noise_sigma,
         )
         cloud, labels = generate_scene(scene_cfg)
-        if args.anomalies > 0:
+        if args.anomalies:
             cloud, labels = inject_eval_anomaly(
                 cloud, labels, scene_cfg, seed=int(rng.integers(2**63)),
                 count=args.anomalies)
@@ -276,12 +276,12 @@ def cmd_eval(args) -> int:
         gamma = args.gamma
         gamma_source = "fixed"
 
-    ecfg = EvalConfig(gamma=gamma, dbscan_eps=args.eps, dbscan_min_pts=args.min_pts)
-    results = evaluate_scenes(scenes, ecfg)
+    results = evaluate_scenes(
+        scenes, EvalConfig(gamma=gamma, dbscan_eps=args.eps, dbscan_min_pts=args.min_pts))
     report_cfg = {
         "gamma": gamma, "gamma_source": gamma_source,
         "dbscan_eps": args.eps, "dbscan_min_pts": args.min_pts,
-        "iou_threshold": ecfg.iou_threshold, "version": __version__,
+        "iou_threshold": IOU_THRESHOLD, "version": __version__,
         "scenes": len(scenes),
     }
     write_report(results, report_cfg, args.report)
@@ -295,6 +295,8 @@ def cmd_export_map(args) -> int:
     scores = load_scores(args.scores)
     if scores.count != cloud.count:
         raise ContractError("score length does not match the cloud")
+    if cloud.count == 0:
+        raise ContractError("cannot export a map of an empty cloud")
     res = args.resolution
     if res < 2:
         raise ContractError("resolution must be >= 2")

@@ -135,20 +135,17 @@ class ClassSpec:
         return index
 
 
-def roles_from_semantic(
-    semantic: np.ndarray, spec: ClassSpec, ood_role: Role = Role.REAL_OOD
-) -> np.ndarray:
+def roles_from_semantic(semantic: np.ndarray, spec: ClassSpec) -> np.ndarray:
     """Assign a role tag to every semantic id under a fixed class spec.
 
-    Deterministic: the same (semantic, spec, ood_role) always produces the
-    same role array. ``ood_role`` selects which OOD tag the anomaly id maps
-    to; loaders default to REAL_OOD while the synthetic-anomaly generator
-    tags its raised points AUX_OOD explicitly.
+    Deterministic: the same (semantic, spec) always produces the same role
+    array. The anomaly id maps to REAL_OOD; the synthetic-anomaly generator
+    tags its raised points AUX_OOD itself.
     """
     semantic = np.asarray(semantic)
     roles = np.full(semantic.shape, Role.VOID, dtype=np.int8)
     roles[np.isin(semantic, list(spec.inlier_classes))] = Role.INLIER
-    roles[semantic == spec.ood_id] = ood_role
+    roles[semantic == spec.ood_id] = Role.REAL_OOD
     roles[semantic == spec.ignore_id] = Role.IGNORE
     return roles
 

@@ -40,10 +40,14 @@ class Orientation(enum.Enum):
 
 @dataclass(frozen=True)
 class LossConfig:
+    """Weights of the objective. beta: soft target of the void hinge.
+    ood_weight: scale of the synthetic-anomaly and void terms. orientation:
+    which side of the logistic term inliers are pushed to. Cross-entropy has
+    no setting: it always spans every channel of the field."""
+
     beta: float = 0.9
     ood_weight: float = 10000.0
     orientation: Orientation = Orientation.ID_LOW
-    ce_positive_only: bool = False  # restrict CE softmax to the inlier channels
 
     def __post_init__(self):
         if not (0.0 <= self.beta <= 1.0):
@@ -65,15 +69,13 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def ce_loss(field: LogitField, labels: LabelMap, spec: ClassSpec,
-            positive_only: bool = False) -> tuple[float, np.ndarray]:
+def ce_loss(field: LogitField, labels: LabelMap, spec: ClassSpec) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over INLIER-role points, with exact logit gradient.
 
-    For extended fields the softmax spans all 2K channels by default (the
-    target always lives in the positive half); ``positive_only`` restricts
-    it to the first K channels. Points of other roles contribute nothing.
-    An inlier point whose semantic id is not an inlier class is a contract
-    violation.
+    The softmax spans every channel of the field (``field.softmax``); for
+    extended fields that is all 2K, and the target always lives in the
+    positive half. Points of other roles contribute nothing. An inlier point
+    whose semantic id is not an inlier class is a contract violation.
     """
     grad = np.zeros_like(field.values)
     inliers = np.flatnonzero(labels.role == Role.INLIER)
@@ -87,12 +89,12 @@ def ce_loss(field: LogitField, labels: LabelMap, spec: ClassSpec,
         raise ContractError("inlier-role point carries a non-inlier semantic id")
     targets = spec.class_index()[sem]
 
-    logp = (field.inlier_softmax if positive_only else field.softmax).logp()
+    logp = field.softmax.logp()
     loss = float(-logp[inliers, targets].mean())
 
     p = np.exp(logp[inliers])
     p[np.arange(n), targets] -= 1.0
-    grad[inliers, :p.shape[1]] = p / n
+    grad[inliers] = p / n
     return loss, grad
 
 
@@ -199,7 +201,7 @@ def total_loss(
     ``params`` always supplies the trainable bias b; its attention tensors
     participate only when ``use_prior`` is set.
     """
-    ce, dlogits = ce_loss(field, labels, spec, positive_only=cfg.ce_positive_only)
+    ce, dlogits = ce_loss(field, labels, spec)
 
     base = static_score(field, method)
     base_grad = static_score_grad(field, method)

@@ -34,11 +34,6 @@ class EvalConfig:
     gamma: float = 0.0
     dbscan_eps: float = 0.5
     dbscan_min_pts: int = 5
-    iou_threshold: float = IOU_THRESHOLD
-
-    def __post_init__(self):
-        if self.iou_threshold != IOU_THRESHOLD:
-            raise ContractError("the instance-matching IoU threshold is fixed at 0.5")
 
 
 @dataclass(frozen=True, eq=False)

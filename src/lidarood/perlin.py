@@ -85,11 +85,11 @@ def perlin2d(field: PerlinField, u, v) -> np.ndarray:
 class RaiseConfig:
     """Parameters of one raise call.
 
-    r: patch radius in meters. alpha: noise strength, the maximum height
-    gain in meters. rho: target fraction of the patch to select, in (0, 1].
-    cell_size defaults to r/2 so a patch spans at least two noise cells.
-    label_all_clusters labels every clustered selected point as anomaly
-    instead of only the raised cluster.
+    r: patch radius in meters; the noise cell is r/2, so a patch spans at
+    least two noise cells. alpha: noise strength, the maximum height gain in
+    meters. rho: target fraction of the patch to select, in (0, 1].
+    dbscan_eps, dbscan_min_pts: the density filter over the selection; only
+    the points of its largest cluster are raised and relabeled.
     """
 
     r: float = 1.0
@@ -99,8 +99,6 @@ class RaiseConfig:
     dbscan_min_pts: int = 5
     seed: int = 0
     road_class: int = 1
-    cell_size: float | None = None
-    label_all_clusters: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.r < np.inf:
@@ -160,7 +158,7 @@ def perlin_raise(
     d2 = np.sum((road_points - center) ** 2, axis=1)
     neighborhood = road_idx[d2 <= cfg.r * cfg.r]  # road points within r of c, ascending
 
-    cell = cfg.cell_size if cfg.cell_size is not None else cfg.r / 2.0
+    cell = cfg.r / 2.0
     field_seed = int(rng.integers(2**63))
     origin = tuple(rng.uniform(0.0, 256.0 * cell, size=2))
     noise_field = PerlinField(cell_size=cell, seed=field_seed, origin=origin)
@@ -198,11 +196,10 @@ def perlin_raise(
     points = np.array(cloud.points, dtype=np.float64)
     points[raised, 2] += raised_deltas
 
-    relabel = selected[assign.cluster_id >= 0] if cfg.label_all_clusters else raised
     semantic = np.array(labels.semantic)
     role = np.array(labels.role)
-    semantic[relabel] = spec.ood_id
-    role[relabel] = Role.AUX_OOD
+    semantic[raised] = spec.ood_id
+    role[raised] = Role.AUX_OOD
 
     new_cloud = PointCloud(points=points, intensity=cloud.intensity)
     new_labels = LabelMap(semantic=semantic, instance=labels.instance, role=role)

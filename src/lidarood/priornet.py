@@ -33,6 +33,13 @@ __all__ = ["PriorParams", "PriorTape", "init_params", "prior_weight", "prior_bac
 _MAGIC = b"PRW1"
 
 
+def _check_dims(c: int, d: int) -> None:
+    if c < 2:
+        raise ContractError("logit width must be >= 2")
+    if d < 1:
+        raise ContractError("latent dimension must be >= 1")
+
+
 @dataclass
 class PriorParams:
     """All trainable tensors of the weighting network plus the loss bias b.
@@ -62,6 +69,7 @@ class PriorParams:
 
     def validate(self):
         c, d = self.w_proj.shape
+        _check_dims(c, d)
         if self.psi.shape != (c, d):
             raise ContractError("prior table must be (C, d)")
         for name in ("w_q", "w_k", "w_v"):
@@ -107,10 +115,7 @@ def _glorot(rng, shape):
 def init_params(c: int, d: int = 16, seed: int = 0) -> PriorParams:
     """Seeded initialization: Glorot-uniform projections and prior table,
     zero weight head (so w == 1 on any input), zero bias."""
-    if c < 2:
-        raise ContractError("logit width must be >= 2")
-    if d < 1:
-        raise ContractError("latent dimension must be >= 1")
+    _check_dims(c, d)
     rng = np.random.default_rng(seed)
     return PriorParams(
         w_proj=_glorot(rng, (c, d)),

@@ -38,6 +38,9 @@ POLE = 7
 OOD_ID = 200
 IGNORE_ID = 250
 
+# points per held-out anomaly, inclusive range
+_ANOMALY_POINTS = (120, 300)
+
 CLASS_NAMES = {
     VOID_ID: "void", ROAD: "road", SIDEWALK: "sidewalk", BUILDING: "building",
     VEGETATION: "vegetation", PERSON: "person", BICYCLE: "bicycle", POLE: "pole",
@@ -77,11 +80,13 @@ class SceneConfig:
     road_noise_sigma: float = 0.02
     eval_anomaly_kinds: tuple[str, ...] = ("box", "hemisphere", "ramp")
     anomaly_size_range: tuple[float, float] = (0.3, 0.8)
-    anomaly_points: tuple[int, int] = (120, 300)
 
     def __post_init__(self):
-        if not 0.0 < self.extent < np.inf:
-            raise ContractError(f"extent must be finite and positive, got {self.extent}")
+        # the road plane spans 2 * extent, and every coordinate (at most 1.6 *
+        # extent, the building rows) is stored as float32
+        if not 0.0 < self.extent <= float(np.finfo(np.float32).max) / 2.0:
+            raise ContractError(
+                f"extent must be positive with 2 * extent within float32 range, got {self.extent}")
         if not 0.0 <= self.road_noise_sigma < np.inf:
             raise ContractError(
                 f"road_noise_sigma must be finite and >= 0, got {self.road_noise_sigma}")
@@ -269,8 +274,11 @@ def inject_eval_anomaly(
 
     Each anomaly gets role REAL_OOD, semantic OOD_ID, and a fresh instance
     id. Placement avoids building footprints. Original points are untouched;
-    count == 0 returns the inputs unchanged.
+    count == 0 returns the inputs unchanged, and a negative count is a
+    contract violation.
     """
+    if count < 0:
+        raise ContractError(f"anomaly count must be >= 0, got {count}")
     if count == 0:
         return cloud, labels
     road_mask = labels.semantic == ROAD
@@ -312,7 +320,7 @@ def inject_eval_anomaly(
     for _ in range(count):
         kind = config.eval_anomaly_kinds[rng.integers(len(config.eval_anomaly_kinds))]
         size = rng.uniform(*config.anomaly_size_range)
-        n = int(rng.integers(config.anomaly_points[0], config.anomaly_points[1] + 1))
+        n = int(rng.integers(_ANOMALY_POINTS[0], _ANOMALY_POINTS[1] + 1))
         # anchor on an interior road point outside every building footprint
         anchor = interior[rng.integers(len(interior))]
         for _try in range(64):

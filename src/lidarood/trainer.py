@@ -39,6 +39,9 @@ FEATURE_DIM = 4
 _FEATURE_RADIUS = 0.5
 # rough magnitudes of (z, range, density, z-variance) in desk-scale scenes
 DEFAULT_FEATURE_SCALE = (1.0, 10.0, 20.0, 0.05)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 def extract_features(cloud: PointCloud) -> np.ndarray:
@@ -114,11 +117,7 @@ def backbone_backward(
 class TrainConfig:
     lr: float = 2e-4
     epochs: int = 10
-    batch_scans: int = 1
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     raise_per_scan: int = 1
     raise_r_range: tuple[float, float] = (0.75, 1.5)
     raise_alpha: float = 0.4
@@ -141,8 +140,8 @@ class TrainConfig:
             raise ContractError("lr must be finite and >= 0")
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
-        if self.batch_scans < 1:
-            raise ContractError("batch_scans must be >= 1")
+        if self.hidden < 1:
+            raise ContractError("hidden must be >= 1")
 
 
 @dataclass
@@ -161,21 +160,20 @@ class TrainLog:
 
 
 class _Adam:
-    def __init__(self, tensors: dict[str, np.ndarray], cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, tensors: dict[str, np.ndarray], lr: float):
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.t = 0
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.adam_beta1**self.t
-        bc2 = 1.0 - cfg.adam_beta2**self.t
+        bc1 = 1.0 - _ADAM_BETA1**self.t
+        bc2 = 1.0 - _ADAM_BETA2**self.t
         for k, g in grads.items():
-            self.m[k] = cfg.adam_beta1 * self.m[k] + (1.0 - cfg.adam_beta1) * g
-            self.v[k] = cfg.adam_beta2 * self.v[k] + (1.0 - cfg.adam_beta2) * g * g
-            update = cfg.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + cfg.adam_eps)
+            self.m[k] = _ADAM_BETA1 * self.m[k] + (1.0 - _ADAM_BETA1) * g
+            self.v[k] = _ADAM_BETA2 * self.v[k] + (1.0 - _ADAM_BETA2) * g * g
+            update = self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + _ADAM_EPS)
             tensors[k] -= update
             if not np.all(np.isfinite(tensors[k])):
                 raise ContractError(f"non-finite parameter {k} after update {self.t}")
@@ -190,9 +188,10 @@ def train(
 
     Per scan and epoch: run the noise-raise augmentation ``raise_per_scan``
     times, extract features, compute logits and the total loss through the
-    configured scoring method, then take one Adam step over every trainable
-    tensor (the attention tensors only when ``use_prior``; the bias b
-    always). Scans without enough road points are skipped and logged.
+    configured scoring method, then take one bias-corrected Adam step
+    (beta1 0.9, beta2 0.999, eps 1e-8) on that scan's gradient over every
+    trainable tensor (the attention tensors only when ``use_prior``; the
+    bias b always). Scans without enough road points are skipped and logged.
 
     Each scan's features are computed once per call, on first use, and
     reused at every step whose raises moved no point; a step whose raises
@@ -232,22 +231,9 @@ def train(
     tensors["b"] = np.zeros(())  # scalar bias as a 0-d array
     if cfg.use_prior:
         tensors.update(params.tensors())
-    opt = _Adam(tensors, cfg)
+    opt = _Adam(tensors, cfg.lr)
 
     train_log = TrainLog()
-    pending: dict[str, np.ndarray] = {}
-    pending_count = 0
-
-    def flush():
-        nonlocal pending, pending_count
-        if not pending_count:
-            return
-        mean = {k: g / pending_count for k, g in pending.items()}
-        opt.step(tensors, mean)
-        params.b = float(tensors["b"])
-        params.mark_updated()
-        pending, pending_count = {}, 0
-
     for epoch in range(cfg.epochs):
         order = loop_rng.permutation(len(scenes))
         sums = np.zeros(4)
@@ -283,16 +269,12 @@ def train(
             grads["b"] = np.asarray(result.prior_grads.b)
             if cfg.use_prior:
                 grads.update(result.prior_grads.tensors())
-
-            for k, g in grads.items():
-                pending[k] = pending.get(k, 0.0) + g
-            pending_count += 1
-            if pending_count >= cfg.batch_scans:
-                flush()
+            opt.step(tensors, grads)
+            params.b = float(tensors["b"])
+            params.mark_updated()
 
             sums += (result.total, result.ce, result.aux, result.void)
             steps += 1
-        flush()  # partial batch at epoch end
 
         if steps:
             train_log.epochs.append(EpochStats(
@@ -341,4 +323,9 @@ def load_checkpoint(path) -> tuple[Backbone, PriorParams]:
         w1=mat(FEATURE_DIM, hidden), b1=mat(hidden),
         w2=mat(hidden, out), b2=mat(out), feature_scale=scale,
     )
-    return backbone, load_params(fh)
+    params = load_params(fh)
+    if params.logit_width != backbone.out_width:
+        raise ContractError(
+            f"prior logit width {params.logit_width} does not match the backbone "
+            f"output width {backbone.out_width}")
+    return backbone, params

@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline."""
 
 import hashlib
+import io
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from lidarood.cli import PipelineConfig, main
 from lidarood.core import ContractError
 from lidarood.metrics import read_report
+from lidarood.priornet import init_params, save_params
 from lidarood.trainer import load_checkpoint, save_checkpoint
 
 
@@ -136,6 +139,32 @@ class TestBadInput:
         self.assert_one_line_error(capsys)
         assert not list(out.glob("*.score"))
 
+    @pytest.mark.parametrize("container, prior", [
+        ("latent-dim-0", "on"), ("width-7", "off")])
+    def test_malformed_prior_container(self, pipeline, tmp_path, capsys, container, prior):
+        """A prior container with a latent dimension init_params refuses, or
+        with a logit width other than the backbone's, is refused on load."""
+        good = (pipeline / "model.ckpt").read_bytes()
+        _, params = load_checkpoint(pipeline / "model.ckpt")
+        buf = io.BytesIO()
+        save_params(params, buf)
+        backbone_part = good[:len(good) - len(buf.getvalue())]
+        if container == "latent-dim-0":
+            prior_part = (b"PRW1" + struct.pack("<III", 1, params.logit_width, 0)
+                          + struct.pack("<f", 0.0))
+        else:
+            buf = io.BytesIO()
+            save_params(init_params(7, d=4, seed=0), buf)
+            prior_part = buf.getvalue()
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(backbone_part + prior_part)
+        out = tmp_path / "s"
+        capsys.readouterr()
+        assert main(["score", "--data", str(pipeline / "eval"), "--ckpt", str(ckpt),
+                     "--out", str(out), "--prior", prior]) == 1
+        self.assert_one_line_error(capsys)
+        assert not list(out.glob("*.score"))
+
     @pytest.mark.parametrize("command", ["train", "raise", "eval"])
     def test_short_label_file(self, pipeline, tmp_path, capsys, command):
         data = tmp_path / "data"
@@ -183,9 +212,19 @@ class TestBadNumericFlags:
         pytest.param(["train", "--ood-weight", "inf"], 1, id="train-ood-weight-inf"),
         pytest.param(["synth", "--road-noise-sigma", "-1"], 1, id="synth-road-noise-negative"),
         pytest.param(["synth", "--road-noise-sigma", "nan"], 1, id="synth-road-noise-nan"),
+        pytest.param(["synth", "--extent", "1e308"], 1, id="synth-extent-span-overflow"),
+        pytest.param(["synth", "--anomalies", "-1"], 1, id="synth-anomalies-negative"),
+        pytest.param(["train", "--hidden", "-1"], 1, id="train-hidden-negative"),
+        pytest.param(["train", "--hidden", "0"], 1, id="train-hidden-zero"),
+        # a later --cloud/--scores overrides the pipeline pair given below
+        pytest.param(["export-map", "--cloud", "{tmp}/empty.bin", "--scores", "{tmp}/empty.score"],
+                     1, id="export-map-empty-pair"),
     ])
     def test_one_line_no_traceback(self, pipeline, tmp_path, capsys, args, code):
         eval_dir = pipeline / "eval"
+        (tmp_path / "empty.bin").write_bytes(b"")
+        (tmp_path / "empty.score").write_bytes(b"")
+        args = [a.replace("{tmp}", str(tmp_path)) for a in args]
         required = {
             "eval": ["--data", str(eval_dir), "--scores", str(pipeline / "scores"),
                      "--report", str(tmp_path / "r.txt")],

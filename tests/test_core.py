@@ -161,10 +161,6 @@ class TestRoles:
         roles = roles_from_semantic(sem, spec)
         assert list(roles) == [Role.INLIER, Role.VOID, Role.REAL_OOD, Role.IGNORE]
 
-    def test_ood_role_override(self, spec):
-        roles = roles_from_semantic(np.array([200]), spec, ood_role=Role.AUX_OOD)
-        assert roles[0] == Role.AUX_OOD
-
 
 class TestClassSpec:
     def test_disjointness_enforced(self):

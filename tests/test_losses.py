@@ -48,8 +48,6 @@ class TestCeLoss:
                           role=[Role.INLIER] * 4)
         loss, _ = ce_loss(field, labels, spec)
         assert abs(loss - math.log(6)) < 1e-12
-        loss_pos, _ = ce_loss(field, labels, spec, positive_only=True)
-        assert abs(loss_pos - math.log(3)) < 1e-12
 
     def test_non_inlier_roles_ignored(self, spec):
         rng = np.random.default_rng(1)
@@ -277,11 +275,10 @@ class TestTotalLossComposition:
     on a field of its own."""
 
     @pytest.mark.parametrize("use_prior", [False, True])
-    @pytest.mark.parametrize("positive_only", [False, True])
     @pytest.mark.parametrize("method, extended", [
         (method, extended) for method in ScoreMethod for extended in (False, True)
         if extended or not method.requires_extended])
-    def test_matches_composition_bitwise(self, method, extended, positive_only, use_prior):
+    def test_matches_composition_bitwise(self, method, extended, use_prior):
         spec = ClassSpec(inlier_classes=(1, 2, 3), void_id=0, ood_id=9,
                          ignore_id=8, extended=extended)
         rng = np.random.default_rng(12)
@@ -294,7 +291,7 @@ class TestTotalLossComposition:
         params = init_params(spec.logit_width, 4, seed=5)
         params.w_head = rng.normal(size=8)
         params.b = 0.3
-        cfg = LossConfig(beta=0.8, ood_weight=50.0, ce_positive_only=positive_only)
+        cfg = LossConfig(beta=0.8, ood_weight=50.0)
 
         res = total_loss(LogitField(values=values, class_spec=spec), labels, spec, method,
                          params, cfg, use_prior=use_prior)
@@ -302,7 +299,7 @@ class TestTotalLossComposition:
         def fresh():
             return LogitField(values=values, class_spec=spec)
 
-        ce, dlogits = ce_loss(fresh(), labels, spec, positive_only=positive_only)
+        ce, dlogits = ce_loss(fresh(), labels, spec)
         base = static_score(fresh(), method)
         base_grad = static_score_grad(fresh(), method)
         weights, tape = prior_weight(fresh(), params) if use_prior else (np.ones(m), None)

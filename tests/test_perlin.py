@@ -154,15 +154,6 @@ class TestPerlinRaise:
         with pytest.raises(ContractError):
             perlin_raise(cloud, labels, spec, starved)
 
-    def test_label_all_clusters_flag(self):
-        spec = default_class_spec()
-        cloud, labels = road_only_scene(6)
-        cfg = RaiseConfig(r=1.2, alpha=0.4, rho=0.5, seed=9, label_all_clusters=True)
-        _, out_labels, report = perlin_raise(cloud, labels, spec, cfg)
-        n_flagged = int((out_labels.role == Role.AUX_OOD).sum())
-        clustered = sum(report.cluster_sizes)
-        assert n_flagged == clustered
-        assert n_flagged >= report.raised_count
 
 
 def lattice_scene():

@@ -1,6 +1,7 @@
 """Prior-attention weighting network: forward contracts, exact backward."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -190,6 +191,15 @@ class TestCheckpoint:
     def test_bad_magic(self):
         with pytest.raises(ContractError):
             load_params(io.BytesIO(b"XXXX" + b"\x00" * 32))
+
+    @pytest.mark.parametrize("c, d", [(1, 4), (6, 0)])
+    def test_dims_below_init_bounds_rejected(self, c, d):
+        """A well-formed container that init_params could not have made
+        (C < 2 or d < 1) is refused when it is read."""
+        n_floats = 2 * c * d + 3 * d * d + 2 * d + 1
+        blob = b"PRW1" + struct.pack("<III", 1, c, d) + bytes(4 * n_floats)
+        with pytest.raises(ContractError):
+            load_params(io.BytesIO(blob))
 
     def test_truncated_or_trailing_bytes_rejected(self):
         buf = io.BytesIO()

@@ -64,7 +64,8 @@ class TestGenerateScene:
         with pytest.raises(ContractError):
             SceneConfig(seed=0, eval_anomaly_kinds=("pyramid",))
 
-    @pytest.mark.parametrize("extent", [0.0, -3.0, float("nan"), float("inf")])
+    # 1e308: finite, but the sampled span 2 * extent overflows
+    @pytest.mark.parametrize("extent", [0.0, -3.0, float("nan"), float("inf"), 1e308])
     def test_extent_not_finite_positive(self, extent):
         with pytest.raises(ContractError):
             SceneConfig(seed=0, extent=extent)
@@ -76,6 +77,12 @@ class TestInjectEvalAnomaly:
         cloud, labels = generate_scene(cfg)
         out_cloud, out_labels = inject_eval_anomaly(cloud, labels, cfg, seed=0, count=0)
         assert out_cloud is cloud and out_labels is labels
+
+    def test_negative_count_rejected(self):
+        cfg = SceneConfig(seed=1)
+        cloud, labels = generate_scene(cfg)
+        with pytest.raises(ContractError):
+            inject_eval_anomaly(cloud, labels, cfg, seed=0, count=-1)
 
     def test_originals_untouched_and_fresh_instance(self):
         cfg = SceneConfig(seed=2)

@@ -5,6 +5,7 @@ import pytest
 
 from lidarood import trainer
 from lidarood.core import ContractError, FormatError, LabelMap, PointCloud
+from lidarood.losses import total_loss
 from lidarood.priornet import init_params
 from lidarood.scenes import SceneConfig, default_budget, default_class_spec, generate_scene
 from lidarood.trainer import (
@@ -173,18 +174,50 @@ class TestTrain:
             assert np.all(np.isfinite(getattr(bb, name)))
         params.validate()
 
-    def test_batch_accumulation(self):
-        """batch_scans groups gradients into one averaged Adam step; the
-        trajectory differs from per-scan stepping but stays deterministic."""
+    @pytest.mark.parametrize("hidden", [0, -1])
+    def test_config_needs_a_hidden_unit(self, hidden):
+        with pytest.raises(ContractError):
+            TrainConfig(hidden=hidden)
+
+    def test_step_is_textbook_adam_bitwise(self):
+        """One epoch without prior or raises equals, bitwise, the loop written
+        out here: the seeded init and scan order, forward -> total_loss ->
+        backbone_backward, then bias-corrected Adam (0.9, 0.999, 1e-8) on
+        every backbone tensor and the bias b after each scan."""
         spec = default_class_spec(extended=True)
-        scenes = small_scenes(4)
-        single = TrainConfig(lr=1e-3, epochs=1, seed=29, batch_scans=1)
-        batched = TrainConfig(lr=1e-3, epochs=1, seed=29, batch_scans=4)
-        bb_a, _, _ = train(scenes, spec, single)
-        bb_b, _, _ = train(scenes, spec, batched)
-        bb_c, _, _ = train(scenes, spec, batched)
-        assert not np.array_equal(bb_a.w2, bb_b.w2)
-        np.testing.assert_array_equal(bb_b.w2, bb_c.w2)
+        scenes = small_scenes(3)
+        cfg = TrainConfig(lr=1e-3, epochs=1, seed=37, use_prior=False, raise_per_scan=0)
+        bb, params, _ = train(scenes, spec, cfg)
+
+        init_rng = np.random.default_rng([cfg.seed, 0])
+        want = init_backbone(cfg.hidden, spec.logit_width, seed=int(init_rng.integers(2**63)))
+        want_params = init_params(spec.logit_width, cfg.latent_dim,
+                                  seed=int(init_rng.integers(2**63)))
+        tensors = dict(want.tensors(), b=np.zeros(()))  # updated in place
+        m = {name: np.zeros_like(x) for name, x in tensors.items()}
+        v = {name: np.zeros_like(x) for name, x in tensors.items()}
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        order = np.random.default_rng([cfg.seed, 2]).permutation(len(scenes))
+        for t, k in enumerate(order, start=1):
+            cloud, labels = scenes[k]
+            features = extract_features(cloud)
+            result = total_loss(forward(want, features, spec), labels, spec, cfg.method,
+                                want_params, cfg.loss, use_prior=False)
+            grads = backbone_backward(want, features, result.dlogits)
+            grads["b"] = np.asarray(result.prior_grads.b)
+            for name, g in grads.items():
+                m[name] = beta1 * m[name] + (1 - beta1) * g
+                v[name] = beta2 * v[name] + (1 - beta2) * g * g
+                m_hat = m[name] / (1 - beta1**t)
+                v_hat = v[name] / (1 - beta2**t)
+                tensors[name] -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+            want_params.b = float(tensors["b"])
+
+        for name, x in want.tensors().items():
+            assert getattr(bb, name).tobytes() == x.tobytes(), name
+        for name, x in want_params.tensors().items():
+            assert getattr(params, name).tobytes() == x.tobytes(), name
+        assert np.float64(params.b).tobytes() == np.float64(want_params.b).tobytes()
 
 
 class TestFeatureCache:
@@ -283,6 +316,14 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             save_checkpoint(path, backbone, params)
         assert not path.exists()
+
+    def test_prior_width_must_match_backbone(self, tmp_path):
+        spec = default_class_spec(extended=True)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_backbone(8, spec.logit_width, seed=1),
+                        init_params(spec.num_classes, d=4, seed=2))
+        with pytest.raises(ContractError):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
