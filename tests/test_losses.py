@@ -272,13 +272,14 @@ class TestTotalLoss:
 class TestTotalLossComposition:
     """``total_loss`` shares one softmax pass between its terms; its result
     equals, bitwise, the composition of the separately computed terms, each
-    on a field of its own."""
+    on a field of its own. ``swapped`` selects the ID_HIGH orientation."""
 
     @pytest.mark.parametrize("use_prior", [False, True])
+    @pytest.mark.parametrize("swapped", [False, True])
     @pytest.mark.parametrize("method, extended", [
         (method, extended) for method in ScoreMethod for extended in (False, True)
         if extended or not method.requires_extended])
-    def test_matches_composition_bitwise(self, method, extended, use_prior):
+    def test_matches_composition_bitwise(self, method, extended, swapped, use_prior):
         spec = ClassSpec(inlier_classes=(1, 2, 3), void_id=0, ood_id=9,
                          ignore_id=8, extended=extended)
         rng = np.random.default_rng(12)
@@ -291,7 +292,8 @@ class TestTotalLossComposition:
         params = init_params(spec.logit_width, 4, seed=5)
         params.w_head = rng.normal(size=8)
         params.b = 0.3
-        cfg = LossConfig(beta=0.8, ood_weight=50.0)
+        orientation = Orientation.ID_HIGH if swapped else Orientation.ID_LOW
+        cfg = LossConfig(beta=0.8, ood_weight=50.0, orientation=orientation)
 
         res = total_loss(LogitField(values=values, class_spec=spec), labels, spec, method,
                          params, cfg, use_prior=use_prior)
@@ -308,7 +310,8 @@ class TestTotalLossComposition:
         aux_mask = roles == Role.AUX_OOD
         void_mask = roles == Role.VOID
         aux, g_in_a, g_aux, b_a = aux_logistic_loss(
-            scores[in_mask], scores[aux_mask], params.b, aux_weight=cfg.ood_weight)
+            scores[in_mask], scores[aux_mask], params.b, orientation=orientation,
+            aux_weight=cfg.ood_weight)
         void, g_in_v, g_void, b_v = void_soft_loss(
             scores[in_mask], scores[void_mask], params.b, beta=cfg.beta,
             void_weight=cfg.ood_weight)
