@@ -3,9 +3,10 @@
 Semantics: a core point has at least ``min_pts`` neighbors within ``eps``
 (inclusive of itself, boundary inclusive d <= eps); clusters are maximal
 density-connected sets of core points plus the border points they reach.
-Exact grid DBSCAN in array form: one ``GridIndex`` lists all neighbor pairs,
-clusters are the connected components of core-core pairs (min-label hooking
-with pointer jumping), numbered in order of their smallest core index.
+Exact grid DBSCAN in array form: one ``GridIndex`` lists each unordered
+neighbor pair once (core counts add both ends), clusters are the connected
+components of core-core pairs (min-label hooking with pointer jumping),
+numbered in order of their smallest core index.
 DBSCAN leaves border ownership implementation-defined; here a border point
 joins the smallest cluster id among its core neighbors, which is what a
 sequential DBSCAN growing clusters from seeds in ascending index order
@@ -52,18 +53,23 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     n = points.shape[0]
     if n < min_pts:  # no point can have min_pts neighbors
         return ClusterAssignment(cluster_id=np.full(n, NOISE, dtype=np.int64), num_clusters=0)
-    i, j = map(np.concatenate, zip(*GridIndex(points, cell_size=eps).pairs(eps)))
-    core = np.bincount(i, minlength=n) >= min_pts
+    # each unordered pair once: a point's neighbors are its pairs at either
+    # end, with its self pair counted at both
+    i, j = map(np.concatenate, zip(*GridIndex(points, cell_size=eps).unique_pairs(eps)))
+    core = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) - 1 >= min_pts
     edge = core[i] & core[j]
     a, b = i[edge], j[edge]
 
     # label[x] <= x is a node of x's component: each round hooks every
     # edge's tree onto the smaller label and jumps each pointer once. At the
-    # fixed point every component carries its smallest index.
+    # fixed point every component carries its smallest index. Each edge
+    # hooks its larger label onto the smaller; the reverse direction could
+    # never lower a label, since hooked[x] <= x.
     label = np.arange(n)
     while True:
         hooked = label.copy()
-        np.minimum.at(hooked, label[a], label[b])
+        la, lb = label[a], label[b]
+        np.minimum.at(hooked, np.maximum(la, lb), np.minimum(la, lb))
         hooked = hooked[hooked]
         if np.array_equal(hooked, label):
             break
@@ -71,8 +77,9 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
 
     is_root = core & (label == np.arange(n))
     cluster_id = np.where(core, np.cumsum(is_root)[label] - 1, n)
-    border = ~core[i] & core[j]
-    np.minimum.at(cluster_id, i[border], cluster_id[j[border]])
+    for u, v in ((i, j), (j, i)):  # border point u, core neighbor v
+        border = ~core[u] & core[v]
+        np.minimum.at(cluster_id, u[border], cluster_id[v[border]])
     cluster_id[cluster_id == n] = NOISE
     return ClusterAssignment(cluster_id=cluster_id, num_clusters=int(is_root.sum()))
 

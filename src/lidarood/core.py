@@ -80,9 +80,7 @@ class PointCloud:
     intensity: np.ndarray | None = None  # (M,) float32 in [0, 1]
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float32).reshape(-1, 3)
-        if not np.all(np.isfinite(pts)):
-            raise ContractError("point coordinates must be finite")
+        pts = to_float32(self.points, "point cloud").reshape(-1, 3)
         object.__setattr__(self, "points", _readonly(pts))
         if self.intensity is not None:
             inten = np.asarray(self.intensity, dtype=np.float32).reshape(-1)
@@ -353,9 +351,11 @@ def save_scores(scores: ScoreField, path) -> None:
 
 
 def to_float32(values, what: str) -> np.ndarray:
-    """``values`` narrowed to little-endian float32 for writing; ContractError
-    (before anything is written) if an entry is not finite as float32."""
-    with np.errstate(over="ignore"):
+    """``values`` narrowed to little-endian float32, for writing and for a
+    ``PointCloud``'s points; ContractError (before anything is written) if
+    an entry is not finite as float32, with no overflow or NaN-payload
+    warning from the cast."""
+    with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(values, dtype=np.float64).astype("<f4")
     if not np.all(np.isfinite(out)):
         raise ContractError(f"{what} has values that are not finite as float32")

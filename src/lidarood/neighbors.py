@@ -4,12 +4,15 @@ Points are bucketed into cubic cells of side ``cell_size``. Built once per
 point array, the index holds the sorted integer codes of the occupied
 cells, the points ordered by cell (ascending index within a cell) and where
 each cell's points start and end in that order. A ball query scans the cells around
-one centre. ``pairs`` works per occupied cell: for each of the 9 columns
+one centre. The pair enumerators work per occupied cell: for each column
 of neighbor cells (three stacked cells, one run of points in cell order)
-it looks up every cell's run at once, expands each (cell, run) block into
-candidate pairs, in chunks of bounded size, and measures them on
-coordinate columns in cell order. Both filter by exact Euclidean distance,
-boundary inclusive.
+they look up every cell's run at once, expand each (cell, run) block into
+candidate pairs, in chunks of bounded size, and measure them on
+coordinate columns in cell order. ``pairs`` walks all 9 columns and gives
+every ordered pair in a fixed order per point (for ``ball_stats``);
+``unique_pairs`` walks 5 of them, its own column from each point onwards,
+and gives each unordered pair once (for ``cluster.dbscan``). All filter by
+exact Euclidean distance, boundary inclusive.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ __all__ = ["GridIndex"]
 # so the distance temporaries stay cache-sized and memory does not grow
 # with the cloud
 _CHUNK = 1 << 16
+
+# (dx, dy, from_self) columns of neighbor cells. All nine give every ordered
+# pair; the (0, 0) column from each point itself (the later points of its
+# cell and all of the cell above) plus the four columns after it in
+# lexicographic order give each unordered pair once.
+_ALL_COLUMNS = [(dx, dy, False) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+_HALF_COLUMNS = [(0, 0, True), (0, 1, False), (1, -1, False), (1, 0, False), (1, 1, False)]
 
 
 class GridIndex:
@@ -83,12 +93,28 @@ class GridIndex:
         chunks, in the order yielded, the pairs of each point i come in
         lexicographic order of the neighbor cell's offset and, within one
         cell, by ascending j: sums over the chunks per point
-        (``ball_stats``) run in that fixed order. ``cluster.dbscan`` does
-        not depend on the order.
+        (``ball_stats``) run in that fixed order.
 
         Requires radius <= cell_size so one ring of neighbor cells covers
         the ball.
         """
+        yield from self._chunks(radius, _ALL_COLUMNS)
+
+    def unique_pairs(self, radius: float):
+        """Yield (i, j) index arrays that together hold every unordered pair
+        with distance <= radius exactly once (one of (i, j) and (j, i)),
+        self pairs included, in no promised order: half the work of
+        ``pairs`` where only the set of pairs matters (``cluster.dbscan``).
+
+        Requires radius <= cell_size.
+        """
+        yield from self._chunks(radius, _HALF_COLUMNS)
+
+    def _chunks(self, radius: float, columns):
+        """Pairs within radius from each point's rows of neighbor cells:
+        one row per point and (dx, dy, from_self) column, over the point's
+        cells z - 1..z + 1 of that column, starting at the point itself
+        when from_self, else at the run's first point."""
         if radius > self.cell_size:
             raise ValueError("pairs need radius <= cell_size")
         # p and q below are positions in cell order, where a cell's points
@@ -96,29 +122,28 @@ class GridIndex:
         # z - 1, z, z + 1 of one column are one run of q, in offset order
         x, y, z = np.ascontiguousarray(self.points[self._order].T)
         start, length = self._cell_bound[:-1], np.diff(self._cell_bound)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                first, end = self._runs(self._cell_code + self._encode(dx, dy, 0), -1, 1)
-                a = np.flatnonzero(end > first)
-                # one row per point of cell a, spanning the run of its
-                # occupied neighbor cells in this column
-                p_row = _ranges(start[a], length[a])
-                q_row = np.repeat(first[a], length[a])
-                span = np.repeat(end[a] - first[a], length[a])
-                cand = np.concatenate(([0], np.cumsum(span)))  # row -> first candidate
-                cuts = np.searchsorted(cand, np.arange(_CHUNK, cand[-1], _CHUNK))
-                for r0, r1 in itertools.pairwise([0, *cuts, len(span)]):
-                    rows = slice(r0, r1)
-                    q = (np.arange(cand[r0], cand[r1])
-                         - np.repeat(cand[rows] - q_row[rows], span[rows]))
-                    p = np.repeat(p_row[rows], span[rows])
-                    # summed in x, y, z order; another order can round a
-                    # pair at d == radius to the other side
-                    d2 = (x[p] - x[q]) ** 2
-                    d2 += (y[p] - y[q]) ** 2
-                    d2 += (z[p] - z[q]) ** 2
-                    ok = d2 <= radius * radius
-                    yield self._order[p[ok]], self._order[q[ok]]
+        for dx, dy, from_self in columns:
+            first, end = self._runs(self._cell_code + self._encode(dx, dy, 0), -1, 1)
+            a = np.flatnonzero(end > first)
+            # one row per point of cell a, spanning the run of its
+            # occupied neighbor cells in this column
+            p_row = _ranges(start[a], length[a])
+            q_row = p_row if from_self else np.repeat(first[a], length[a])
+            span = np.repeat(end[a], length[a]) - q_row
+            cand = np.concatenate(([0], np.cumsum(span)))  # row -> first candidate
+            cuts = np.searchsorted(cand, np.arange(_CHUNK, cand[-1], _CHUNK))
+            for r0, r1 in itertools.pairwise([0, *cuts, len(span)]):
+                rows = slice(r0, r1)
+                q = (np.arange(cand[r0], cand[r1])
+                     - np.repeat(cand[rows] - q_row[rows], span[rows]))
+                p = np.repeat(p_row[rows], span[rows])
+                # summed in x, y, z order; another order can round a
+                # pair at d == radius to the other side
+                d2 = (x[p] - x[q]) ** 2
+                d2 += (y[p] - y[q]) ** 2
+                d2 += (z[p] - z[q]) ** 2
+                ok = d2 <= radius * radius
+                yield self._order[p[ok]], self._order[q[ok]]
 
     def ball_stats(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-point neighbor count and population variance of neighbor z

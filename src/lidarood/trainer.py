@@ -140,6 +140,8 @@ class TrainConfig:
             raise ContractError("lr must be finite and >= 0")
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
+        if self.raise_per_scan < 0:
+            raise ContractError("raise_per_scan must be >= 0")
         if self.hidden < 1:
             raise ContractError("hidden must be >= 1")
 
@@ -292,12 +294,19 @@ def train(
 _CKPT_MAGIC = b"LOCK"
 
 
+def _check_hidden(hidden: int) -> None:
+    # a backbone of width 0 gives every point the same logits (b2)
+    if hidden < 1:
+        raise ContractError(f"backbone hidden width must be >= 1, got {hidden}")
+
+
 def save_checkpoint(path, backbone: Backbone, params: PriorParams) -> None:
     """Write the checkpoint; ContractError, with no file written, if a tensor
-    overflows float32."""
+    overflows float32 or the backbone has no hidden unit."""
     fh = io.BytesIO()
     fh.write(_CKPT_MAGIC)
     hidden = backbone.w1.shape[1]
+    _check_hidden(hidden)
     fh.write(struct.pack("<III", 1, hidden, backbone.out_width))
     for name in ("feature_scale", "w1", "b1", "w2", "b2"):
         fh.write(to_float32(getattr(backbone, name), name).tobytes())
@@ -313,6 +322,7 @@ def load_checkpoint(path) -> tuple[Backbone, PriorParams]:
     version, hidden, out = struct.unpack("<III", read_exact(fh, 12))
     if version != 1:
         raise ContractError(f"unsupported checkpoint version {version}")
+    _check_hidden(hidden)
 
     def mat(*shape):
         n = int(np.prod(shape))

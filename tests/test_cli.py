@@ -165,6 +165,23 @@ class TestBadInput:
         self.assert_one_line_error(capsys)
         assert not list(out.glob("*.score"))
 
+    def test_backbone_without_hidden_units(self, pipeline, tmp_path, capsys):
+        """A backbone of hidden width 0 gives every point the same score; the
+        checkpoint is refused on load."""
+        backbone, params = load_checkpoint(pipeline / "model.ckpt")
+        prior = io.BytesIO()
+        save_params(params, prior)
+        ckpt = tmp_path / "flat.ckpt"
+        ckpt.write_bytes(b"LOCK" + struct.pack("<III", 1, 0, backbone.out_width)
+                         + backbone.feature_scale.astype("<f4").tobytes()
+                         + backbone.b2.astype("<f4").tobytes() + prior.getvalue())
+        out = tmp_path / "s"
+        capsys.readouterr()
+        assert main(["score", "--data", str(pipeline / "eval"), "--ckpt", str(ckpt),
+                     "--out", str(out), "--prior", "off"]) == 1
+        self.assert_one_line_error(capsys)
+        assert not list(out.glob("*.score"))
+
     @pytest.mark.parametrize("command", ["train", "raise", "eval"])
     def test_short_label_file(self, pipeline, tmp_path, capsys, command):
         data = tmp_path / "data"
@@ -205,6 +222,8 @@ class TestBadNumericFlags:
         pytest.param(["raise", "--r-min", "2", "--r-max", "1"], 1, id="raise-r-range"),
         pytest.param(["raise", "--alpha", "nan"], 1, id="raise-alpha-nan"),
         pytest.param(["raise", "--eps", "nan"], 1, id="raise-eps-nan"),
+        pytest.param(["raise", "--alpha", "1e39", "--eps", "1.0", "--min-pts", "2",
+                      "--rho", "1.0"], 1, id="raise-points-beyond-float32"),
         pytest.param(["export-map", "--resolution", "0"], 1, id="export-map-resolution"),
         pytest.param(["train", "--lr", "nan"], 1, id="train-lr-nan"),
         pytest.param(["train", "--lr", "inf"], 1, id="train-lr-inf"),
@@ -216,6 +235,7 @@ class TestBadNumericFlags:
         pytest.param(["synth", "--anomalies", "-1"], 1, id="synth-anomalies-negative"),
         pytest.param(["train", "--hidden", "-1"], 1, id="train-hidden-negative"),
         pytest.param(["train", "--hidden", "0"], 1, id="train-hidden-zero"),
+        pytest.param(["train", "--raise-per-scan", "-1"], 1, id="train-raise-per-scan-negative"),
         # a later --cloud/--scores overrides the pipeline pair given below
         pytest.param(["export-map", "--cloud", "{tmp}/empty.bin", "--scores", "{tmp}/empty.score"],
                      1, id="export-map-empty-pair"),

@@ -15,8 +15,9 @@ def brute_force_dbscan(points, eps, min_pts):
     ascending-index expansion order."""
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    neighbor_lists = [np.flatnonzero(d2[i] <= eps * eps) for i in range(n)]
+    # one row of squared distances at a time, so thousands of points fit
+    neighbor_lists = [np.flatnonzero(((points - p) ** 2).sum(axis=1) <= eps * eps)
+                      for p in points]
     labels = np.full(n, -2, dtype=np.int64)
     next_id = 0
     for i in range(n):
@@ -60,6 +61,15 @@ def scene_points():
     cloud, _ = generate_scene(SceneConfig(seed=5, extent=5.0,
                                           class_budget=default_budget(1200)))
     return cloud.points
+
+
+def flagged_points():
+    """The highest 21 % of a 20k-point scene, about the share of points
+    eval flags: ~4.2k points, the size of eval's DBSCAN inputs."""
+    cloud, _ = generate_scene(SceneConfig(seed=5, extent=12.0,
+                                          class_budget=default_budget(20000)))
+    z = cloud.points[:, 2]
+    return cloud.points[z > np.quantile(z, 0.79)]
 
 
 class TestDbscan:
@@ -114,6 +124,14 @@ class TestDbscan:
                 ref_labels, ref_k = brute_force_dbscan(points, eps, min_pts)
                 np.testing.assert_array_equal(assign.cluster_id, ref_labels)
                 assert assign.num_clusters == ref_k
+
+    @pytest.mark.parametrize("eps, min_pts", [(0.5, 5), (0.3, 5), (0.5, 1)])
+    def test_flagged_subset_matches_brute_force(self, eps, min_pts):
+        points = flagged_points()
+        assign = dbscan(points, eps=eps, min_pts=min_pts)
+        ref_labels, ref_k = brute_force_dbscan(points, eps, min_pts)
+        np.testing.assert_array_equal(assign.cluster_id, ref_labels)
+        assert assign.num_clusters == ref_k
 
     @pytest.mark.parametrize("n", [0, 1, 4, 5, 6])
     def test_few_points_vs_min_pts(self, n):

@@ -66,6 +66,21 @@ class TestPointCloudIO:
         with pytest.raises(ContractError):
             PointCloud(points=[[np.nan, 0, 0]])
 
+    def test_beyond_float32_rejected_without_warning(self):
+        """A finite float64 coordinate past float32's range is refused with
+        ContractError, not an overflow warning from narrowing it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (1e39, -1e39, 1e308):
+                with pytest.raises(ContractError):
+                    PointCloud(points=[[0, 0, 0], [0, bad, 0]])
+
+    def test_in_range_points_narrow_as_a_float32_cast(self):
+        points = np.random.default_rng(4).normal(size=(200, 3)) * [1e-30, 1.0, 1e30]
+        cloud = PointCloud(points=points)
+        assert cloud.points.dtype == np.float32
+        assert cloud.points.tobytes() == points.astype(np.float32).tobytes()
+
     def test_intensity_length_mismatch(self):
         with pytest.raises(ContractError):
             PointCloud(points=[[0, 0, 0]], intensity=[0.5, 0.5])

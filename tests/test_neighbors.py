@@ -163,6 +163,53 @@ class TestPairs:
             next(GridIndex(np.zeros((2, 3)), cell_size=0.5).pairs(0.6))
 
 
+class TestUniquePairs:
+    @staticmethod
+    def chunks(points, radius, cell_size):
+        return list(GridIndex(points, cell_size=cell_size).unique_pairs(radius))
+
+    @staticmethod
+    def unordered(chunks, n):
+        """Each yielded pair as min * n + max, in the order yielded."""
+        i, j = map(np.concatenate, zip(*chunks))
+        return np.minimum(i, j) * n + np.maximum(i, j)
+
+    @pytest.mark.parametrize("make_points", CLOUDS)
+    @pytest.mark.parametrize("radius", [0.3, 0.5])
+    def test_each_unordered_pair_once(self, make_points, radius):
+        points = make_points()
+        n = len(points)
+        got = self.unordered(self.chunks(points, radius, cell_size=0.5), n)
+        want_i, want_j = brute_force_pairs(points, radius)
+        upper = want_i <= want_j                        # self pairs once
+        assert len(np.unique(got)) == len(got)          # no pair twice
+        np.testing.assert_array_equal(np.sort(got), want_i[upper] * n + want_j[upper])
+
+    def test_dense_cloud_spans_several_chunks(self):
+        chunks = self.chunks(dense_cloud(), 0.5, cell_size=0.5)
+        assert len(chunks) > 5
+
+    def test_boundary_inclusive_across_cells(self):
+        """d == radius counts across a cell boundary in x (another column)
+        and in z (the cell above, in the point's own column)."""
+        points = np.array([[0.25, 0, 0], [0.75, 0, 0], [-0.25 - 1e-9, 0, 0], [0.25, 0, 0.5]])
+        got = self.unordered(self.chunks(points, 0.5, cell_size=0.5), len(points))
+        assert sorted(divmod(k, 4) for k in got.tolist()) == \
+            [(0, 0), (0, 1), (0, 3), (1, 1), (2, 2), (3, 3)]
+
+    def test_empty_cloud(self):
+        chunks = self.chunks(np.empty((0, 3)), 0.5, cell_size=0.5)
+        assert chunks and all(i.size == 0 and j.size == 0 for i, j in chunks)
+
+    def test_single_point(self):
+        i, j = map(np.concatenate, zip(*self.chunks(np.ones((1, 3)), 0.5, cell_size=0.5)))
+        assert i.tolist() == [0] and j.tolist() == [0]
+
+    def test_radius_larger_than_cell_rejected(self):
+        with pytest.raises(ValueError):
+            next(GridIndex(np.zeros((2, 3)), cell_size=0.5).unique_pairs(0.6))
+
+
 class TestBallStats:
     @pytest.mark.parametrize("seed", range(3))
     def test_counts_and_variance_vs_brute_force(self, seed):

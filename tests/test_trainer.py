@@ -1,5 +1,7 @@
 """Feature extraction, the pointwise backbone, and the training loop."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,11 @@ class TestTrain:
         with pytest.raises(ContractError):
             TrainConfig(hidden=hidden)
 
+    def test_config_rejects_negative_raise_per_scan(self):
+        with pytest.raises(ContractError):
+            TrainConfig(raise_per_scan=-1)
+        assert TrainConfig(raise_per_scan=0).raise_per_scan == 0
+
     def test_step_is_textbook_adam_bitwise(self):
         """One epoch without prior or raises equals, bitwise, the loop written
         out here: the seeded init and scan order, forward -> total_loss ->
@@ -322,6 +329,30 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_backbone(8, spec.logit_width, seed=1),
                         init_params(spec.num_classes, d=4, seed=2))
+        with pytest.raises(ContractError):
+            load_checkpoint(path)
+
+    def test_hidden_width_zero_rejected_before_writing(self, tmp_path):
+        spec = default_class_spec(extended=True)
+        backbone = init_backbone(0, spec.logit_width, seed=1)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ContractError):
+            save_checkpoint(path, backbone, init_params(spec.logit_width, d=4, seed=2))
+        assert not path.exists()
+
+    def test_hidden_width_zero_rejected_on_load(self, tmp_path):
+        """A well-formed file of a backbone with no hidden unit: the header,
+        the feature scale and b2 (w1, b1 and w2 are empty), then the prior."""
+        spec = default_class_spec(extended=True)
+        backbone = init_backbone(8, spec.logit_width, seed=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, backbone, init_params(spec.logit_width, d=4, seed=2))
+        good = path.read_bytes()
+        prior = good[16 + 4 * backbone.w1.size + 4 * (backbone.b1.size + backbone.w2.size)
+                     + 4 * (backbone.feature_scale.size + backbone.b2.size):]
+        path.write_bytes(good[:4] + struct.pack("<III", 1, 0, spec.logit_width)
+                         + backbone.feature_scale.astype("<f4").tobytes()
+                         + backbone.b2.astype("<f4").tobytes() + prior)
         with pytest.raises(ContractError):
             load_checkpoint(path)
 
