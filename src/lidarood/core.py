@@ -83,11 +83,15 @@ class PointCloud:
         pts = to_float32(self.points, "point cloud").reshape(-1, 3)
         object.__setattr__(self, "points", _readonly(pts))
         if self.intensity is not None:
-            inten = np.asarray(self.intensity, dtype=np.float32).reshape(-1)
+            # a NaN, or a value the cast overflows to inf, fails the range check
+            with np.errstate(over="ignore", invalid="ignore"):
+                inten = np.asarray(self.intensity, dtype=np.float32).reshape(-1)
             if inten.shape[0] != pts.shape[0]:
                 raise ContractError(
                     f"intensity length {inten.shape[0]} != point count {pts.shape[0]}"
                 )
+            if not np.all((inten >= 0.0) & (inten <= 1.0)):
+                raise ContractError("intensity has values that are not finite in [0, 1]")
             object.__setattr__(self, "intensity", _readonly(inten))
 
     @property

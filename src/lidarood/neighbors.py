@@ -4,15 +4,19 @@ Points are bucketed into cubic cells of side ``cell_size``. Built once per
 point array, the index holds the sorted integer codes of the occupied
 cells, the points ordered by cell (ascending index within a cell) and where
 each cell's points start and end in that order. A ball query scans the cells around
-one centre. The pair enumerators work per occupied cell: for each column
-of neighbor cells (three stacked cells, one run of points in cell order)
-they look up every cell's run at once, expand each (cell, run) block into
-candidate pairs, in chunks of bounded size, and measure them on
-coordinate columns in cell order. ``pairs`` walks all 9 columns and gives
-every ordered pair in a fixed order per point (for ``ball_stats``);
-``unique_pairs`` walks 5 of them, its own column from each point onwards,
-and gives each unordered pair once (for ``cluster.dbscan``). All filter by
-exact Euclidean distance, boundary inclusive.
+one centre. The pair enumerator works per point of the cell order: for 5
+of the 9 columns of neighbor cells (three stacked cells, one run of points
+in cell order) it looks up every cell's run at once, expands each point's
+runs into candidate pairs, in blocks of bounded size, and measures them on
+coordinate columns in cell order, filtering by exact Euclidean distance,
+boundary inclusive. Each unordered pair comes once: ``unique_pairs`` gives
+them as they are (for ``cluster.dbscan``), and ``ball_stats`` adds each to
+both ends. Its order contract: each point's sums take its neighbors one at
+a time in ascending cell order (by cell in lexicographic offset order, then
+by index), as a walk over all 9 columns from the point would, whatever the
+block size. It keeps that order by replaying each hit mirrored for the far
+point, which always comes later in cell order, ahead of that point's own
+hits.
 """
 
 from __future__ import annotations
@@ -23,17 +27,16 @@ import numpy as np
 
 __all__ = ["GridIndex"]
 
-# candidate pairs per chunk of ``pairs``: whole rows up to about this many,
-# so the distance temporaries stay cache-sized and memory does not grow
-# with the cloud
-_CHUNK = 1 << 16
+# candidate pairs per block of ``_blocks``: whole points up to about this
+# many, so the distance temporaries stay cache-sized and memory does not
+# grow with the cloud
+_CHUNK = 1 << 15
 
-# (dx, dy, from_self) columns of neighbor cells. All nine give every ordered
-# pair; the (0, 0) column from each point itself (the later points of its
-# cell and all of the cell above) plus the four columns after it in
-# lexicographic order give each unordered pair once.
-_ALL_COLUMNS = [(dx, dy, False) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-_HALF_COLUMNS = [(0, 0, True), (0, 1, False), (1, -1, False), (1, 0, False), (1, 1, False)]
+# (dx, dy) columns of neighbor cells that give each unordered pair once: the
+# (0, 0) column from each point itself (the later points of its cell and all
+# of the cell above) plus the four columns after it in lexicographic order.
+# Column (dx, dy) seen from its far end is column (-dx, -dy).
+_HALF_COLUMNS = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 
 class GridIndex:
@@ -87,82 +90,108 @@ class GridIndex:
         hits.sort()
         return hits
 
-    def pairs(self, radius: float):
-        """Yield (i, j) index arrays that together hold every pair with
-        distance <= radius exactly once, self pairs included. Across the
-        chunks, in the order yielded, the pairs of each point i come in
-        lexicographic order of the neighbor cell's offset and, within one
-        cell, by ascending j: sums over the chunks per point
-        (``ball_stats``) run in that fixed order.
-
-        Requires radius <= cell_size so one ring of neighbor cells covers
-        the ball.
-        """
-        yield from self._chunks(radius, _ALL_COLUMNS)
-
     def unique_pairs(self, radius: float):
         """Yield (i, j) index arrays that together hold every unordered pair
         with distance <= radius exactly once (one of (i, j) and (j, i)),
-        self pairs included, in no promised order: half the work of
-        ``pairs`` where only the set of pairs matters (``cluster.dbscan``).
+        self pairs included, one block of points at a time and in no
+        promised order (``cluster.dbscan`` needs only the set).
 
         Requires radius <= cell_size.
         """
-        yield from self._chunks(radius, _HALF_COLUMNS)
+        for p, q, _ in self._blocks(radius):
+            yield self._order[p], self._order[q]
 
-    def _chunks(self, radius: float, columns):
-        """Pairs within radius from each point's rows of neighbor cells:
-        one row per point and (dx, dy, from_self) column, over the point's
-        cells z - 1..z + 1 of that column, starting at the point itself
-        when from_self, else at the run's first point."""
+    def _blocks(self, radius: float):
+        """Yield (p, q, cut) per block of consecutive points p in cell
+        order: the pairs within radius of each point p with the points q of
+        its rows, as positions in cell order, with q > p except self pairs.
+
+        A row is one point and one column of ``_HALF_COLUMNS``: the point's
+        cells z - 1..z + 1 of that column, one run of q in cell order, in
+        the (0, 0) column from p itself. Hits cut[k]:cut[k + 1] are those
+        of column k, by ascending p, then ascending q. A block holds whole
+        points up to about ``_CHUNK`` candidates.
+        """
         if radius > self.cell_size:
             raise ValueError("pairs need radius <= cell_size")
         # p and q below are positions in cell order, where a cell's points
         # are contiguous and ascend by index; a point's neighbor cells
         # z - 1, z, z + 1 of one column are one run of q, in offset order
         x, y, z = np.ascontiguousarray(self.points[self._order].T)
-        start, length = self._cell_bound[:-1], np.diff(self._cell_bound)
-        for dx, dy, from_self in columns:
-            first, end = self._runs(self._cell_code + self._encode(dx, dy, 0), -1, 1)
-            a = np.flatnonzero(end > first)
-            # one row per point of cell a, spanning the run of its
-            # occupied neighbor cells in this column
-            p_row = _ranges(start[a], length[a])
-            q_row = p_row if from_self else np.repeat(first[a], length[a])
-            span = np.repeat(end[a], length[a]) - q_row
-            cand = np.concatenate(([0], np.cumsum(span)))  # row -> first candidate
-            cuts = np.searchsorted(cand, np.arange(_CHUNK, cand[-1], _CHUNK))
-            for r0, r1 in itertools.pairwise([0, *cuts, len(span)]):
-                rows = slice(r0, r1)
-                q = (np.arange(cand[r0], cand[r1])
-                     - np.repeat(cand[rows] - q_row[rows], span[rows]))
-                p = np.repeat(p_row[rows], span[rows])
-                # summed in x, y, z order; another order can round a
-                # pair at d == radius to the other side
-                d2 = (x[p] - x[q]) ** 2
-                d2 += (y[p] - y[q]) ** 2
-                d2 += (z[p] - z[q]) ** 2
-                ok = d2 <= radius * radius
-                yield self._order[p[ok]], self._order[q[ok]]
+        n = len(x)
+        cell = np.repeat(np.arange(len(self._cell_code)), np.diff(self._cell_bound))
+        first, end = np.stack([self._runs(self._cell_code + self._encode(dx, dy, 0), -1, 1)
+                               for dx, dy in _HALF_COLUMNS], axis=1)
+        # a point's candidates: its cell's runs, less the (0, 0) run before it
+        per_point = (end - first).sum(axis=0)[cell] + first[0, cell] - np.arange(n)
+        cand = np.concatenate(([0], np.cumsum(per_point)))  # point -> first candidate
+        cuts = np.unique(np.searchsorted(cand, np.arange(_CHUNK, cand[-1], _CHUNK)))
+
+        def block(lo, hi):
+            rows = np.arange(lo, hi)
+            q_row = first[:, cell[lo:hi]]
+            q_row[0] = rows
+            span = end[:, cell[lo:hi]] - q_row
+            q = _ranges(q_row.ravel(), span.ravel())
+            p = np.repeat(np.tile(rows, len(_HALF_COLUMNS)), span.ravel())
+            # summed in x, y, z order; another order can round a pair at
+            # d == radius to the other side. The mirror pair (q, p) has the
+            # same d2: x[q] - x[p] is exactly -(x[p] - x[q]).
+            d2 = x[p]
+            d2 -= x[q]
+            d2 *= d2
+            for w in (y, z):
+                dw = w[p]
+                dw -= w[q]
+                dw *= dw
+                d2 += dw
+            hit = np.flatnonzero(d2 <= radius * radius)
+            cut = np.searchsorted(hit, np.cumsum(span.sum(axis=1)))
+            return p[hit], q[hit], [0, *cut]
+
+        for lo, hi in itertools.pairwise([0, *cuts, n]):
+            yield block(lo, hi)
 
     def ball_stats(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-point neighbor count and population variance of neighbor z
         values within radius (self inclusive), fully vectorized.
 
+        Each point's sums add its neighbors one float add at a time in
+        ascending cell order (by neighbor cell in lexicographic offset
+        order, then by ascending index), the order of a walk over all 9
+        columns from the point, so the bytes do not depend on the blocks.
+        Each unordered pair is measured once (``_blocks``) and added to both
+        ends: p gets q directly, and q gets p mirrored, as a neighbor in
+        column (-dx, -dy), or for (0, 0) ahead of q's own row. A point's
+        mirrored neighbors all precede it in cell order and come before its
+        direct ones; within a block, the columns in reverse order, each by
+        ascending p, give them in that order. So adding each block's
+        mirrored hits, then its direct ones, onto running sums keeps every
+        point's order within and across blocks.
+
         Requires radius <= cell_size.
         """
         n = len(self.points)
+        z = self.points[self._order, 2]
         counts = np.zeros(n, dtype=np.int64)
         s1 = np.zeros(n)
         s2 = np.zeros(n)
-        z = self.points[:, 2]
-        for i, j in self.pairs(radius):
-            np.add.at(counts, i, 1)  # O(chunk), where a bincount is O(n) per chunk
-            np.add.at(s1, i, z[j])
-            np.add.at(s2, i, z[j] ** 2)
+        for p, q, cut in self._blocks(radius):
+            col = [slice(cut[k], cut[k + 1]) for k in range(len(_HALF_COLUMNS))]
+            col[0] = np.flatnonzero(p[col[0]] != q[col[0]])  # self pairs only direct
+            t = np.concatenate([*(q[c] for c in col[::-1]), p])
+            s = np.concatenate([*(p[c] for c in col[::-1]), q])
+            # np.add.at adds in array order, onto what earlier blocks added
+            zs = z[s]
+            np.add.at(counts, t, 1)
+            np.add.at(s1, t, zs)
+            np.add.at(s2, t, zs * zs)
         mean = s1 / counts
         zvar = np.maximum(s2 / counts - mean * mean, 0.0)
-        return counts, zvar
+        out_counts, out_zvar = np.empty_like(counts), np.empty_like(zvar)
+        out_counts[self._order] = counts
+        out_zvar[self._order] = zvar
+        return out_counts, out_zvar
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -201,6 +201,22 @@ class TestBadInput:
         assert main(args) == 1
         self.assert_one_line_error(capsys)
 
+    def test_point_file_with_nan_intensity(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for src in sorted((pipeline / "eval").glob("scene_*")):
+            (data / src.name).write_bytes(src.read_bytes())
+        cloud = sorted(data.glob("*.bin"))[0]
+        records = np.fromfile(cloud, dtype="<f4").reshape(-1, 4)
+        records[3, 3] = np.nan
+        records.tofile(cloud)
+        out = tmp_path / "s"
+        capsys.readouterr()
+        assert main(["score", "--data", str(data), "--ckpt", str(pipeline / "model.ckpt"),
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys)
+        assert not list(out.glob("*.score"))
+
 
 class TestBadNumericFlags:
     """No subcommand prints a traceback for a bad numeric flag: each run ends

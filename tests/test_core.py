@@ -85,6 +85,28 @@ class TestPointCloudIO:
         with pytest.raises(ContractError):
             PointCloud(points=[[0, 0, 0]], intensity=[0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 2.5, 1e39],
+                             ids=["nan", "inf", "negative", "above-1", "beyond-float32"])
+    def test_intensity_outside_unit_interval_rejected_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="intensity"):
+                PointCloud(points=[[0, 0, 0], [1, 1, 1]], intensity=[0.5, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, 2.5], ids=["nan", "above-1"])
+    def test_load_rejects_intensity_outside_unit_interval(self, tmp_path, bad):
+        path = tmp_path / "bad.bin"
+        np.array([1, 2, 3, 0.5, 4, 5, 6, bad], dtype="<f4").tofile(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="intensity"):
+                load_point_cloud(path)
+
+    def test_intensity_bounds_inclusive(self):
+        cloud = PointCloud(points=[[0, 0, 0], [1, 1, 1]], intensity=[0.0, 1.0])
+        assert cloud.intensity.dtype == np.float32
+        np.testing.assert_array_equal(cloud.intensity, [0.0, 1.0])
+
 
 class TestLabelIO:
     def test_bit_split(self, tmp_path, spec):

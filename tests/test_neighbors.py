@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from lidarood import neighbors
 from lidarood.neighbors import GridIndex
 from lidarood.scenes import SceneConfig, default_budget, generate_scene
 
@@ -24,7 +25,7 @@ def scene_cloud(seed=3):
 
 def dense_cloud():
     """800 points in 8 cells: ~10^5 candidate pairs per column of cells, so
-    ``pairs`` splits them over several chunks."""
+    the pair enumerator splits them over several blocks."""
     return np.random.default_rng(7).uniform(0, 0.6, size=(800, 3))
 
 
@@ -113,56 +114,6 @@ class TestQueryBall:
             GridIndex(np.zeros((1, 3)), cell_size=cell_size)
 
 
-class TestPairs:
-    @staticmethod
-    def chunks(points, radius, cell_size):
-        return list(GridIndex(points, cell_size=cell_size).pairs(radius))
-
-    @pytest.mark.parametrize("make_points", CLOUDS)
-    @pytest.mark.parametrize("radius", [0.3, 0.5])
-    def test_union_matches_brute_force_once_each(self, make_points, radius):
-        points = make_points()
-        i, j = map(np.concatenate, zip(*self.chunks(points, radius, cell_size=0.5)))
-        got = i * len(points) + j
-        want_i, want_j = brute_force_pairs(points, radius)
-        assert len(np.unique(got)) == len(got)          # no pair twice
-        np.testing.assert_array_equal(np.sort(got), want_i * len(points) + want_j)
-
-    @pytest.mark.parametrize("make_points", CLOUDS)
-    def test_order_per_point_is_cell_offset_then_j(self, make_points):
-        """Over the chunks in order, each point's pairs come by neighbor
-        cell in lexicographic offset order, then by ascending j."""
-        points = make_points()
-        i, j = map(np.concatenate, zip(*self.chunks(points, 0.5, cell_size=0.5)))
-        by_i = np.argsort(i, kind="stable")
-        i, j = i[by_i], j[by_i]
-        cell = np.floor(points[j] / 0.5).astype(np.int64)   # offset = cell - cell of i
-        want = np.lexsort((j, cell[:, 2], cell[:, 1], cell[:, 0], i))
-        np.testing.assert_array_equal(want, np.arange(len(i)))
-
-    def test_dense_cloud_spans_several_chunks(self):
-        chunks = self.chunks(dense_cloud(), 0.5, cell_size=0.5)
-        assert len(chunks) > 9
-
-    def test_boundary_inclusive_across_cells(self):
-        points = np.array([[0.25, 0, 0], [0.75, 0, 0], [-0.25 - 1e-9, 0, 0]])
-        i, j = map(np.concatenate, zip(*self.chunks(points, 0.5, cell_size=0.5)))
-        got = sorted(zip(i.tolist(), j.tolist()))
-        assert got == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
-
-    def test_empty_cloud(self):
-        chunks = self.chunks(np.empty((0, 3)), 0.5, cell_size=0.5)
-        assert chunks and all(i.size == 0 and j.size == 0 for i, j in chunks)
-
-    def test_single_point(self):
-        i, j = map(np.concatenate, zip(*self.chunks(np.ones((1, 3)), 0.5, cell_size=0.5)))
-        assert i.tolist() == [0] and j.tolist() == [0]
-
-    def test_radius_larger_than_cell_rejected(self):
-        with pytest.raises(ValueError):
-            next(GridIndex(np.zeros((2, 3)), cell_size=0.5).pairs(0.6))
-
-
 class TestUniquePairs:
     @staticmethod
     def chunks(points, radius, cell_size):
@@ -225,10 +176,19 @@ class TestBallStats:
             z = points[within[i], 2]
             assert abs(zvar[i] - z.var()) < 1e-10
 
-    @pytest.mark.parametrize("make_points", CLOUDS)
-    def test_bytes_match_order_explicit_reference(self, make_points):
+    @pytest.mark.parametrize("make_points, chunk", [
+        *(pytest.param(*cloud.values, None, id=cloud.id) for cloud in CLOUDS),
+        # blocks of a few points: many mirrored hits reach their point in a
+        # later block than the one that measured them
+        *(pytest.param(*cloud.values, 64, id=f"{cloud.id}-small-blocks") for cloud in CLOUDS),
+    ])
+    def test_bytes_match_order_explicit_reference(self, make_points, chunk, monkeypatch):
         points = make_points()
-        counts, zvar = GridIndex(points, cell_size=0.5).ball_stats(0.5)
+        index = GridIndex(points, cell_size=0.5)
+        if chunk is not None:
+            monkeypatch.setattr(neighbors, "_CHUNK", chunk)
+            assert sum(1 for _ in index.unique_pairs(0.5)) >= 10
+        counts, zvar = index.ball_stats(0.5)
         want_counts, want_zvar = reference_ball_stats(points, 0.5)
         assert counts.tobytes() == want_counts.tobytes()
         assert zvar.tobytes() == want_zvar.tobytes()

@@ -1,5 +1,6 @@
 """Feature extraction, the pointwise backbone, and the training loop."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -52,6 +53,16 @@ class TestExtractFeatures:
     def test_empty_cloud_rejected(self):
         with pytest.raises(ContractError):
             extract_features(PointCloud(points=np.empty((0, 3))))
+
+    def test_bytes_pinned_at_20k_points(self):
+        """The features of one CLI-default scene, to the byte. The hash was
+        computed with the 9-column ordered pair enumerator that ``ball_stats``
+        walked before it measured each unordered pair once (numpy 2.4); the
+        order-explicit oracle in test_neighbors only reaches ~1.5k points."""
+        cloud, _ = generate_scene(SceneConfig(seed=1, extent=12.0,
+                                              class_budget=default_budget(20000)))
+        digest = hashlib.sha256(extract_features(cloud).tobytes()).hexdigest()
+        assert digest == "64ef8d5c9e17fcdba31cbef317f278dc18549be206ac4938a878816efba065c0"
 
 
 class TestBackbone:
