@@ -152,22 +152,42 @@ class GridIndex:
         for lo, hi in itertools.pairwise([0, *cuts, n]):
             yield block(lo, hi)
 
+    def _ordered_pairs(self, radius: float):
+        """Yield (t, s) per block of ``_blocks``: every ordered pair with
+        distance <= radius once over all blocks, self pairs included, as
+        positions in cell order, target t and source s. Over the blocks in
+        order, each target's sources come one at a time in ascending cell
+        order (by cell in lexicographic offset order, then by index), the
+        order of a walk over all 9 columns from the target, whatever the
+        block size.
+
+        Each unordered pair is measured once (``_blocks``) and given to both
+        ends: p gets q directly, and q gets p mirrored, as a neighbor in
+        column (-dx, -dy), or for (0, 0) ahead of q's own row. A point's
+        mirrored neighbors all precede it in cell order and come before its
+        direct ones; within a block, the columns in reverse order, each by
+        ascending p, give them in that order. So each block's mirrored hits,
+        then its direct ones, keep every target's order within and across
+        blocks.
+
+        Requires radius <= cell_size.
+        """
+        for p, q, cut in self._blocks(radius):
+            col = [slice(cut[k], cut[k + 1]) for k in range(len(_HALF_COLUMNS))]
+            col[0] = np.flatnonzero(p[col[0]] != q[col[0]])  # self pairs only direct
+            t = np.concatenate([*(q[c] for c in col[::-1]), p])
+            s = np.concatenate([*(p[c] for c in col[::-1]), q])
+            yield t, s
+
     def ball_stats(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-point neighbor count and population variance of neighbor z
         values within radius (self inclusive), fully vectorized.
 
         Each point's sums add its neighbors one float add at a time in
         ascending cell order (by neighbor cell in lexicographic offset
-        order, then by ascending index), the order of a walk over all 9
-        columns from the point, so the bytes do not depend on the blocks.
-        Each unordered pair is measured once (``_blocks``) and added to both
-        ends: p gets q directly, and q gets p mirrored, as a neighbor in
-        column (-dx, -dy), or for (0, 0) ahead of q's own row. A point's
-        mirrored neighbors all precede it in cell order and come before its
-        direct ones; within a block, the columns in reverse order, each by
-        ascending p, give them in that order. So adding each block's
-        mirrored hits, then its direct ones, onto running sums keeps every
-        point's order within and across blocks.
+        order, then by ascending index), the order in which
+        ``_ordered_pairs`` gives them, so the bytes do not depend on the
+        blocks. Each unordered pair is measured once and added to both ends.
 
         Requires radius <= cell_size.
         """
@@ -176,11 +196,7 @@ class GridIndex:
         counts = np.zeros(n, dtype=np.int64)
         s1 = np.zeros(n)
         s2 = np.zeros(n)
-        for p, q, cut in self._blocks(radius):
-            col = [slice(cut[k], cut[k + 1]) for k in range(len(_HALF_COLUMNS))]
-            col[0] = np.flatnonzero(p[col[0]] != q[col[0]])  # self pairs only direct
-            t = np.concatenate([*(q[c] for c in col[::-1]), p])
-            s = np.concatenate([*(p[c] for c in col[::-1]), q])
+        for t, s in self._ordered_pairs(radius):
             # np.add.at adds in array order, onto what earlier blocks added
             zs = z[s]
             np.add.at(counts, t, 1)
@@ -192,7 +208,6 @@ class GridIndex:
         out_counts[self._order] = counts
         out_zvar[self._order] = zvar
         return out_counts, out_zvar
-
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """arange(s, s + n) for each (s, n) of starts and lens, concatenated."""

@@ -114,6 +114,59 @@ class TestQueryBall:
             GridIndex(np.zeros((1, 3)), cell_size=cell_size)
 
 
+class TestPairs:
+    """The ordered pairs ``ball_stats`` adds, in the order it adds them."""
+
+    @staticmethod
+    def chunks(points, radius, cell_size):
+        index = GridIndex(points, cell_size=cell_size)
+        return [(index._order[t], index._order[s]) for t, s in index._ordered_pairs(radius)]
+
+    @pytest.mark.parametrize("make_points", CLOUDS)
+    @pytest.mark.parametrize("radius", [0.3, 0.5])
+    def test_union_matches_brute_force_once_each(self, make_points, radius):
+        points = make_points()
+        i, j = map(np.concatenate, zip(*self.chunks(points, radius, cell_size=0.5)))
+        got = i * len(points) + j
+        want_i, want_j = brute_force_pairs(points, radius)
+        assert len(np.unique(got)) == len(got)          # no pair twice
+        np.testing.assert_array_equal(np.sort(got), want_i * len(points) + want_j)
+
+    @pytest.mark.parametrize("make_points", CLOUDS)
+    def test_order_per_point_is_cell_offset_then_j(self, make_points):
+        """Over the chunks in order, each point's pairs come by neighbor
+        cell in lexicographic offset order, then by ascending j."""
+        points = make_points()
+        i, j = map(np.concatenate, zip(*self.chunks(points, 0.5, cell_size=0.5)))
+        by_i = np.argsort(i, kind="stable")
+        i, j = i[by_i], j[by_i]
+        cell = np.floor(points[j] / 0.5).astype(np.int64)   # offset = cell - cell of i
+        want = np.lexsort((j, cell[:, 2], cell[:, 1], cell[:, 0], i))
+        np.testing.assert_array_equal(want, np.arange(len(i)))
+
+    def test_dense_cloud_spans_several_chunks(self):
+        chunks = self.chunks(dense_cloud(), 0.5, cell_size=0.5)
+        assert len(chunks) > 9
+
+    def test_boundary_inclusive_across_cells(self):
+        points = np.array([[0.25, 0, 0], [0.75, 0, 0], [-0.25 - 1e-9, 0, 0]])
+        i, j = map(np.concatenate, zip(*self.chunks(points, 0.5, cell_size=0.5)))
+        got = sorted(zip(i.tolist(), j.tolist()))
+        assert got == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+
+    def test_empty_cloud(self):
+        chunks = self.chunks(np.empty((0, 3)), 0.5, cell_size=0.5)
+        assert chunks and all(i.size == 0 and j.size == 0 for i, j in chunks)
+
+    def test_single_point(self):
+        i, j = map(np.concatenate, zip(*self.chunks(np.ones((1, 3)), 0.5, cell_size=0.5)))
+        assert i.tolist() == [0] and j.tolist() == [0]
+
+    def test_radius_larger_than_cell_rejected(self):
+        with pytest.raises(ValueError):
+            next(GridIndex(np.zeros((2, 3)), cell_size=0.5)._ordered_pairs(0.6))
+
+
 class TestUniquePairs:
     @staticmethod
     def chunks(points, radius, cell_size):
