@@ -34,9 +34,6 @@ class ClusterAssignment:
     cluster_id: np.ndarray  # (M,) int64, -1 for noise
     num_clusters: int
 
-    def members(self, cid: int) -> np.ndarray:
-        return np.flatnonzero(self.cluster_id == cid)
-
     def sizes(self) -> np.ndarray:
         """Cardinality of each cluster id 0..num_clusters-1."""
         valid = self.cluster_id[self.cluster_id >= 0]

@@ -117,25 +117,19 @@ def aux_logistic_loss(
     g_aux = np.zeros_like(s_aux)
     loss = 0.0
     b_grad = 0.0
-    flip = orientation is Orientation.ID_HIGH
+    # ID_LOW pushes inliers down and anomalies up; ID_HIGH the mirror. A
+    # product with +-1.0 is exact, so both orientations share one formula.
+    sign = -1.0 if orientation is Orientation.ID_HIGH else 1.0
 
     if s_in.size:
         x = s_in + b
-        if flip:
-            loss += float(_softplus(-x).mean())
-            g_in = -_sigmoid(-x) / s_in.size
-        else:
-            loss += float(_softplus(x).mean())
-            g_in = _sigmoid(x) / s_in.size
+        loss += float(_softplus(sign * x).mean())
+        g_in = sign * _sigmoid(sign * x) / s_in.size
         b_grad += float(g_in.sum())
     if s_aux.size:
         x = s_aux + b
-        if flip:
-            loss += aux_weight * float(_softplus(x).mean())
-            g_aux = aux_weight * _sigmoid(x) / s_aux.size
-        else:
-            loss += aux_weight * float(_softplus(-x).mean())
-            g_aux = -aux_weight * _sigmoid(-x) / s_aux.size
+        loss += aux_weight * float(_softplus(-sign * x).mean())
+        g_aux = -sign * aux_weight * _sigmoid(-sign * x) / s_aux.size
         b_grad += float(g_aux.sum())
     return loss, g_in, g_aux, b_grad
 

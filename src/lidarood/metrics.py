@@ -2,11 +2,16 @@
 UQ) evaluation.
 
 Point-level metrics are threshold-free ranking statistics over per-point
-anomaly scores, with ignore-masked points excluded. Object-level metrics
-binarize scores at a decision threshold gamma, cluster the flagged points
-with DBSCAN, and match predicted clusters to ground-truth anomaly instances
-by point-set IoU (a match requires IoU strictly greater than 0.5).
-Predictions lying wholly inside ignore regions are not penalized.
+anomaly scores, with ignore-masked points excluded. AUROC, FPR@95, AP and
+the TPR-calibrated threshold all read one ranked sweep (``_ranked``): a
+single descending sort per call, then the OOD and ID counts strictly above
+each distinct score.
+
+Object-level metrics binarize scores at a decision threshold gamma, cluster
+the flagged points with DBSCAN, and match predicted clusters to
+ground-truth anomaly instances by point-set IoU (a match requires IoU
+strictly greater than 0.5). Predictions lying wholly inside ignore regions
+are not penalized.
 """
 
 from __future__ import annotations
@@ -49,38 +54,44 @@ class MatchResult:
     fn: tuple[int, ...]
 
 
-def _validated(scores: ScoreField, is_ood, ignore) -> tuple[np.ndarray, np.ndarray]:
+def _ranked(scores: ScoreField, is_ood, ignore):
+    """The one ranked sweep behind every point-level metric.
+
+    Drops the ignore-masked points, sorts the rest once by descending score
+    and returns (candidates, tp_above, fp_above, n_pos, n_neg): the
+    candidate thresholds are the distinct scores, descending, plus -inf, and
+    tp_above / fp_above count the OOD / ID points scoring strictly above
+    each candidate. Those counts do not depend on the order inside a tie
+    block, so the sort need not be stable."""
     s = scores.scores
-    is_ood = np.asarray(is_ood, dtype=bool)
-    if ignore is None:
-        ignore = np.zeros_like(is_ood)
-    ignore = np.asarray(ignore, dtype=bool)
-    if not (s.shape == is_ood.shape == ignore.shape):
+    pos = np.asarray(is_ood, dtype=bool)
+    ignore = np.zeros_like(pos) if ignore is None else np.asarray(ignore, dtype=bool)
+    if not (s.shape == pos.shape == ignore.shape):
         raise ContractError("scores, is_ood, and ignore must have equal length")
-    keep = ~ignore
-    return s[keep], is_ood[keep]
+    s, pos = s[~ignore], pos[~ignore]
+    order = np.argsort(-s)
+    s_sorted = s[order]
+    # scores are finite, so the first point always opens a block
+    starts = np.flatnonzero(np.diff(s_sorted, prepend=np.inf) != 0)
+    n_above = np.append(starts, s.size)
+    tp_above = np.concatenate([[0], np.cumsum(pos[order])])[n_above]
+    n_pos = int(tp_above[-1])
+    return (np.append(s_sorted[starts], -np.inf), tp_above, n_above - tp_above,
+            n_pos, s.size - n_pos)
 
 
 def auroc(scores: ScoreField, is_ood, ignore=None) -> float:
     """Probability that an OOD point outscores an ID point, ties counting
-    half (Mann-Whitney rank statistic)."""
-    s, pos = _validated(scores, is_ood, ignore)
-    n_pos = int(pos.sum())
-    n_neg = int(pos.size - n_pos)
+    half (Mann-Whitney U statistic)."""
+    _, tp_above, fp_above, n_pos, n_neg = _ranked(scores, is_ood, ignore)
     if n_pos == 0 or n_neg == 0:
         raise ContractError("AUROC undefined: need at least one OOD and one ID point")
-
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    # average 1-based ranks over tie blocks
-    breaks = np.flatnonzero(np.diff(s_sorted) != 0)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [s.size - 1]])
-    avg_rank = 0.5 * (starts + ends) + 1.0
-    block_of = np.repeat(np.arange(starts.size), ends - starts + 1)
-    ranks = np.empty(s.size, dtype=np.float64)
-    ranks[order] = avg_rank[block_of]
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    # each tie block's OOD points beat the ID points below the block and tie
+    # with those inside it. Every term is a half-integer, so the sum is exact,
+    # in any order, while it stays below 2**53.
+    pos_b, neg_b = np.diff(tp_above), np.diff(fp_above)
+    neg_below = n_neg - fp_above[1:]
+    u = np.sum(pos_b * (neg_below + 0.5 * neg_b))
     return float(u / (n_pos * n_neg))
 
 
@@ -91,13 +102,9 @@ def fpr_at_95_tpr(scores: ScoreField, is_ood, ignore=None, tpr: float = 0.95) ->
     plus -inf; a point is flagged when its score strictly exceeds the
     threshold."""
     _check_tpr(tpr)
-    s, pos = _validated(scores, is_ood, ignore)
-    n_pos = int(pos.sum())
-    n_neg = int(pos.size - n_pos)
+    _, tp_above, fp_above, n_pos, n_neg = _ranked(scores, is_ood, ignore)
     if n_pos == 0 or n_neg == 0:
         raise ContractError("FPR@TPR undefined: need at least one OOD and one ID point")
-
-    tp_above, fp_above = _counts_above_candidates(s, pos)
     hit = np.flatnonzero(tp_above / n_pos >= tpr)[0]
     return float(fp_above[hit] / n_neg)
 
@@ -108,54 +115,28 @@ def _check_tpr(tpr: float) -> None:
         raise ContractError(f"target TPR must be in (0, 1], got {tpr}")
 
 
-def _counts_above_candidates(s: np.ndarray, pos: np.ndarray):
-    """For candidate thresholds at the unique score values (descending) plus
-    -inf, the number of positives / negatives strictly above each."""
-    order = np.argsort(-s, kind="stable")
-    pos_sorted = pos[order]
-    s_sorted = s[order]
-    breaks = np.flatnonzero(np.diff(s_sorted) != 0)
-    starts = np.concatenate([[0], breaks + 1])  # block start per unique value
-    cum_tp = np.concatenate([[0], np.cumsum(pos_sorted)])
-    tp_above = np.concatenate([cum_tp[starts], [int(pos.sum())]]).astype(np.float64)
-    n_above = np.concatenate([starts, [s.size]]).astype(np.float64)
-    return tp_above, n_above - tp_above
-
-
 def average_precision(scores: ScoreField, is_ood, ignore=None) -> float:
     """Step-interpolated area under the precision-recall curve.
 
     Thresholds sweep the unique score values descending; tied scores are
     processed as one block."""
-    s, pos = _validated(scores, is_ood, ignore)
-    n_pos = int(pos.sum())
+    _, tp_above, fp_above, n_pos, _ = _ranked(scores, is_ood, ignore)
     if n_pos == 0:
         raise ContractError("AP undefined: need at least one OOD point")
-
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    pos_sorted = pos[order]
-    # block boundaries where the sorted score changes
-    boundary = np.flatnonzero(np.diff(s_sorted) != 0)
-    ends = np.concatenate([boundary, [s.size - 1]])
-
-    cum_tp = np.cumsum(pos_sorted)
-    tp = cum_tp[ends].astype(np.float64)
-    precision = tp / (ends + 1)
-    recall = tp / n_pos
-    return float(np.sum(np.diff(recall, prepend=0.0) * precision))
+    # a block's end is what lies strictly above the next candidate
+    precision = tp_above[1:] / (tp_above[1:] + fp_above[1:])
+    return float(np.sum(np.diff(tp_above / n_pos) * precision))
 
 
 def threshold_at_tpr(scores: ScoreField, is_ood, ignore=None, tpr: float = 0.95) -> float:
     """Largest gamma whose strict-> classification reaches the target TPR."""
     _check_tpr(tpr)
-    s, pos = _validated(scores, is_ood, ignore)
-    if not pos.any():
+    candidates, tp_above, _, n_pos, _ = _ranked(scores, is_ood, ignore)
+    if n_pos == 0:
         raise ContractError("threshold calibration needs at least one OOD point")
-    candidates = np.concatenate([np.unique(s)[::-1], [-np.inf]])
-    tp_above, _ = _counts_above_candidates(s, pos)
-    hit = np.flatnonzero(tp_above / pos.sum() >= tpr)[0]
-    return float(candidates[hit])
+    hit = np.flatnonzero(tp_above / n_pos >= tpr)[0]
+    # a tie block of -0.0 and 0.0 may lead with either; adding +0.0 gives +0.0
+    return float(candidates[hit]) + 0.0
 
 
 def cluster_predictions(

@@ -12,6 +12,7 @@ from lidarood.cli import PipelineConfig, main
 from lidarood.core import ContractError
 from lidarood.metrics import read_report
 from lidarood.priornet import init_params, save_params
+from lidarood.scenes import IGNORE_ID
 from lidarood.trainer import load_checkpoint, save_checkpoint
 
 
@@ -216,6 +217,21 @@ class TestBadInput:
                      "--out", str(out)]) == 1
         self.assert_one_line_error(capsys)
         assert not list(out.glob("*.score"))
+
+    def test_gamma_from_tpr_with_every_point_ignored(self, pipeline, tmp_path, capsys):
+        """Calibrating gamma needs an OOD point outside the ignore mask; an
+        all-ignore label set has none and is refused."""
+        data = tmp_path / "data"
+        data.mkdir()
+        for src in sorted((pipeline / "eval").glob("scene_*.bin")):
+            (data / src.name).write_bytes(src.read_bytes())
+            n_points = src.stat().st_size // 16
+            np.full(n_points, IGNORE_ID, dtype="<u4").tofile(data / (src.stem + ".label"))
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data), "--scores", str(pipeline / "scores"),
+                     "--gamma-from-tpr", "0.95", "--report", str(tmp_path / "r.txt")]) == 1
+        self.assert_one_line_error(capsys)
+        assert not (tmp_path / "r.txt").exists()
 
 
 class TestBadNumericFlags:

@@ -1,5 +1,7 @@
 """Evaluation metrics against brute-force oracles and hand computations."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -363,6 +365,15 @@ class TestThresholdCalibration:
         pos = np.array([True, False, True, False])
         assert metric(sf, pos, tpr=1.0) == want
 
+    @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_zero_threshold_is_positive_zero(self, zeros):
+        """A tie block of -0.0 and 0.0 may lead with either zero after the
+        sort; the threshold reads +0.0 (and classifies the same either way)."""
+        sf = ScoreField(scores=np.array([1.0, *zeros]))
+        pos = np.array([True, False, False])
+        gamma = threshold_at_tpr(sf, pos, tpr=1.0)
+        assert gamma == 0.0 and not np.signbit(gamma)
+
 
 class TestAurocRocIntegration:
     @pytest.mark.parametrize("seed", range(5))
@@ -382,6 +393,52 @@ class TestAurocRocIntegration:
         trapezoid = float(np.trapezoid(tpr, fpr))
         got = auroc(ScoreField(scores=s), pos)
         assert abs(got - trapezoid) <= 1e-9
+
+
+POINT_METRICS = [auroc, fpr_at_95_tpr, average_precision, threshold_at_tpr]
+
+
+class TestRankedSweep:
+    """Properties of the one sorted sweep the four point metrics share."""
+
+    @pytest.mark.parametrize("metric", POINT_METRICS)
+    @pytest.mark.parametrize("case", ["all-ignored", "no-points"])
+    def test_nothing_to_rank_is_contract_error(self, metric, case):
+        n = 6 if case == "all-ignored" else 0
+        pos = np.arange(n) % 2 == 0
+        with pytest.raises(ContractError):
+            metric(ScoreField(scores=np.arange(n, dtype=float)), pos, np.ones(n, dtype=bool))
+
+    def test_auroc_is_exact_mann_whitney_fraction(self):
+        """200k scores on a 0.01 grid: AUROC equals the correctly rounded
+        fraction (2 wins + ties) / (2 n_pos n_neg), with no tolerance."""
+        rng = np.random.default_rng(21)
+        s = np.round(rng.normal(size=200_000), 2)
+        pos = rng.random(s.size) < 0.3
+        neg = np.sort(s[~pos])
+        below = np.searchsorted(neg, s[pos], side="left")
+        at_or_below = np.searchsorted(neg, s[pos], side="right")
+        wins, ties = int(below.sum()), int((at_or_below - below).sum())
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        want = float(Fraction(2 * wins + ties, 2 * n_pos * n_neg))
+        assert auroc(ScoreField(scores=s), pos) == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_point_order_changes_no_byte(self, seed):
+        """Heavy ties (both zeros among them) and an ignore mask: permuting
+        the points gives the same bytes for every metric, so the order the
+        sort leaves inside a tie block is never read."""
+        rng = np.random.default_rng(400 + seed)
+        n = 3000
+        s = rng.integers(-6, 7, size=n) / 2.0
+        s[rng.random(n) < 0.1] = -0.0
+        pos = rng.random(n) < 0.3
+        ignore = rng.random(n) < 0.1
+        perm = rng.permutation(n)
+        for metric in POINT_METRICS:
+            a = metric(ScoreField(scores=s), pos, ignore)
+            b = metric(ScoreField(scores=s[perm]), pos[perm], ignore[perm])
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), metric.__name__
 
 
 class TestReport:
