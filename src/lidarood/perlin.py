@@ -107,6 +107,10 @@ class RaiseConfig:
             raise ContractError("alpha must be finite and >= 0")
         if not (0.0 < self.rho <= 1.0):
             raise ContractError("rho must be in (0, 1]")
+        if not 0.0 < self.dbscan_eps < np.inf:
+            raise ContractError("dbscan_eps must be finite and positive")
+        if self.dbscan_min_pts < 1:
+            raise ContractError("dbscan_min_pts must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)

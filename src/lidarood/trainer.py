@@ -14,6 +14,7 @@ order, and every augmentation draw derive from seeded generators.
 from __future__ import annotations
 
 import io
+import itertools
 import logging
 import struct
 from dataclasses import dataclass, field
@@ -55,6 +56,47 @@ def extract_features(cloud: PointCloud) -> np.ndarray:
     density, zvar = index.ball_stats(_FEATURE_RADIUS)
     radial = np.sqrt((pts**2).sum(axis=1))
     return np.c_[pts[:, 2], radial, density, zvar]
+
+
+def _refresh_features(features: np.ndarray, cloud: PointCloud, moved: np.ndarray) -> np.ndarray:
+    """Bitwise ``extract_features(cloud)``, given ``features`` of a cloud that
+    differs from ``cloud`` only in the z of the ``moved`` rows.
+
+    Only the points within one xy column (cell of side ``_FEATURE_RADIUS``,
+    the grid of ``GridIndex``) of a moved point can change. They are
+    extracted again on the sub-cloud of the points within two columns, in
+    index order, which holds all their neighbors: ``GridIndex`` on it keeps
+    each point's cell (its origin shifts by whole cells) and so the order in
+    which ``ball_stats`` adds the neighbors.
+    """
+    xy = cloud.points[:, :2]
+    moved_col = np.floor(xy[moved] / _FEATURE_RADIUS).astype(np.int64)
+    lo = moved_col.min(axis=0) - 2
+    hi = moved_col.max(axis=0) + 3
+    # cut the box of columns before any per-point array, so the float and
+    # int temporaries scale with the moved region, not with the cloud
+    box = np.flatnonzero(np.all((xy >= lo * _FEATURE_RADIUS) & (xy < hi * _FEATURE_RADIUS),
+                                axis=1))
+    kx, ky = (np.floor(xy[box] / _FEATURE_RADIUS).astype(np.int64) - lo).T
+    near = np.zeros(hi - lo, dtype=bool)
+    near[tuple((moved_col - lo).T)] = True
+    near = _grow(near)
+    in_sub = _grow(near)[kx, ky]
+    sub = box[in_sub]
+    redo = near[kx, ky][in_sub]
+    fresh = extract_features(PointCloud(points=cloud.points[sub]))
+    out = features.copy()
+    out[sub[redo]] = fresh[redo]
+    return out
+
+
+def _grow(mask: np.ndarray) -> np.ndarray:
+    """``mask`` dilated by one cell in x, y and both diagonals."""
+    padded = np.pad(mask, 1)
+    out = np.zeros_like(mask)
+    for dx, dy in itertools.product(range(3), repeat=2):
+        out |= padded[dx:dx + mask.shape[0], dy:dy + mask.shape[1]]
+    return out
 
 
 @dataclass
@@ -144,6 +186,17 @@ class TrainConfig:
             raise ContractError("raise_per_scan must be >= 0")
         if self.hidden < 1:
             raise ContractError("hidden must be >= 1")
+        if self.latent_dim < 1:
+            raise ContractError("latent_dim must be >= 1")
+        lo, hi = self.raise_r_range
+        if not lo <= hi:
+            raise ContractError("raise_r_range must be (lo, hi) with lo <= hi")
+        # each raise draws r from the range: the configs at both ends check
+        # every raise setting
+        for r in (lo, hi):
+            RaiseConfig(r=r, alpha=self.raise_alpha, rho=self.raise_rho,
+                        dbscan_eps=self.raise_eps, dbscan_min_pts=self.raise_min_pts,
+                        road_class=self.road_class)
 
 
 @dataclass
@@ -196,8 +249,10 @@ def train(
     bias b always). Scans without enough road points are skipped and logged.
 
     Each scan's features are computed once per call, on first use, and
-    reused at every step whose raises moved no point; a step whose raises
-    moved points recomputes them on the raised cloud.
+    reused at every step whose raises moved no point. A step whose raises
+    moved points patches a copy of them: it extracts again only the points
+    within one 0.5 m xy cell column of a moved point, on the sub-cloud
+    within two columns, with the same bytes as a full extraction.
     """
     if not scenes:
         raise ContractError("training requires at least one scene")
@@ -248,7 +303,7 @@ def train(
                 train_log.skipped.append((epoch, int(scan_idx)))
                 continue
 
-            moved = False
+            moved = []  # raised_indices of the raises that moved points
             for _ in range(cfg.raise_per_scan):
                 r = float(loop_rng.uniform(*cfg.raise_r_range))
                 raise_seed = int(loop_rng.integers(2**63))
@@ -258,9 +313,12 @@ def train(
                     seed=raise_seed, road_class=cfg.road_class,
                 )
                 cloud, labels, report = perlin_raise(cloud, labels, spec, rcfg)
-                moved = moved or report.raised_count > 0
+                if report.raised_count:
+                    moved.append(report.raised_indices)
 
-            features = extract_features(cloud) if moved else base_features(int(scan_idx))
+            features = base_features(int(scan_idx))
+            if moved:
+                features = _refresh_features(features, cloud, np.concatenate(moved))
             logits = forward(backbone, features, spec)
             result = total_loss(logits, labels, spec, cfg.method, params,
                                 cfg.loss, use_prior=cfg.use_prior)

@@ -63,6 +63,17 @@ class TestRaiseConfig:
         with pytest.raises(ContractError):
             RaiseConfig(alpha=-0.1)
 
+    @pytest.mark.parametrize("kw", [
+        dict(dbscan_eps=-1.0), dict(dbscan_eps=0.0), dict(dbscan_eps=float("nan")),
+        dict(dbscan_eps=float("inf")), dict(dbscan_min_pts=0), dict(dbscan_min_pts=-2),
+    ], ids=["eps-negative", "eps-zero", "eps-nan", "eps-inf", "min-pts-zero",
+            "min-pts-negative"])
+    def test_density_filter_validated(self, kw):
+        """A bad density filter fails at construction, not only once a
+        selection reaches DBSCAN."""
+        with pytest.raises(ContractError):
+            RaiseConfig(**kw)
+
     @pytest.mark.parametrize("field", ["r", "alpha"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, field, value):
@@ -102,7 +113,9 @@ class TestPerlinRaise:
 
     def test_raise_postconditions(self):
         """Every raised point: 0 <= dz <= alpha, within r of the center,
-        inside one density cluster, and road-only modification."""
+        inside one density cluster, and road-only modification. Only the z
+        of raised rows changes, which the feature refresh in ``train``
+        relies on."""
         spec = default_class_spec()
         for seed in range(20):
             cloud, labels = road_only_scene(seed + 10)
@@ -124,6 +137,8 @@ class TestPerlinRaise:
             moved = np.flatnonzero(
                 (out_cloud.points != cloud.points).any(axis=1))
             assert np.all(labels.semantic[moved] == ROAD)
+            assert np.all(np.isin(moved, report.raised_indices))
+            np.testing.assert_array_equal(out_cloud.points[:, :2], cloud.points[:, :2])
 
     def test_monotone_gain(self):
         """Within the raised cluster, higher noise means no smaller lift."""

@@ -197,6 +197,36 @@ class TestTrain:
             TrainConfig(raise_per_scan=-1)
         assert TrainConfig(raise_per_scan=0).raise_per_scan == 0
 
+    @pytest.mark.parametrize("kw", [
+        dict(raise_r_range=(2.0, 1.0)), dict(raise_r_range=(0.0, 1.0)),
+        dict(raise_r_range=(-1.0, 1.0)), dict(raise_r_range=(1.0, float("inf"))),
+        dict(raise_r_range=(float("nan"), 1.0)), dict(raise_r_range=(1.0, float("nan"))),
+        dict(raise_eps=-1.0), dict(raise_eps=float("nan")), dict(raise_min_pts=0),
+        dict(raise_alpha=-0.1), dict(raise_rho=0.0), dict(raise_rho=1.5),
+        dict(latent_dim=0), dict(latent_dim=-1),
+    ], ids=["r-range-reversed", "r-range-zero", "r-range-negative", "r-range-inf",
+            "r-range-nan-lo", "r-range-nan-hi", "eps-negative", "eps-nan", "min-pts-zero",
+            "alpha-negative", "rho-zero", "rho-above-1", "latent-dim-zero",
+            "latent-dim-negative"])
+    def test_config_rejects_bad_raise_and_prior_settings(self, kw):
+        """At construction, before ``train`` extracts any feature."""
+        with pytest.raises(ContractError):
+            TrainConfig(**kw)
+        assert TrainConfig(raise_r_range=(1.0, 1.0)).raise_r_range == (1.0, 1.0)
+
+    def test_checkpoint_bytes_pinned_when_raises_move_points(self, tmp_path):
+        """A run in which all 18 raises move points, so every step patches
+        its scan's features. The hash was computed when each such step
+        extracted the features of its whole raised cloud (numpy 2.4)."""
+        spec = default_class_spec(extended=True)
+        cfg = TrainConfig(lr=1e-3, epochs=3, seed=7, raise_per_scan=2,
+                          raise_eps=1.0, raise_min_pts=2, raise_rho=1.0)
+        bb, params, _ = train(small_scenes(3), spec, cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, bb, params)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "0e3c2823e10bbee61797ef0569d0857c54b99748c55cafaea3d9bc86fb689141"
+
     def test_step_is_textbook_adam_bitwise(self):
         """One epoch without prior or raises equals, bitwise, the loop written
         out here: the seeded init and scan order, forward -> total_loss ->
@@ -238,18 +268,70 @@ class TestTrain:
         assert np.float64(params.b).tobytes() == np.float64(want_params.b).tobytes()
 
 
+class TestFeatureRefresh:
+    """``_refresh_features`` against a fresh extraction of the moved cloud
+    on a lattice: x and y on multiples of 0.5 m, so neighbors sit exactly at
+    the feature radius and on cell column edges, and z on 0, 0.25 and 0.5,
+    so some moves cross a z cell boundary."""
+
+    @staticmethod
+    def lattice():
+        g = np.arange(-4, 5) * 0.5
+        x, y, z = np.meshgrid(g, g, [0.0, 0.25, 0.5], indexing="ij")
+        return np.c_[x.ravel(), y.ravel(), z.ravel()]
+
+    @pytest.mark.parametrize("select, dz", [
+        (lambda p: (p == [0.0, 0.0, 0.25]).all(axis=1), 0.1),
+        (lambda p: (p == [0.0, 0.0, 0.25]).all(axis=1), 0.25),
+        (lambda p: (p == [-2.0, -2.0, 0.0]).all(axis=1), -0.5),
+        (lambda p: (p == [2.0, 0.5, 0.5]).all(axis=1), 0.5),
+        (lambda p: (p[:, 0] == 0.5) & (p[:, 2] == 0.25), 0.3),
+        (lambda p: (np.abs(p[:, 0]) <= 0.5) & (np.abs(p[:, 1]) <= 0.5), 0.25),
+        (lambda p: (np.abs(p[:, :2]) == 2.0).all(axis=1) & (p[:, 2] == 0.0), 0.75),
+        (lambda p: p[:, 2] == 0.0, 0.5),
+        (lambda p: np.ones(len(p), dtype=bool), 0.125),
+    ], ids=["point-small", "point-onto-cell-edge", "corner-below-cloud", "edge-above-cloud",
+            "column-line", "cluster-across-columns", "four-corners", "whole-layer",
+            "whole-cloud"])
+    def test_bytes_equal_fresh_extraction(self, select, dz):
+        points = self.lattice()
+        moved = np.flatnonzero(select(points))
+        assert moved.size
+        raised = points.copy()
+        raised[moved, 2] += dz
+        cloud = PointCloud(points=raised)
+        base = extract_features(PointCloud(points=points))
+        got = trainer._refresh_features(base, cloud, moved)
+        assert got.tobytes() == extract_features(cloud).tobytes()
+
+    def test_repeated_and_unsorted_moved_rows(self):
+        points = self.lattice()
+        moved = np.array([40, 3, 40, 200])
+        raised = points.copy()
+        raised[moved, 2] += 0.5
+        cloud = PointCloud(points=raised)
+        got = trainer._refresh_features(extract_features(PointCloud(points=points)), cloud,
+                                        moved)
+        assert got.tobytes() == extract_features(cloud).tobytes()
+
+
 class TestFeatureCache:
-    @pytest.mark.parametrize("raise_kw, hits, misses", [
-        (dict(raise_eps=1.0, raise_min_pts=2, raise_rho=1.0), True, False),
-        (dict(raise_eps=0.5, raise_min_pts=4), True, True),
-        (dict(), False, True),
-    ], ids=["raises-hit", "raises-mixed", "raises-miss"])
-    def test_step_features_equal_fresh_extraction(self, monkeypatch, raise_kw, hits, misses):
+    @pytest.mark.parametrize("raise_kw, hits, misses, scan_20k", [
+        (dict(raise_eps=1.0, raise_min_pts=2, raise_rho=1.0), True, False, False),
+        (dict(raise_eps=0.5, raise_min_pts=4), True, True, False),
+        (dict(), False, True, False),
+        (dict(), True, True, True),
+    ], ids=["raises-hit", "raises-mixed", "raises-miss", "raises-default-20k"])
+    def test_step_features_equal_fresh_extraction(self, monkeypatch, raise_kw, hits, misses,
+                                                  scan_20k):
         """Each step's features are bitwise those of its raised cloud, and
         features are extracted at most once per scan plus once per step
         whose raises moved points."""
         spec = default_class_spec(extended=True)
         scenes = small_scenes(3)
+        if scan_20k:  # a CLI-default scan in place of the last small one
+            scenes[-1] = generate_scene(SceneConfig(seed=1, extent=12.0,
+                                                    class_budget=default_budget(20000)))
         real_raise, real_forward = trainer.perlin_raise, trainer.forward
         real_features = trainer.extract_features
         step_raises = []  # (cloud, raised_count) of the raises since the last forward
