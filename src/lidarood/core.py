@@ -186,7 +186,8 @@ class RowSoftmax:
     the entropy are computed on first use and kept as read-only (M,)
     arrays. ``lse``, ``logp()`` and ``p()`` are rebuilt from them on each
     call (an add, or a subtraction and an exp) and not kept, so a field
-    holds no extra (M, c) array.
+    holds no extra (M, c) array; ``logp()`` and ``p()`` build their result
+    in one fresh array that the caller owns.
     """
 
     def __init__(self, values: np.ndarray):
@@ -203,22 +204,30 @@ class RowSoftmax:
 
     @cached_property
     def _log_sum(self) -> np.ndarray:
-        return _readonly(np.log(np.exp(self._shifted()).sum(axis=1)))
+        shifted = self._shifted()
+        return _readonly(np.log(np.exp(shifted, out=shifted).sum(axis=1)))
 
     @property
     def lse(self) -> np.ndarray:
         return self.max + self._log_sum
 
     def logp(self) -> np.ndarray:
-        return self._shifted() - self._log_sum[:, None]
+        """A fresh writable (M, c) array."""
+        out = self._shifted()
+        out -= self._log_sum[:, None]
+        return out
 
     def p(self) -> np.ndarray:
-        return np.exp(self.logp())
+        """A fresh writable (M, c) array."""
+        out = self.logp()
+        return np.exp(out, out=out)
 
     @cached_property
     def entropy(self) -> np.ndarray:
         logp = self.logp()
-        return _readonly(-(np.exp(logp) * logp).sum(axis=1))
+        plogp = np.exp(logp)
+        plogp *= logp
+        return _readonly(-plogp.sum(axis=1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,11 +77,11 @@ def ce_loss(field: LogitField, labels: LabelMap, spec: ClassSpec) -> tuple[float
     positive half. Points of other roles contribute nothing. An inlier point
     whose semantic id is not an inlier class is a contract violation.
     """
-    grad = np.zeros_like(field.values)
-    inliers = np.flatnonzero(labels.role == Role.INLIER)
+    is_inlier = labels.role == Role.INLIER
+    inliers = np.flatnonzero(is_inlier)
     n = inliers.size
     if n == 0:
-        return 0.0, grad
+        return 0.0, np.zeros_like(field.values)
 
     sem = labels.semantic[inliers]
     unknown = ~np.isin(sem, list(spec.inlier_classes))
@@ -89,12 +89,13 @@ def ce_loss(field: LogitField, labels: LabelMap, spec: ClassSpec) -> tuple[float
         raise ContractError("inlier-role point carries a non-inlier semantic id")
     targets = spec.class_index()[sem]
 
-    logp = field.softmax.logp()
-    loss = float(-logp[inliers, targets].mean())
-
-    p = np.exp(logp[inliers])
-    p[np.arange(n), targets] -= 1.0
-    grad[inliers] = p / n
+    # the gradient is built in the log-softmax's own buffer
+    grad = field.softmax.logp()
+    loss = float(-grad[inliers, targets].mean())
+    np.exp(grad, out=grad)
+    grad[inliers, targets] -= 1.0
+    grad /= n
+    grad[~is_inlier] = 0.0
     return loss, grad
 
 
@@ -203,7 +204,6 @@ def total_loss(
         weights, tape = prior_weight(field, params)
         scores = base * weights
     else:
-        weights, tape = np.ones_like(base), None
         scores = base
 
     in_mask = labels.role == Role.INLIER
@@ -224,11 +224,14 @@ def total_loss(
     g_scores[aux_mask] = g_aux
     g_scores[void_mask] = g_void
 
-    # chain rule through scores = base * w
-    dlogits = dlogits + (g_scores * weights)[:, None] * base_grad
+    # chain rule through scores = base * w, accumulated into the
+    # cross-entropy gradient (w == 1 without the prior, a product that is exact)
+    base_grad *= (g_scores * weights if use_prior else g_scores)[:, None]
+    dlogits += base_grad
+    del base_grad  # spent: prior_backward's arrays reuse its memory
     if use_prior:
         prior_grads, dlogits_prior = prior_backward(tape, g_scores * base)
-        dlogits = dlogits + dlogits_prior
+        dlogits += dlogits_prior
     else:
         prior_grads = zeros_like_params(params)
     prior_grads.b = b_grad_a + b_grad_v

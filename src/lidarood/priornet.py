@@ -143,15 +143,17 @@ def zeros_like_params(params: PriorParams) -> PriorParams:
 def prior_weight(field_or_values, params: PriorParams) -> tuple[np.ndarray, PriorTape]:
     """Per-point weights w >= 1 plus the tape needed for the backward pass.
 
-    Accepts a LogitField or a raw (M, C) array.
+    Accepts a LogitField or a raw (M, C) array of finite values.
     """
     params.validate()
-    values = field_or_values.values if isinstance(field_or_values, LogitField) else np.asarray(
-        field_or_values, dtype=np.float64)
+    is_field = isinstance(field_or_values, LogitField)
+    values = field_or_values.values if is_field else np.asarray(field_or_values,
+                                                                dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != params.logit_width:
         raise ContractError(
-            f"logit width {values.shape[-1]} does not match params (C={params.logit_width})"
-        )
+            f"logits must be (M, {params.logit_width}) for these params, got shape {values.shape}")
+    if not is_field and not np.all(np.isfinite(values)):  # a field checks its own
+        raise ContractError("logits must be finite")
     d = params.latent_dim
 
     e = values @ params.w_proj
@@ -159,14 +161,18 @@ def prior_weight(field_or_values, params: PriorParams) -> tuple[np.ndarray, Prio
     keys = params.psi @ params.w_k
     vals = params.psi @ params.w_v
 
-    att_logits = (q @ keys.T) / np.sqrt(d)
-    att_logits -= att_logits.max(axis=1, keepdims=True)
-    att = np.exp(att_logits)
+    # scale, shift, exp and normalize in one (M, C) buffer
+    att = q @ keys.T
+    att /= np.sqrt(d)
+    att -= att.max(axis=1, keepdims=True)
+    np.exp(att, out=att)
     att /= att.sum(axis=1, keepdims=True)
 
     z = att @ vals
-    pre = e @ params.w_head[:d] + z @ params.w_head[d:]
-    w = np.maximum(pre, 0.0) + 1.0
+    pre = e @ params.w_head[:d]
+    pre += z @ params.w_head[d:]
+    w = np.maximum(pre, 0.0)
+    w += 1.0
 
     tape = PriorTape(params=params, version=params.version, logits=values,
                      e=e, q=q, keys=keys, vals=vals, att=att, z=z, pre=pre)
@@ -193,19 +199,25 @@ def prior_backward(tape: PriorTape, grad_w: np.ndarray) -> tuple[PriorParams, np
     g.w_head[:d] = tape.e.T @ dpre
     g.w_head[d:] = tape.z.T @ dpre
 
-    de = np.outer(dpre, params.w_head[:d])
-    dz = np.outer(dpre, params.w_head[d:])
+    dpre = dpre[:, None]
+    de = dpre * params.w_head[:d]             # the bits of np.outer
+    dz = dpre * params.w_head[d:]
 
     datt = dz @ tape.vals.T                   # (M, C)
     g_vals = tape.att.T @ dz                  # (C, d)
+    # each (M, .) array is freed once spent, so later ones reuse its memory
+    del dz
 
-    # softmax backward, row-wise
+    # softmax backward, row-wise, in datt's buffer
     dot = (datt * tape.att).sum(axis=1, keepdims=True)
-    dlogits_att = tape.att * (datt - dot)     # (M, C)
+    datt -= dot
+    datt *= tape.att
 
     scale = 1.0 / np.sqrt(d)
-    dq = dlogits_att @ tape.keys * scale
-    g_keys = dlogits_att.T @ tape.q * scale
+    dq = datt @ tape.keys
+    dq *= scale
+    g_keys = datt.T @ tape.q * scale
+    del datt
 
     g.w_k[:] = params.psi.T @ g_keys
     g.w_v[:] = params.psi.T @ g_vals
@@ -213,6 +225,7 @@ def prior_backward(tape: PriorTape, grad_w: np.ndarray) -> tuple[PriorParams, np
 
     de += dq @ params.w_q.T
     g.w_q[:] = tape.e.T @ dq
+    del dq
 
     g.w_proj[:] = tape.logits.T @ de
     dlogits = de @ params.w_proj.T

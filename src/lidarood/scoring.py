@@ -99,17 +99,20 @@ def static_score_grad(field: LogitField, method: ScoreMethod) -> np.ndarray:
     values = field.values
     k = field.class_spec.num_classes
     pos = field.inlier_softmax
-    grad = np.zeros_like(values)
 
-    if method is ScoreMethod.ENTROPY:
-        logp = pos.logp()
-        grad[:, :k] = np.exp(logp) * (-pos.entropy[:, None] - logp)
-    elif method is ScoreMethod.ENERGY:
-        grad[:, :k] = -pos.p()
-    elif method is ScoreMethod.EXTENDED_ENERGY:
+    if method is ScoreMethod.EXTENDED_ENERGY:
         _require_extended(field)
         grad = field.softmax.p()
         grad[:, :k] -= pos.p()
+        return grad
+    grad = np.zeros_like(values)
+    if method is ScoreMethod.ENTROPY:
+        logp = pos.logp()
+        p = np.exp(logp)
+        np.subtract(-pos.entropy[:, None], logp, out=logp)
+        np.multiply(p, logp, out=grad[:, :k])
+    elif method is ScoreMethod.ENERGY:
+        np.negative(pos.p(), out=grad[:, :k])
     elif method is ScoreMethod.MAXLOGIT:
         rows = np.arange(values.shape[0])
         grad[rows, values[:, :k].argmax(axis=1)] = -1.0

@@ -133,20 +133,41 @@ def init_backbone(hidden: int, out_width: int, seed: int = 0) -> Backbone:
     )
 
 
+def _scaled(backbone: Backbone, features: np.ndarray) -> np.ndarray:
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
+        raise ContractError(f"features must be (M, {FEATURE_DIM}), got shape {x.shape}")
+    return x / backbone.feature_scale
+
+
+def _hidden(backbone: Backbone, x: np.ndarray) -> np.ndarray:
+    """ReLU(x @ w1 + b1), built in one (M, H) buffer."""
+    h = x @ backbone.w1
+    h += backbone.b1
+    return np.maximum(h, 0.0, out=h)
+
+
 def forward(backbone: Backbone, features: np.ndarray, spec: ClassSpec) -> LogitField:
-    x = np.asarray(features, dtype=np.float64) / backbone.feature_scale
-    h = np.maximum(x @ backbone.w1 + backbone.b1, 0.0)
-    return LogitField(values=h @ backbone.w2 + backbone.b2, class_spec=spec)
+    logits = _hidden(backbone, _scaled(backbone, features)) @ backbone.w2
+    logits += backbone.b2
+    return LogitField(values=logits, class_spec=spec)
 
 
 def backbone_backward(
     backbone: Backbone, features: np.ndarray, dlogits: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of sum(dlogits * logits) w.r.t. the backbone tensors."""
-    x = np.asarray(features, dtype=np.float64) / backbone.feature_scale
-    pre = x @ backbone.w1 + backbone.b1
-    h = np.maximum(pre, 0.0)
-    dh = (dlogits @ backbone.w2.T) * (pre > 0.0)
+    """Exact gradients of sum(dlogits * logits) w.r.t. the backbone tensors.
+
+    The hidden layer is recomputed, as ``forward`` builds it, rather than
+    kept from the forward pass: a kept (M, H) array outlives the step and
+    raises the peak memory of scoring."""
+    x = _scaled(backbone, features)
+    if np.shape(dlogits) != (x.shape[0], backbone.out_width):
+        raise ContractError(f"dlogits must be ({x.shape[0]}, {backbone.out_width}) for these "
+                            f"features and backbone, got shape {np.shape(dlogits)}")
+    h = _hidden(backbone, x)
+    dh = dlogits @ backbone.w2.T
+    dh *= h > 0.0  # h > 0 exactly where x @ w1 + b1 > 0
     return {
         "w1": x.T @ dh,
         "b1": dh.sum(axis=0),
@@ -215,23 +236,49 @@ class TrainLog:
 
 
 class _Adam:
+    """Bias-corrected Adam over one flat vector of every trainable value.
+
+    ``__init__`` copies the tensors of ``tensors`` into one float64 vector
+    and replaces each dict entry by a view of it, so a step updates every
+    tensor with one array expression; the caller reads its tensors back
+    from the dict. ``step`` takes a gradient for every tensor.
+    """
+
     def __init__(self, tensors: dict[str, np.ndarray], lr: float):
         self.lr = lr
-        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.names = list(tensors)
+        sizes = [np.size(tensors[k]) for k in self.names]
+        self.ends = np.cumsum(sizes)
+        self.values = np.concatenate([np.ravel(tensors[k]) for k in self.names],
+                                     dtype=np.float64)
+        for k, end, n in zip(self.names, self.ends, sizes):
+            tensors[k] = self.values[end - n:end].reshape(np.shape(tensors[k]))
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
         self.t = 0
 
-    def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+    def step(self, grads: dict[str, np.ndarray]):
         self.t += 1
         bc1 = 1.0 - _ADAM_BETA1**self.t
         bc2 = 1.0 - _ADAM_BETA2**self.t
-        for k, g in grads.items():
-            self.m[k] = _ADAM_BETA1 * self.m[k] + (1.0 - _ADAM_BETA1) * g
-            self.v[k] = _ADAM_BETA2 * self.v[k] + (1.0 - _ADAM_BETA2) * g * g
-            update = self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + _ADAM_EPS)
-            tensors[k] -= update
-            if not np.all(np.isfinite(tensors[k])):
-                raise ContractError(f"non-finite parameter {k} after update {self.t}")
+        g = np.concatenate([np.ravel(grads[k]) for k in self.names])
+        self.m *= _ADAM_BETA1
+        self.m += (1.0 - _ADAM_BETA1) * g
+        g2 = (1.0 - _ADAM_BETA2) * g
+        g2 *= g
+        self.v *= _ADAM_BETA2
+        self.v += g2
+        update = self.m / bc1
+        update *= self.lr
+        denom = self.v / bc2
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        update /= denom
+        self.values -= update
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            k = self.names[np.searchsorted(self.ends, np.argmin(finite), side="right")]
+            raise ContractError(f"non-finite parameter {k} after update {self.t}")
 
 
 def train(
@@ -289,6 +336,9 @@ def train(
     if cfg.use_prior:
         tensors.update(params.tensors())
     opt = _Adam(tensors, cfg.lr)
+    for owner in (backbone, params):  # the tensors now live in the optimizer's flat vector
+        for k in owner.tensors().keys() & tensors.keys():
+            setattr(owner, k, tensors[k])
 
     train_log = TrainLog()
     for epoch in range(cfg.epochs):
@@ -329,7 +379,7 @@ def train(
             grads["b"] = np.asarray(result.prior_grads.b)
             if cfg.use_prior:
                 grads.update(result.prior_grads.tensors())
-            opt.step(tensors, grads)
+            opt.step(grads)
             params.b = float(tensors["b"])
             params.mark_updated()
 

@@ -108,6 +108,21 @@ class TestForward:
         with pytest.raises(ContractError):
             prior_weight(np.zeros((3, 7)), params)
 
+    @pytest.mark.parametrize("shape", [(6,), ()])
+    def test_not_a_matrix_rejected(self, shape):
+        params = init_params(6, d=5, seed=0)
+        with pytest.raises(ContractError, match="logits must be"):
+            prior_weight(np.zeros(shape), params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raw_logits_rejected(self, bad):
+        params = init_params(3, d=4, seed=0)
+        params.w_head = np.ones(8)
+        logits = np.zeros((3, 3))
+        logits[1, 2] = bad
+        with pytest.raises(ContractError, match="finite"):
+            prior_weight(logits, params)
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         params = init_params(5, d=4, seed=1)

@@ -180,6 +180,27 @@ class TestSoftmaxParts:
                 assert got.tobytes() == want[part].tobytes(), (name, part)
         assert (field.inlier_softmax is field.softmax) is not extended
 
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("part", ["logp", "p"])
+    def test_outputs_are_private_copies(self, extended, part):
+        """``logp()`` and ``p()`` return fresh writable arrays: writing into
+        one changes no cached reduction and no later call."""
+        values = np.random.default_rng(4).normal(scale=3.0, size=(40, 12 if extended else 6))
+        want = self.reference(values[:, :6])
+        field = make_field(values, extended=extended)
+        soft = field.inlier_softmax
+        first = getattr(soft, part)()
+        second = getattr(soft, part)()
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, field.values)
+        first[...] = 7.0
+        second += 1.0
+        for name in ("max", "lse", "entropy", part):
+            got = getattr(soft, name)
+            got = got() if callable(got) else got
+            assert got.tobytes() == want[name].tobytes(), name
+
 
 class TestReweighted:
     def test_zero_head_reduction_bitwise(self):

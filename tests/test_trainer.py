@@ -111,6 +111,23 @@ class TestBackbone:
                 assert abs(fd - grads[name][ix]) < 1e-5
 
 
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 4, 1), (4,)])
+    def test_features_not_m_by_4_rejected(self, shape):
+        spec = default_class_spec(extended=True)
+        bb = init_backbone(6, spec.logit_width, seed=5)
+        with pytest.raises(ContractError, match="features must be"):
+            forward(bb, np.ones(shape), spec)
+        with pytest.raises(ContractError, match="features must be"):
+            backbone_backward(bb, np.ones(shape), np.ones((5, spec.logit_width)))
+
+    @pytest.mark.parametrize("shape", [(4, 14), (6, 14), (5, 13), (70,)])
+    def test_dlogits_not_matching_rejected(self, shape):
+        """dlogits must have the features' rows and w2's width (14)."""
+        bb = init_backbone(6, 14, seed=5)
+        with pytest.raises(ContractError, match="dlogits must be"):
+            backbone_backward(bb, np.ones((5, 4)), np.ones(shape))
+
+
 class TestTrain:
     def test_lr_zero_leaves_parameters(self):
         spec = default_class_spec(extended=True)
