@@ -175,6 +175,38 @@ class LabelMap:
         return self.semantic.shape[0]
 
 
+class Workspace:
+    """Float64 buffers that the training step functions fill in place.
+
+    One ``trainer.train`` call owns one workspace and drops it on return.
+    Each named buffer is made on first use with ``rows`` rows (the call's
+    largest scan) and handed out as a row-prefix view, so later steps fill
+    the same memory instead of allocating, and page-faulting, their (M, .)
+    arrays again. A view holds its values only until the next call that
+    fills the same buffer. ``fills`` counts the ``prior_weight`` calls that
+    filled the prior tape's buffers, so a tape whose buffers were refilled
+    is refused.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.fills = 0
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """The first ``rows`` rows of buffer ``name``, uninitialized."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[1] != cols or buf.shape[0] < rows:
+            buf = self._buffers[name] = np.empty((max(rows, self.rows), cols))
+        return buf[:rows]
+
+
+def work_array(work: Workspace | None, name: str, rows: int, cols: int) -> np.ndarray:
+    """An uninitialized (rows, cols) float64 array: buffer ``name`` of
+    ``work``, or a fresh array without a workspace."""
+    return np.empty((rows, cols)) if work is None else work.take(name, rows, cols)
+
+
 class RowSoftmax:
     """Row-wise softmax of an (M, c) logit block.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassSpec, ContractError, LabelMap, LogitField, Role
+from .core import ClassSpec, ContractError, LabelMap, LogitField, Role, Workspace
 from .priornet import PriorParams, prior_backward, prior_weight, zeros_like_params
 from .scoring import ScoreMethod, static_score, static_score_grad
 
@@ -188,20 +188,23 @@ def total_loss(
     params: PriorParams,
     cfg: LossConfig,
     use_prior: bool = True,
+    *,
+    work: Workspace | None = None,
 ) -> TotalLoss:
     """Cross-entropy + logistic separation + void hinge, with all gradients
     composed through the active scoring method (and the prior weighting
     network when ``use_prior``) by the chain rule.
 
     ``params`` always supplies the trainable bias b; its attention tensors
-    participate only when ``use_prior`` is set.
+    participate only when ``use_prior`` is set. ``work`` is passed on to the
+    prior network's forward and backward pass.
     """
     ce, dlogits = ce_loss(field, labels, spec)
 
     base = static_score(field, method)
     base_grad = static_score_grad(field, method)
     if use_prior:
-        weights, tape = prior_weight(field, params)
+        weights, tape = prior_weight(field, params, work=work)
         scores = base * weights
     else:
         scores = base
@@ -230,7 +233,7 @@ def total_loss(
     dlogits += base_grad
     del base_grad  # spent: prior_backward's arrays reuse its memory
     if use_prior:
-        prior_grads, dlogits_prior = prior_backward(tape, g_scores * base)
+        prior_grads, dlogits_prior = prior_backward(tape, g_scores * base, work=work)
         dlogits += dlogits_prior
     else:
         prior_grads = zeros_like_params(params)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractError, FormatError, LogitField, read_exact, to_float32
+from .core import (ContractError, FormatError, LogitField, Workspace, read_exact, to_float32,
+                   work_array)
 
 __all__ = ["PriorParams", "PriorTape", "init_params", "prior_weight", "prior_backward",
            "save_params", "load_params", "zeros_like_params"]
@@ -93,7 +94,11 @@ class PriorParams:
 
 @dataclass(frozen=True, eq=False)
 class PriorTape:
-    """Forward intermediates for one exact backward pass."""
+    """Forward intermediates for one exact backward pass.
+
+    A tape built in a workspace holds views of its buffers and records the
+    workspace's fill count; it must not outlive them.
+    """
 
     params: PriorParams
     version: int
@@ -105,6 +110,8 @@ class PriorTape:
     att: np.ndarray     # (M, C) softmax rows
     z: np.ndarray       # (M, d)
     pre: np.ndarray     # (M,) head pre-activation
+    work: Workspace | None = None
+    fill: int = 0       # work.fills when the tape was made
 
 
 def _glorot(rng, shape):
@@ -140,10 +147,13 @@ def zeros_like_params(params: PriorParams) -> PriorParams:
     )
 
 
-def prior_weight(field_or_values, params: PriorParams) -> tuple[np.ndarray, PriorTape]:
+def prior_weight(field_or_values, params: PriorParams, *,
+                 work: Workspace | None = None) -> tuple[np.ndarray, PriorTape]:
     """Per-point weights w >= 1 plus the tape needed for the backward pass.
 
-    Accepts a LogitField or a raw (M, C) array of finite values.
+    Accepts a LogitField or a raw (M, C) array of finite values. With
+    ``work`` the tape's (M, .) arrays are views of its buffers, valid until
+    the next ``prior_weight`` on it.
     """
     params.validate()
     is_field = isinstance(field_or_values, LogitField)
@@ -154,44 +164,60 @@ def prior_weight(field_or_values, params: PriorParams) -> tuple[np.ndarray, Prio
             f"logits must be (M, {params.logit_width}) for these params, got shape {values.shape}")
     if not is_field and not np.all(np.isfinite(values)):  # a field checks its own
         raise ContractError("logits must be finite")
+    m, c = values.shape
     d = params.latent_dim
 
-    e = values @ params.w_proj
-    q = e @ params.w_q
+    e = np.matmul(values, params.w_proj, out=work_array(work, "e", m, d))
+    q = np.matmul(e, params.w_q, out=work_array(work, "q", m, d))
     keys = params.psi @ params.w_k
     vals = params.psi @ params.w_v
 
     # scale, shift, exp and normalize in one (M, C) buffer
-    att = q @ keys.T
+    att = np.matmul(q, keys.T, out=work_array(work, "att", m, c))
     att /= np.sqrt(d)
-    att -= att.max(axis=1, keepdims=True)
+    # the row maxima from a channel-major copy, in backward's spent datt
+    # buffer: a max over short rows is slow in numpy, and a max is exact in
+    # any order (a +-0 tie gives the same exp)
+    by_channel = work_array(work, "datt", m, c).reshape(c, m)
+    np.copyto(by_channel, att.T)
+    att -= by_channel.max(axis=0)[:, None]
     np.exp(att, out=att)
     att /= att.sum(axis=1, keepdims=True)
 
-    z = att @ vals
+    z = np.matmul(att, vals, out=work_array(work, "z", m, d))
     pre = e @ params.w_head[:d]
     pre += z @ params.w_head[d:]
     w = np.maximum(pre, 0.0)
     w += 1.0
 
+    if work is not None:
+        work.fills += 1
     tape = PriorTape(params=params, version=params.version, logits=values,
-                     e=e, q=q, keys=keys, vals=vals, att=att, z=z, pre=pre)
+                     e=e, q=q, keys=keys, vals=vals, att=att, z=z, pre=pre,
+                     work=work, fill=0 if work is None else work.fills)
     return w, tape
 
 
-def prior_backward(tape: PriorTape, grad_w: np.ndarray) -> tuple[PriorParams, np.ndarray]:
+def prior_backward(tape: PriorTape, grad_w: np.ndarray, *,
+                   work: Workspace | None = None) -> tuple[PriorParams, np.ndarray]:
     """Exact gradients of sum_i grad_w[i] * w[i].
 
     Returns (parameter gradients as a PriorParams-shaped container with the
     b slot zero, gradients w.r.t. the input logits). Raises ContractError if
-    the parameters were updated since the forward pass.
+    the parameters were updated since the forward pass, or if a later
+    ``prior_weight`` refilled the tape's workspace. With ``work`` the
+    returned logit gradient is a view of its buffers, valid until the next
+    ``prior_weight`` or ``prior_backward`` on it.
     """
     params = tape.params
     if tape.version != params.version:
         raise ContractError("stale tape: parameters were updated after the forward pass")
+    if tape.work is not None and tape.work.fills != tape.fill:
+        raise ContractError("stale tape: a later prior_weight refilled its workspace")
     grad_w = np.asarray(grad_w, dtype=np.float64).reshape(-1)
     if grad_w.shape[0] != tape.pre.shape[0]:
         raise ContractError("grad_w length does not match the taped forward pass")
+    m, c = tape.att.shape
     d = params.latent_dim
 
     dpre = grad_w * (tape.pre > 0.0)         # ReLU subgradient at 0 is 0
@@ -200,12 +226,14 @@ def prior_backward(tape: PriorTape, grad_w: np.ndarray) -> tuple[PriorParams, np
     g.w_head[d:] = tape.z.T @ dpre
 
     dpre = dpre[:, None]
-    de = dpre * params.w_head[:d]             # the bits of np.outer
-    dz = dpre * params.w_head[d:]
+    # the bits of np.outer
+    de = np.multiply(dpre, params.w_head[:d], out=work_array(work, "de", m, d))
+    dz = np.multiply(dpre, params.w_head[d:], out=work_array(work, "dz", m, d))
 
-    datt = dz @ tape.vals.T                   # (M, C)
+    datt = np.matmul(dz, tape.vals.T, out=work_array(work, "datt", m, c))
     g_vals = tape.att.T @ dz                  # (C, d)
-    # each (M, .) array is freed once spent, so later ones reuse its memory
+    # each (M, .) array is spent before a later one takes its buffer (or,
+    # without a workspace, its memory): dq takes dz's, dlogits datt's
     del dz
 
     # softmax backward, row-wise, in datt's buffer
@@ -214,7 +242,7 @@ def prior_backward(tape: PriorTape, grad_w: np.ndarray) -> tuple[PriorParams, np
     datt *= tape.att
 
     scale = 1.0 / np.sqrt(d)
-    dq = datt @ tape.keys
+    dq = np.matmul(datt, tape.keys, out=work_array(work, "dz", m, d))
     dq *= scale
     g_keys = datt.T @ tape.q * scale
     del datt
@@ -228,7 +256,7 @@ def prior_backward(tape: PriorTape, grad_w: np.ndarray) -> tuple[PriorParams, np
     del dq
 
     g.w_proj[:] = tape.logits.T @ de
-    dlogits = de @ params.w_proj.T
+    dlogits = np.matmul(de, params.w_proj.T, out=work_array(work, "datt", m, c))
     return g, dlogits
 
 

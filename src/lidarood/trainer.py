@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, read_exact,
-                   to_float32)
+from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, Workspace,
+                   read_exact, to_float32, work_array)
 from .losses import LossConfig, total_loss
 from .neighbors import GridIndex
 from .perlin import RaiseConfig, perlin_raise
@@ -133,45 +133,52 @@ def init_backbone(hidden: int, out_width: int, seed: int = 0) -> Backbone:
     )
 
 
-def _scaled(backbone: Backbone, features: np.ndarray) -> np.ndarray:
+def _scaled(backbone: Backbone, features: np.ndarray, work: Workspace | None) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
         raise ContractError(f"features must be (M, {FEATURE_DIM}), got shape {x.shape}")
-    return x / backbone.feature_scale
+    return np.divide(x, backbone.feature_scale, out=work_array(work, "x", *x.shape))
 
 
-def _hidden(backbone: Backbone, x: np.ndarray) -> np.ndarray:
+def _hidden(backbone: Backbone, x: np.ndarray, work: Workspace | None) -> np.ndarray:
     """ReLU(x @ w1 + b1), built in one (M, H) buffer."""
-    h = x @ backbone.w1
+    h = np.matmul(x, backbone.w1, out=work_array(work, "h", x.shape[0], backbone.w1.shape[1]))
     h += backbone.b1
     return np.maximum(h, 0.0, out=h)
 
 
-def forward(backbone: Backbone, features: np.ndarray, spec: ClassSpec) -> LogitField:
-    logits = _hidden(backbone, _scaled(backbone, features)) @ backbone.w2
+def forward(backbone: Backbone, features: np.ndarray, spec: ClassSpec, *,
+            work: Workspace | None = None) -> LogitField:
+    """The logit field of ``features``; with ``work`` the scaled features
+    and the hidden layer fill its buffers (the logits are always fresh)."""
+    logits = _hidden(backbone, _scaled(backbone, features, work), work) @ backbone.w2
     logits += backbone.b2
     return LogitField(values=logits, class_spec=spec)
 
 
 def backbone_backward(
-    backbone: Backbone, features: np.ndarray, dlogits: np.ndarray
+    backbone: Backbone, features: np.ndarray, dlogits: np.ndarray, *,
+    work: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of sum(dlogits * logits) w.r.t. the backbone tensors.
 
-    The hidden layer is recomputed, as ``forward`` builds it, rather than
-    kept from the forward pass: a kept (M, H) array outlives the step and
-    raises the peak memory of scoring."""
-    x = _scaled(backbone, features)
+    The hidden layer is recomputed, as ``forward`` builds it and in the same
+    ``work`` buffer, rather than kept from the forward pass: a kept (M, H)
+    array outlives the step and raises the peak memory of scoring."""
+    x = _scaled(backbone, features, work)
     if np.shape(dlogits) != (x.shape[0], backbone.out_width):
         raise ContractError(f"dlogits must be ({x.shape[0]}, {backbone.out_width}) for these "
                             f"features and backbone, got shape {np.shape(dlogits)}")
-    h = _hidden(backbone, x)
-    dh = dlogits @ backbone.w2.T
-    dh *= h > 0.0  # h > 0 exactly where x @ w1 + b1 > 0
+    h = _hidden(backbone, x, work)
+    g_w2 = h.T @ dlogits
+    active = h > 0.0  # exactly where x @ w1 + b1 > 0
+    # h is spent: dh takes its buffer
+    dh = np.matmul(dlogits, backbone.w2.T, out=h)
+    dh *= active
     return {
         "w1": x.T @ dh,
         "b1": dh.sum(axis=0),
-        "w2": h.T @ dlogits,
+        "w2": g_w2,
         "b2": dlogits.sum(axis=0),
     }
 
@@ -300,6 +307,14 @@ def train(
     moved points patches a copy of them: it extracts again only the points
     within one 0.5 m xy cell column of a moved point, on the sub-cloud
     within two columns, with the same bytes as a full extraction.
+
+    The call owns one ``Workspace``, sized to its largest scan, and drops it
+    on return. The prior-head probe and every step fill their large (M, .)
+    arrays (scaled features, hidden layer and its gradient, the prior tape
+    and the prior's backward arrays) into its buffers, so steps after the
+    first allocate none of them, with the same bytes as fresh arrays. A
+    tape made in the workspace must not outlive it: ``prior_backward``
+    refuses a tape whose buffers a later ``prior_weight`` refilled.
     """
     if not scenes:
         raise ContractError("training requires at least one scene")
@@ -307,6 +322,8 @@ def train(
         raise ContractError("extended-energy training needs an extended class spec")
 
     scan_features: dict[int, np.ndarray] = {}
+    # every step fills its (M, .) arrays into this, and it dies with the call
+    work = Workspace(max(cloud.count for cloud, _ in scenes))
 
     def base_features(k: int) -> np.ndarray:
         if k not in scan_features:
@@ -325,10 +342,11 @@ def train(
         # the head only receives gradient through points with a positive
         # pre-activation; if the draw leaves every point of the first scan
         # inactive, flip its sign so the head is trainable
-        probe = forward(backbone, base_features(0), spec)
-        _, tape = prior_weight(probe, params)
+        probe = forward(backbone, base_features(0), spec, work=work)
+        _, tape = prior_weight(probe, params, work=work)
         if not np.any(tape.pre > 0.0):
             params.w_head = -params.w_head
+        del probe, tape  # only the sign check reads them
 
     loop_rng = np.random.default_rng([cfg.seed, 2])
     tensors = dict(backbone.tensors())
@@ -369,13 +387,13 @@ def train(
             features = base_features(int(scan_idx))
             if moved:
                 features = _refresh_features(features, cloud, np.concatenate(moved))
-            logits = forward(backbone, features, spec)
+            logits = forward(backbone, features, spec, work=work)
             result = total_loss(logits, labels, spec, cfg.method, params,
-                                cfg.loss, use_prior=cfg.use_prior)
+                                cfg.loss, use_prior=cfg.use_prior, work=work)
             if not np.isfinite(result.total):
                 raise ContractError(f"non-finite loss at epoch {epoch}")
 
-            grads = backbone_backward(backbone, features, result.dlogits)
+            grads = backbone_backward(backbone, features, result.dlogits, work=work)
             grads["b"] = np.asarray(result.prior_grads.b)
             if cfg.use_prior:
                 grads.update(result.prior_grads.tensors())

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from lidarood.core import ContractError, FormatError
+from lidarood.core import ContractError, FormatError, Workspace
 from lidarood.priornet import (
     init_params, load_params, prior_backward, prior_weight, save_params,
 )
@@ -167,6 +167,16 @@ class TestBackward:
         params.mark_updated()
         with pytest.raises(ContractError):
             prior_backward(tape, np.ones(3))
+
+    def test_tape_of_a_refilled_workspace_rejected(self):
+        rng = np.random.default_rng(7)
+        params = init_params(4, d=3, seed=4)
+        work = Workspace(5)
+        _, first = prior_weight(rng.normal(size=(3, 4)), params, work=work)
+        _, second = prior_weight(rng.normal(size=(5, 4)), params, work=work)
+        with pytest.raises(ContractError, match="refilled"):
+            prior_backward(first, np.ones(3), work=work)
+        prior_backward(second, np.ones(5), work=work)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_small(self, seed):

@@ -8,14 +8,18 @@ so every float64 result is compared with ``tobytes()``, on inputs that hold
 ReLU ties (a pre-activation of exactly 0), exact zeros and -0.0.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
-from lidarood.core import ClassSpec, ContractError, LabelMap, LogitField, Role
+from lidarood import trainer
+from lidarood.core import ClassSpec, ContractError, LabelMap, LogitField, Role, Workspace
 from lidarood.losses import (
     LossConfig, Orientation, aux_logistic_loss, total_loss, void_soft_loss,
 )
 from lidarood.priornet import PriorParams, init_params, prior_backward, prior_weight
+from lidarood.scenes import SceneConfig, default_budget, default_class_spec, generate_scene
 from lidarood.scoring import ScoreMethod, static_score, static_score_grad
 from lidarood.trainer import (
     _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, Backbone, _Adam, backbone_backward, forward,
@@ -59,14 +63,14 @@ def ref_backbone_backward(bb: Backbone, features, dlogits):
             "b2": dlogits.sum(axis=0)}
 
 
-def backbone_case(ties: bool, seed: int):
+def backbone_case(ties: bool, seed: int, m: int = 301, spec: ClassSpec | None = None):
     """A backbone, features and dlogits. With ``ties`` the first layer and
     the features are small integers at unit scale, so many pre-activations
     are exactly 0."""
-    spec = ClassSpec(inlier_classes=(1, 2, 3, 4, 5, 6, 7), void_id=0, ood_id=9,
-                     ignore_id=8, extended=True)
+    spec = spec or ClassSpec(inlier_classes=(1, 2, 3, 4, 5, 6, 7), void_id=0, ood_id=9,
+                             ignore_id=8, extended=True)
     rng = np.random.default_rng(seed)
-    m, hidden, c = 301, 9, spec.logit_width
+    hidden, c = 9, spec.logit_width
     if ties:
         bb = Backbone(w1=rng.integers(-2, 3, size=(4, hidden)).astype(float),
                       b1=rng.integers(-2, 3, size=hidden).astype(float),
@@ -249,11 +253,10 @@ def ref_total_loss(values, labels, spec, method, params, cfg, use_prior):
     return (ce + aux + void, ce, aux, void, b_a + b_v), dlogits, prior_grads
 
 
-def loss_case(extended: bool, seed: int):
+def loss_case(extended: bool, seed: int, m: int = 301):
     spec = ClassSpec(inlier_classes=(1, 2, 3), void_id=0, ood_id=9, ignore_id=8,
                      extended=extended)
     rng = np.random.default_rng(seed)
-    m = 301
     values = signed_zeros(rng.normal(scale=4.0, size=(m, spec.logit_width)), rng)
     values[5::11] = values[5::11, :1]                    # rows of equal logits
     values[6::11, 1] = values[6::11].max(axis=1)         # tied row maxima
@@ -353,3 +356,79 @@ def test_non_finite_update_names_the_first_tensor(bad):
     with pytest.raises(ContractError, match=f"non-finite parameter {first} after update 2"):
         opt.step(grads)
 
+
+
+# --------------------------------------------------------------------------
+# workspace
+# --------------------------------------------------------------------------
+
+def step_case(m: int, seed: int):
+    """Inputs of the five step functions at ``m`` points for one extended
+    spec, with the ReLU ties and signed zeros of the cases above."""
+    spec, values, labels = loss_case(True, seed, m=m)
+    _, bb, features, dlogits = backbone_case(True, seed, m=m, spec=spec)
+    _, params, grad_w = prior_case(True, seed, m=m, c=spec.logit_width, d=5)
+    params.b = 0.2
+    return spec, bb, features, dlogits, values, labels, params, grad_w
+
+
+def step_bytes(case, work) -> dict[str, bytes]:
+    """The bytes of every float64 result of the five step functions, each
+    read as soon as its call returns: a workspace view holds its values only
+    until the next call that fills its buffer."""
+    spec, bb, features, dlogits, values, labels, params, grad_w = case
+    out = {"forward": forward(bb, features, spec, work=work).values.tobytes()}
+    for name, g in backbone_backward(bb, features, dlogits, work=work).items():
+        out[f"backbone_backward.{name}"] = g.tobytes()
+
+    w, tape = prior_weight(values, params, work=work)
+    out["prior_weight"] = w.tobytes()
+    for name in ("e", "q", "keys", "vals", "att", "z", "pre"):
+        out[f"prior_weight.{name}"] = getattr(tape, name).tobytes()
+    grads, dlogits_prior = prior_backward(tape, grad_w, work=work)
+    out["prior_backward"] = dlogits_prior.tobytes()
+    for name, g in grads.tensors().items():
+        out[f"prior_backward.{name}"] = g.tobytes()
+
+    cfg = LossConfig(beta=0.8, ood_weight=50.0)
+    res = total_loss(LogitField(values=values, class_spec=spec), labels, spec,
+                     ScoreMethod.EXTENDED_ENERGY, params, cfg, work=work)
+    out["total_loss"] = np.array([res.total, res.ce, res.aux, res.void,
+                                  res.prior_grads.b]).tobytes()
+    out["total_loss.dlogits"] = res.dlogits.tobytes()
+    for name, g in res.prior_grads.tensors().items():
+        out[f"total_loss.{name}"] = g.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("rows, sizes", [
+    (400, [301]),                # capacity larger than M
+    (400, [120, 301, 60]),       # M growing, then shrinking, within the capacity
+    (64, [50, 180, 301, 90]),    # ... and past it
+    (301, [301, 301]),           # two steps in a row
+])
+def test_workspace_keeps_bytes(rows, sizes):
+    work = Workspace(rows)
+    for i, m in enumerate(sizes):
+        case = step_case(m, seed=30 + i)
+        want = step_bytes(case, None)
+        got = step_bytes(case, work)
+        assert got.keys() == want.keys()
+        assert not [name for name in want if got[name] != want[name]], (i, m)
+
+
+def test_train_drops_its_workspace(monkeypatch):
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self, rows):
+            super().__init__(rows)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(trainer, "Workspace", Recorded)
+    spec = default_class_spec(extended=True)
+    data = [generate_scene(SceneConfig(seed=s, extent=5.0, class_budget=default_budget(1200)))
+            for s in (100, 101)]
+    trainer.train(data, spec, trainer.TrainConfig(lr=1e-3, epochs=2, seed=3))
+    assert len(made) == 1
+    assert made[0]() is None  # freed on return, without waiting for the cycle collector

@@ -364,7 +364,7 @@ class TestFeatureCache:
             extracted.append(cloud)
             return real_features(cloud)
 
-        def spy_forward(backbone, features, spec_):
+        def spy_forward(backbone, features, spec_, **kw):
             nonlocal moved_steps, still_steps
             if step_raises:  # a training step, not the prior-head probe
                 fresh = real_features(step_raises[-1][0])
@@ -374,7 +374,7 @@ class TestFeatureCache:
                 else:
                     still_steps += 1
                 step_raises.clear()
-            return real_forward(backbone, features, spec_)
+            return real_forward(backbone, features, spec_, **kw)
 
         monkeypatch.setattr(trainer, "perlin_raise", spy_raise)
         monkeypatch.setattr(trainer, "extract_features", spy_features)
