@@ -12,10 +12,8 @@ Run:  python demos/04_train_and_evaluate.py      (about a minute)
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 import lidarood as lo
-from lidarood.metrics import EvalConfig, evaluate_scenes, threshold_at_tpr
+from lidarood.metrics import EvalConfig, evaluate_scenes, pooled_points, threshold_at_tpr
 from lidarood.scenes import VOID_ID, default_budget
 from lidarood.scoring import ScoreMethod, reweighted_score, static_score
 from lidarood.trainer import TrainConfig, extract_features, forward, train
@@ -53,10 +51,7 @@ for use_prior in (False, True):
             sf = lo.ScoreField(scores=static_score(logits, ScoreMethod.EXTENDED_ENERGY))
         scored.append((cloud, labels, sf))
 
-    pooled = lo.ScoreField(scores=np.concatenate([s.scores for _, _, s in scored]))
-    pos = np.concatenate([np.isin(l.role, (lo.Role.AUX_OOD, lo.Role.REAL_OOD))
-                          for _, l, _ in scored])
-    gamma = threshold_at_tpr(pooled, pos, tpr=0.95)
+    gamma = threshold_at_tpr(*pooled_points(scored), tpr=0.95)
     metrics = evaluate_scenes(scored, EvalConfig(gamma=gamma, dbscan_eps=0.5,
                                                  dbscan_min_pts=5))
     name = "prior-reweighted" if use_prior else "static"

@@ -21,13 +21,14 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    ContractError, FormatError, LabelMap, PointCloud, Role, ScoreField,
+    ContractError, FormatError, LabelMap, PointCloud, ScoreField,
     load_labels, load_point_cloud, load_scores,
     save_labels, save_point_cloud, save_scores,
 )
 from .losses import LossConfig, Orientation
-from .metrics import IOU_THRESHOLD, EvalConfig, evaluate_scenes, threshold_at_tpr, write_report
-from .perlin import RaiseConfig, perlin_raise
+from .metrics import (IOU_THRESHOLD, EvalConfig, evaluate_scenes, pooled_points,
+                      threshold_at_tpr, write_report)
+from .perlin import RaiseConfig, draw_raise, perlin_raise
 from .scenes import SceneConfig, default_budget, default_class_spec, generate_scene, inject_eval_anomaly
 from .scoring import ScoreMethod, reweighted_score, static_score
 from .trainer import TrainConfig, extract_features, forward, load_checkpoint, save_checkpoint, train
@@ -168,12 +169,8 @@ def cmd_raise(args) -> int:
     n_raised = 0
     for bin_path in _scene_stems(src, ".bin"):
         cloud, labels = _load_scene(bin_path, bin_path.with_suffix(".label"), spec)
-        rcfg = RaiseConfig(
-            r=float(rng.uniform(args.r_min, args.r_max)),
-            alpha=args.alpha, rho=args.rho,
-            dbscan_eps=args.eps, dbscan_min_pts=args.min_pts,
-            seed=int(rng.integers(2**63)),
-        )
+        rcfg = draw_raise(rng, (args.r_min, args.r_max), alpha=args.alpha, rho=args.rho,
+                          dbscan_eps=args.eps, dbscan_min_pts=args.min_pts)
         cloud, labels, report = perlin_raise(cloud, labels, spec, rcfg)
         n_raised += report.raised_count
         save_point_cloud(cloud, out / bin_path.name)
@@ -266,15 +263,13 @@ def cmd_eval(args) -> int:
         scenes.append((cloud, labels, scores))
 
     if args.gamma_from_tpr is not None:
-        pooled = ScoreField(scores=np.concatenate([s.scores for _, _, s in scenes]))
-        pos = np.concatenate([
-            np.isin(lbl.role, (Role.AUX_OOD, Role.REAL_OOD)) for _, lbl, _ in scenes])
-        ignore = np.concatenate([lbl.role == Role.IGNORE for _, lbl, _ in scenes])
-        gamma = threshold_at_tpr(pooled, pos, ignore, tpr=args.gamma_from_tpr)
+        gamma = threshold_at_tpr(*pooled_points(scenes), tpr=args.gamma_from_tpr)
         gamma_source = f"tpr={args.gamma_from_tpr}"
+        threshold = {"eval.gamma_from_tpr": args.gamma_from_tpr}
     else:
         gamma = args.gamma
         gamma_source = "fixed"
+        threshold = {"eval.gamma": args.gamma}
 
     results = evaluate_scenes(
         scenes, EvalConfig(gamma=gamma, dbscan_eps=args.eps, dbscan_min_pts=args.min_pts))
@@ -285,6 +280,9 @@ def cmd_eval(args) -> int:
         "scenes": len(scenes),
     }
     write_report(results, report_cfg, args.report)
+    _write_provenance(Path(args.report), PipelineConfig(entries={
+        **threshold, "eval.dbscan_eps": args.eps, "eval.dbscan_min_pts": args.min_pts,
+    }), "eval")
     for key in sorted(results):
         print(f"{key} = {results[key]:.6f}")
     return 0
@@ -298,8 +296,8 @@ def cmd_export_map(args) -> int:
     if cloud.count == 0:
         raise ContractError("cannot export a map of an empty cloud")
     res = args.resolution
-    if res < 2:
-        raise ContractError("resolution must be >= 2")
+    if not 2 <= res <= 4096:  # the map is built in res x res float64 arrays, 134 MB at 4096
+        raise ContractError(f"resolution must be in [2, 4096], got {res}")
 
     s = scores.scores
     span = s.max() - s.min() if s.size else 0.0
@@ -349,6 +347,7 @@ class UsageError(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    methods = [m.value for m in ScoreMethod]
     p = argparse.ArgumentParser(prog="lidarood", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -358,47 +357,46 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scenes", type=int, default=10)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--points", type=int, default=20000)
-    s.add_argument("--extent", type=float, default=12.0)
+    s.add_argument("--extent", type=float, default=SceneConfig.extent)
     s.add_argument("--anomalies", type=int, default=0,
                    help="held-out primitive anomalies per scene")
-    s.add_argument("--road-noise-sigma", type=float, default=0.02)
+    s.add_argument("--road-noise-sigma", type=float, default=SceneConfig.road_noise_sigma)
     s.set_defaults(func=cmd_synth)
 
     s = sub.add_parser("raise", help="apply the noise-based surface raise")
     s.add_argument("--in", dest="input", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--r-min", type=float, default=0.75)
-    s.add_argument("--r-max", type=float, default=1.5)
-    s.add_argument("--alpha", type=float, default=0.4)
-    s.add_argument("--rho", type=float, default=0.3)
-    s.add_argument("--eps", type=float, default=0.3)
-    s.add_argument("--min-pts", type=int, default=5)
+    s.add_argument("--r-min", type=float, default=TrainConfig.raise_r_range[0])
+    s.add_argument("--r-max", type=float, default=TrainConfig.raise_r_range[1])
+    s.add_argument("--alpha", type=float, default=RaiseConfig.alpha)
+    s.add_argument("--rho", type=float, default=RaiseConfig.rho)
+    s.add_argument("--eps", type=float, default=RaiseConfig.dbscan_eps)
+    s.add_argument("--min-pts", type=int, default=RaiseConfig.dbscan_min_pts)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_raise)
 
     s = sub.add_parser("train", help="train the backbone and prior network")
     s.add_argument("--data", required=True)
     s.add_argument("--out", required=True, help="checkpoint path")
-    s.add_argument("--method", default="ee",
-                   choices=["entropy", "energy", "ee", "maxlogit"])
-    s.add_argument("--epochs", type=int, default=10)
-    s.add_argument("--lr", type=float, default=2e-4)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--method", default=TrainConfig.method.value, choices=methods)
+    s.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    s.add_argument("--lr", type=float, default=TrainConfig.lr)
+    s.add_argument("--seed", type=int, default=TrainConfig.seed)
     s.add_argument("--prior", choices=["on", "off"], default="on")
-    s.add_argument("--raise-per-scan", type=int, default=1)
-    s.add_argument("--hidden", type=int, default=32)
-    s.add_argument("--latent-dim", type=int, default=16)
-    s.add_argument("--beta", type=float, default=0.9)
-    s.add_argument("--ood-weight", type=float, default=10000.0)
-    s.add_argument("--orientation", choices=["id_low", "id_high"], default="id_low")
+    s.add_argument("--raise-per-scan", type=int, default=TrainConfig.raise_per_scan)
+    s.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    s.add_argument("--latent-dim", type=int, default=TrainConfig.latent_dim)
+    s.add_argument("--beta", type=float, default=LossConfig.beta)
+    s.add_argument("--ood-weight", type=float, default=LossConfig.ood_weight)
+    s.add_argument("--orientation", choices=[o.value for o in Orientation],
+                   default=LossConfig.orientation.value)
     s.set_defaults(func=cmd_train)
 
     s = sub.add_parser("score", help="score scans with a trained checkpoint")
     s.add_argument("--data", required=True)
     s.add_argument("--ckpt", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--method", default="ee",
-                   choices=["entropy", "energy", "ee", "maxlogit"])
+    s.add_argument("--method", default=TrainConfig.method.value, choices=methods)
     s.add_argument("--prior", choices=["on", "off"], default="on")
     s.set_defaults(func=cmd_score)
 
@@ -409,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of .label files (defaults to --data)")
     s.add_argument("--gamma", type=float, default=None)
     s.add_argument("--gamma-from-tpr", type=float, default=None)
-    s.add_argument("--eps", type=float, default=0.5)
-    s.add_argument("--min-pts", type=int, default=5)
+    s.add_argument("--eps", type=float, default=EvalConfig.dbscan_eps)
+    s.add_argument("--min-pts", type=int, default=EvalConfig.dbscan_min_pts)
     s.add_argument("--report", required=True)
     s.set_defaults(func=cmd_eval)
 

@@ -25,13 +25,14 @@ from .core import ContractError, LabelMap, PointCloud, Role, ScoreField
 from .scoring import classify
 
 __all__ = [
-    "EvalConfig", "MatchResult",
+    "EvalConfig", "MatchResult", "OOD_ROLES", "pooled_points",
     "auroc", "fpr_at_95_tpr", "average_precision",
     "cluster_predictions", "match_instances", "panoptic_scores",
     "evaluate_scenes", "threshold_at_tpr", "write_report", "read_report",
 ]
 
 IOU_THRESHOLD = 0.5  # protocol constant
+OOD_ROLES = (Role.AUX_OOD, Role.REAL_OOD)  # the points a metric counts as anomalous
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,15 @@ class MatchResult:
     tp: tuple[tuple[int, int, float], ...]
     fp: tuple[int, ...]
     fn: tuple[int, ...]
+
+
+def pooled_points(scenes) -> tuple[ScoreField, np.ndarray, np.ndarray]:
+    """The scores, OOD mask and ignore mask of every point of the
+    (cloud, labels, scores) ``scenes``, concatenated in scene order."""
+    roles = [labels.role for _, labels, _ in scenes]
+    return (ScoreField(scores=np.concatenate([scores.scores for _, _, scores in scenes])),
+            np.concatenate([np.isin(role, OOD_ROLES) for role in roles]),
+            np.concatenate([role == Role.IGNORE for role in roles]))
 
 
 def _ranked(scores: ScoreField, is_ood, ignore):
@@ -152,7 +162,7 @@ def cluster_predictions(
 
 
 def _gt_instances(gt: LabelMap) -> dict[int, np.ndarray]:
-    ood = np.isin(gt.role, (Role.AUX_OOD, Role.REAL_OOD))
+    ood = np.isin(gt.role, OOD_ROLES)
     out: dict[int, np.ndarray] = {}
     for inst in np.unique(gt.instance[ood]):
         out[int(inst)] = np.flatnonzero(ood & (gt.instance == inst))
@@ -229,24 +239,18 @@ def evaluate_scenes(
 ) -> dict[str, float]:
     """Point-level metrics pooled over all scenes; object-level matches
     aggregated (TP/FP/FN summed) before the panoptic scores."""
-    all_scores, all_pos, all_ignore = [], [], []
     tp: list[tuple[int, int, float]] = []
     n_fp = n_fn = 0
     for cloud, labels, scores in scenes:
         if not (cloud.count == labels.count == scores.count):
             raise ContractError("scene cloud/labels/scores lengths disagree")
-        all_scores.append(scores.scores)
-        all_pos.append(np.isin(labels.role, (Role.AUX_OOD, Role.REAL_OOD)))
-        all_ignore.append(labels.role == Role.IGNORE)
         preds = cluster_predictions(scores, cloud, cfg)
         match = match_instances(preds, labels)
         tp.extend(match.tp)
         n_fp += len(match.fp)
         n_fn += len(match.fn)
 
-    pooled = ScoreField(scores=np.concatenate(all_scores))
-    pos = np.concatenate(all_pos)
-    ignore = np.concatenate(all_ignore)
+    pooled, pos, ignore = pooled_points(scenes)
     merged = MatchResult(tp=tuple(tp), fp=tuple(range(n_fp)), fn=tuple(range(n_fn)))
 
     out = {

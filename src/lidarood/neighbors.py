@@ -73,7 +73,8 @@ class GridIndex:
         return first, end
 
     def query_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of all points with Euclidean distance <= radius of center."""
+        """Indices of all points with Euclidean distance <= radius of center. No
+        product code calls it: it stays for ``bench/tracing.py``'s wrap table."""
         center = np.asarray(center, dtype=np.float64)
         reach = int(np.ceil(radius / self.cell_size))
         base = np.floor(center / self.cell_size).astype(np.int64) - self._origin

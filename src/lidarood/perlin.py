@@ -16,8 +16,9 @@ import numpy as np
 
 from .cluster import dbscan, largest_cluster
 from .core import ClassSpec, ContractError, LabelMap, PointCloud, Role
+from .scenes import ROAD
 
-__all__ = ["PerlinField", "perlin2d", "RaiseConfig", "RaiseReport", "perlin_raise"]
+__all__ = ["PerlinField", "perlin2d", "RaiseConfig", "RaiseReport", "draw_raise", "perlin_raise"]
 
 # classic quintic fade 6t^5 - 15t^4 + 10t^3
 def _fade(t):
@@ -98,7 +99,6 @@ class RaiseConfig:
     dbscan_eps: float = 0.3
     dbscan_min_pts: int = 5
     seed: int = 0
-    road_class: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.r < np.inf:
@@ -111,6 +111,12 @@ class RaiseConfig:
             raise ContractError("dbscan_eps must be finite and positive")
         if self.dbscan_min_pts < 1:
             raise ContractError("dbscan_min_pts must be >= 1")
+
+
+def draw_raise(rng: np.random.Generator, r_range: tuple[float, float], **settings) -> RaiseConfig:
+    """One raise's config: r uniform in ``r_range``, then its seed, drawn from ``rng``."""
+    r = float(rng.uniform(*r_range))
+    return RaiseConfig(r=r, seed=int(rng.integers(2**63)), **settings)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +152,7 @@ def perlin_raise(
     cluster; raises ContractError when there are fewer road points than
     dbscan_min_pts.
     """
-    road_idx = np.flatnonzero(labels.semantic == cfg.road_class)
+    road_idx = np.flatnonzero(labels.semantic == ROAD)
     if road_idx.size < cfg.dbscan_min_pts:
         raise ContractError(
             f"need at least {cfg.dbscan_min_pts} road points, found {road_idx.size}"

@@ -99,6 +99,18 @@ class SceneConfig:
                 raise ContractError(f"unknown anomaly kind {kind!r}")
 
 
+def _object_sizes(n: int, per_object: int, most: int | None = None) -> list[int]:
+    """n points split over n // per_object objects (at least one, at most
+    ``most``; none when n is 0) as evenly as possible, the first ones taking
+    one point more."""
+    if n == 0:
+        return []
+    k = max(1, n // per_object if most is None else min(most, n // per_object))
+    sizes = np.full(k, n // k)
+    sizes[: n % k] += 1
+    return sizes.tolist()
+
+
 def _box_surface(rng, center, size, n):
     """n points on the four walls and roof of an axis-aligned box."""
     w, d, h = size
@@ -161,50 +173,32 @@ def generate_scene(config: SceneConfig) -> tuple[PointCloud, LabelMap]:
         add(np.c_[side_x, side_y, side_z], SIDEWALK, 0)
 
     # buildings: box surfaces placed beyond the road rectangle
-    n_build = config.class_budget.get(BUILDING, 0)
-    if n_build:
-        n_boxes = max(1, min(4, n_build // 400))
-        per = np.full(n_boxes, n_build // n_boxes)
-        per[: n_build % n_boxes] += 1
-        for b in range(n_boxes):
-            w, d = rng.uniform(2.0, 4.0, size=2)
-            h = rng.uniform(2.5, 5.0)
-            cx = rng.uniform(-ext * 0.6, ext * 0.6)
-            cy = (1.0 if rng.random() < 0.5 else -1.0) * rng.uniform(ext * 1.25, ext * 1.6)
-            add(_box_surface(rng, (cx, cy), (w, d, h), int(per[b])), BUILDING, next_instance)
-            next_instance += 1
+    for k in _object_sizes(config.class_budget.get(BUILDING, 0), 400, most=4):
+        w, d = rng.uniform(2.0, 4.0, size=2)
+        h = rng.uniform(2.5, 5.0)
+        cx = rng.uniform(-ext * 0.6, ext * 0.6)
+        cy = (1.0 if rng.random() < 0.5 else -1.0) * rng.uniform(ext * 1.25, ext * 1.6)
+        add(_box_surface(rng, (cx, cy), (w, d, h), k), BUILDING, next_instance)
+        next_instance += 1
 
     # vegetation: ellipsoidal blobs raised above ground
-    n_veg = config.class_budget.get(VEGETATION, 0)
-    if n_veg:
-        n_blobs = max(1, min(6, n_veg // 300))
-        per = np.full(n_blobs, n_veg // n_blobs)
-        per[: n_veg % n_blobs] += 1
-        for b in range(n_blobs):
-            cx, cy = rng.uniform(-ext * 0.9, ext * 0.9, size=2)
-            radius = rng.uniform(0.8, 1.8)
-            height = rng.uniform(1.2, 3.0)
-            k = int(per[b])
-            blob = np.c_[
-                cx + rng.normal(0, radius / 2, k),
-                cy + rng.normal(0, radius / 2, k),
-                height / 2 + np.abs(rng.normal(0, height / 3, k)) + 0.4,
-            ]
-            add(blob, VEGETATION, next_instance)
-            next_instance += 1
+    for k in _object_sizes(config.class_budget.get(VEGETATION, 0), 300, most=6):
+        cx, cy = rng.uniform(-ext * 0.9, ext * 0.9, size=2)
+        radius = rng.uniform(0.8, 1.8)
+        height = rng.uniform(1.2, 3.0)
+        blob = np.c_[
+            cx + rng.normal(0, radius / 2, k),
+            cy + rng.normal(0, radius / 2, k),
+            height / 2 + np.abs(rng.normal(0, height / 3, k)) + 0.4,
+        ]
+        add(blob, VEGETATION, next_instance)
+        next_instance += 1
 
     # tail classes: small, sparse clusters
     def tail_cluster(class_id, spread_xy, z_lo, z_hi):
         nonlocal next_instance
-        n = config.class_budget.get(class_id, 0)
-        if not n:
-            return
-        n_obj = max(1, n // 25)
-        per_obj = np.full(n_obj, n // n_obj)
-        per_obj[: n % n_obj] += 1
-        for b in range(n_obj):
+        for k in _object_sizes(config.class_budget.get(class_id, 0), 25):
             cx, cy = rng.uniform(-ext * 0.8, ext * 0.8, size=2)
-            k = int(per_obj[b])
             pts = np.c_[
                 cx + rng.normal(0, spread_xy, k),
                 cy + rng.normal(0, spread_xy, k),
@@ -219,21 +213,15 @@ def generate_scene(config: SceneConfig) -> tuple[PointCloud, LabelMap]:
 
     # optional unlabeled clutter (bins, posts, ...) near the sidewalk: small
     # raised blobs carrying the void id
-    n_void = config.class_budget.get(VOID_ID, 0)
-    if n_void:
-        n_obj = max(1, n_void // 30)
-        per_obj = np.full(n_obj, n_void // n_obj)
-        per_obj[: n_void % n_obj] += 1
-        for b in range(n_obj):
-            cx = (1.0 if rng.random() < 0.5 else -1.0) * rng.uniform(ext * 0.95, ext * 1.1)
-            cy = rng.uniform(-ext, ext)
-            k = int(per_obj[b])
-            pts = np.c_[
-                cx + rng.normal(0, 0.12, k),
-                cy + rng.normal(0, 0.12, k),
-                rng.uniform(0.1, 0.9, k),
-            ]
-            add(pts, VOID_ID, 0)
+    for k in _object_sizes(config.class_budget.get(VOID_ID, 0), 30):
+        cx = (1.0 if rng.random() < 0.5 else -1.0) * rng.uniform(ext * 0.95, ext * 1.1)
+        cy = rng.uniform(-ext, ext)
+        pts = np.c_[
+            cx + rng.normal(0, 0.12, k),
+            cy + rng.normal(0, 0.12, k),
+            rng.uniform(0.1, 0.9, k),
+        ]
+        add(pts, VOID_ID, 0)
 
     points = np.vstack(chunks)
     sem = np.concatenate(semantic)

@@ -26,8 +26,9 @@ from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, W
                    read_exact, to_float32, work_array)
 from .losses import LossConfig, total_loss
 from .neighbors import GridIndex
-from .perlin import RaiseConfig, perlin_raise
+from .perlin import RaiseConfig, draw_raise, perlin_raise
 from .priornet import PriorParams, init_params, load_params, prior_weight, save_params
+from .scenes import ROAD
 from .scoring import ScoreMethod
 
 log = logging.getLogger(__name__)
@@ -190,11 +191,10 @@ class TrainConfig:
     seed: int = 0
     raise_per_scan: int = 1
     raise_r_range: tuple[float, float] = (0.75, 1.5)
-    raise_alpha: float = 0.4
-    raise_rho: float = 0.3
-    raise_eps: float = 0.3
-    raise_min_pts: int = 5
-    road_class: int = 1
+    raise_alpha: float = RaiseConfig.alpha
+    raise_rho: float = RaiseConfig.rho
+    raise_eps: float = RaiseConfig.dbscan_eps
+    raise_min_pts: int = RaiseConfig.dbscan_min_pts
     loss: LossConfig = field(default_factory=LossConfig)
     method: ScoreMethod = ScoreMethod.EXTENDED_ENERGY
     hidden: int = 32
@@ -222,9 +222,12 @@ class TrainConfig:
         # each raise draws r from the range: the configs at both ends check
         # every raise setting
         for r in (lo, hi):
-            RaiseConfig(r=r, alpha=self.raise_alpha, rho=self.raise_rho,
-                        dbscan_eps=self.raise_eps, dbscan_min_pts=self.raise_min_pts,
-                        road_class=self.road_class)
+            RaiseConfig(r=r, **self._raise_settings())
+
+    def _raise_settings(self) -> dict:
+        """The ``RaiseConfig`` fields that every raise of a run shares."""
+        return {"alpha": self.raise_alpha, "rho": self.raise_rho,
+                "dbscan_eps": self.raise_eps, "dbscan_min_pts": self.raise_min_pts}
 
 
 @dataclass
@@ -365,7 +368,7 @@ def train(
         steps = 0
         for scan_idx in order:
             cloud, labels = scenes[scan_idx]
-            n_road = int(np.count_nonzero(labels.semantic == cfg.road_class))
+            n_road = int(np.count_nonzero(labels.semantic == ROAD))
             if n_road < cfg.raise_min_pts:
                 log.info("epoch %d: scan %d skipped (no road)", epoch, scan_idx)
                 train_log.skipped.append((epoch, int(scan_idx)))
@@ -373,13 +376,7 @@ def train(
 
             moved = []  # raised_indices of the raises that moved points
             for _ in range(cfg.raise_per_scan):
-                r = float(loop_rng.uniform(*cfg.raise_r_range))
-                raise_seed = int(loop_rng.integers(2**63))
-                rcfg = RaiseConfig(
-                    r=r, alpha=cfg.raise_alpha, rho=cfg.raise_rho,
-                    dbscan_eps=cfg.raise_eps, dbscan_min_pts=cfg.raise_min_pts,
-                    seed=raise_seed, road_class=cfg.road_class,
-                )
+                rcfg = draw_raise(loop_rng, cfg.raise_r_range, **cfg._raise_settings())
                 cloud, labels, report = perlin_raise(cloud, labels, spec, rcfg)
                 if report.raised_count:
                     moved.append(report.raised_indices)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidarood.cli import PipelineConfig, main
+from lidarood.cli import _KNOWN_KEYS, PipelineConfig, main
 from lidarood.core import ContractError
 from lidarood.metrics import read_report
 from lidarood.priornet import init_params, save_params
@@ -257,6 +257,8 @@ class TestBadNumericFlags:
         pytest.param(["raise", "--alpha", "1e39", "--eps", "1.0", "--min-pts", "2",
                       "--rho", "1.0"], 1, id="raise-points-beyond-float32"),
         pytest.param(["export-map", "--resolution", "0"], 1, id="export-map-resolution"),
+        pytest.param(["export-map", "--resolution", "10000000"], 1,
+                     id="export-map-resolution-huge"),
         pytest.param(["train", "--lr", "nan"], 1, id="train-lr-nan"),
         pytest.param(["train", "--lr", "inf"], 1, id="train-lr-inf"),
         pytest.param(["train", "--ood-weight", "nan"], 1, id="train-ood-weight-nan"),
@@ -385,3 +387,77 @@ class TestFullDeterminism:
                         p.read_bytes()).hexdigest()
             digests.append(run_digest)
         assert digests[0] == digests[1]
+
+
+# sha256 of every file of TestFullDeterminism's pipeline (numpy 2.4). All but
+# the eval sidecar were computed before the CLI flags read their defaults
+# from the library configs, so a change to what any command writes shows here.
+PINNED_PIPELINE = {
+    "e/dataset.provenance": "63649cec7fd4642acf730666df42f74b6edc11ff90fb35ade1b6ced6cc957b80",
+    "e/scene_000.bin": "6dbca81540819f1fb6481095b93111f6757edafda135295cd9f55d8902385f88",
+    "e/scene_000.label": "02bf2692f5842cf19ca1a29fadb11bb7c89c85f38b97cce9a4bac997b05992b3",
+    "m.ckpt": "99d9677502e4d0946cd57d24dbe01e4a857b231612a318428e7557c9c53e8bb2",
+    "m.ckpt.provenance": "4ea2e83dc04541969efa3ff8fe0d91dd3a9bb3198b57254f09d4bd3981959a43",
+    "raised/dataset.provenance": "e59222ca6408c2f3dc5809bc8d966fd178dc63d0aef17015da18acd948aae878",
+    "raised/scene_000.bin": "c8769cc597492229ae6cc8dbc41d9d6916c1a74287dc6f9aa194c94fcaf0556c",
+    "raised/scene_000.label": "5ebd6d73c6ca05dec221e3bf582ce3f676be5b358b2d9275bff5ceac5d57d6d7",
+    "raised/scene_001.bin": "500a6143fa02c4ce1e9900ea9f68ebe61cb06cdffccc51000fd9a478cc6f08db",
+    "raised/scene_001.label": "215bcffd548eb7a8353b4966950a62517eab54cedaf7a4522415f1d6ce735f77",
+    "report.txt": "e0252c2e630e24ecd8455f51aa5a08228c2ce9dce8c2415d97ff3b9ff7bb5710",
+    "report.txt.provenance": "d3fd51aa9795cb363294b4b62da27dd9668d2f8831fed636b2e0f9e4b5e20933",
+    "s/scene_000.score": "a85e32e35851c05e70d102a3d1c8ef9463f68b71d13b3166d61e1a7650fc1e1b",
+    "s/scores.provenance": "bd0efbcf85149aa1397fb24f00f31a370ab9deebc7f5b67384ad0eb056dd1823",
+    "t/dataset.provenance": "3fe830f0d490d12f341b652e323627e53eaa00741bc5a34afad9714971659a14",
+    "t/scene_000.bin": "9772c761389bfaf2e60660ffaed7db422b86045cf08d544a3292d5df11266fdf",
+    "t/scene_000.label": "47887ba5b2c9c028d4ba3cc69ca5cdb47b8b8568ddf66f367f1454a7b128ccb3",
+    "t/scene_001.bin": "5a688bb22706932ee8092c96f18ec6307784cb19fad540811254714ba7610291",
+    "t/scene_001.label": "47887ba5b2c9c028d4ba3cc69ca5cdb47b8b8568ddf66f367f1454a7b128ccb3",
+}
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """TestFullDeterminism's synth -> raise -> synth -> train -> score -> eval
+    chain (criterion 10's, with other seeds) in ``pipe``, then an ``eval
+    --gamma`` and an ``export-map`` in ``more``, so every subcommand runs."""
+    root = tmp_path_factory.mktemp("full")
+    pipe, more = root / "pipe", root / "more"
+    train_dir, eval_dir, scores = pipe / "t", pipe / "e", pipe / "s"
+    assert main(["synth", "--out", str(train_dir), "--scenes", "2",
+                 "--seed", "21", "--points", "2500", "--extent", "5"]) == 0
+    assert main(["raise", "--in", str(train_dir), "--out", str(pipe / "raised"),
+                 "--seed", "4"]) == 0
+    assert main(["synth", "--out", str(eval_dir), "--scenes", "1",
+                 "--seed", "22", "--points", "2500", "--extent", "5",
+                 "--anomalies", "1"]) == 0
+    assert main(["train", "--data", str(train_dir), "--out", str(pipe / "m.ckpt"),
+                 "--epochs", "1", "--lr", "1e-3", "--seed", "2"]) == 0
+    assert main(["score", "--data", str(eval_dir), "--ckpt", str(pipe / "m.ckpt"),
+                 "--out", str(scores)]) == 0
+    assert main(["eval", "--data", str(eval_dir), "--scores", str(scores),
+                 "--gamma-from-tpr", "0.95", "--report", str(pipe / "report.txt")]) == 0
+    more.mkdir()
+    assert main(["eval", "--data", str(eval_dir), "--scores", str(scores),
+                 "--gamma", "0.5", "--report", str(more / "report.txt")]) == 0
+    assert main(["export-map", "--cloud", str(eval_dir / "scene_000.bin"),
+                 "--scores", str(scores / "scene_000.score"), "--out", str(more / "map")]) == 0
+    return root
+
+
+class TestPinnedPipeline:
+    def test_artifact_and_sidecar_bytes_pinned(self, full_run):
+        pipe = full_run / "pipe"
+        digest = {str(p.relative_to(pipe)): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(pipe.rglob("*")) if p.is_file()}
+        assert digest == PINNED_PIPELINE
+
+    def test_sidecar_keys_known_and_all_written(self, full_run):
+        """Every config key of a sidecar is a known key, and every known key
+        is written by some subcommand."""
+        written = set()
+        for side in full_run.rglob("*.provenance"):
+            for line in side.read_text().splitlines():
+                written.add(line.partition(" = ")[0])
+        written -= {"command", "config_digest", "version"}
+        assert written <= _KNOWN_KEYS
+        assert _KNOWN_KEYS <= written, sorted(_KNOWN_KEYS - written)
