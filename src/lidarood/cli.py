@@ -182,7 +182,7 @@ def cmd_raise(args) -> int:
 
 def cmd_train(args) -> int:
     spec = default_class_spec(extended=True)
-    method = ScoreMethod.parse(args.method)
+    method = ScoreMethod(args.method)
     loss_cfg = LossConfig(beta=args.beta, ood_weight=args.ood_weight,
                           orientation=Orientation(args.orientation))
     tcfg = TrainConfig(
@@ -225,7 +225,7 @@ def _spec_for_checkpoint(backbone):
 def cmd_score(args) -> int:
     backbone, params = load_checkpoint(args.ckpt)
     spec = _spec_for_checkpoint(backbone)
-    method = ScoreMethod.parse(args.method)
+    method = ScoreMethod(args.method)
     if method.requires_extended and not spec.extended:
         raise ContractError("extended energy needs an extended checkpoint")
     out = Path(args.out)

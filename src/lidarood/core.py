@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +41,7 @@ __all__ = [
     "load_scores",
     "save_scores",
     "read_exact",
+    "read_float32",
     "to_float32",
 ]
 
@@ -413,3 +415,10 @@ def read_exact(fh, size: int) -> bytes:
     if len(buf) != size:
         raise FormatError(f"truncated input: expected {size} more bytes, found {len(buf)}")
     return buf
+
+
+def read_float32(fh, *shape: int) -> np.ndarray:
+    """Read a row-major little-endian float32 array of ``shape`` from a
+    binary file handle, widened to float64."""
+    buf = read_exact(fh, 4 * math.prod(shape))
+    return np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)

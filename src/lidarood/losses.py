@@ -196,8 +196,10 @@ def total_loss(
     network when ``use_prior``) by the chain rule.
 
     ``params`` always supplies the trainable bias b; its attention tensors
-    participate only when ``use_prior`` is set. ``work`` is passed on to the
-    prior network's forward and backward pass.
+    participate only when ``use_prior`` is set. The gradients are those of
+    ``params`` as they were at the call: the prior network's tape keeps its
+    own copy. ``work`` is passed on to the prior network's forward pass, and
+    its tape carries it to the backward pass.
     """
     ce, dlogits = ce_loss(field, labels, spec)
 
@@ -233,7 +235,7 @@ def total_loss(
     dlogits += base_grad
     del base_grad  # spent: prior_backward's arrays reuse its memory
     if use_prior:
-        prior_grads, dlogits_prior = prior_backward(tape, g_scores * base, work=work)
+        prior_grads, dlogits_prior = prior_backward(tape, g_scores * base)
         dlogits += dlogits_prior
     else:
         prior_grads = zeros_like_params(params)

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ContractError, FormatError, LogitField, Workspace, read_exact, to_float32,
-                   work_array)
+from .core import (ContractError, FormatError, LogitField, Workspace, read_exact, read_float32,
+                   to_float32, work_array)
 
 __all__ = ["PriorParams", "PriorTape", "init_params", "prior_weight", "prior_backward",
            "save_params", "load_params", "zeros_like_params"]
@@ -46,9 +46,9 @@ class PriorParams:
     """All trainable tensors of the weighting network plus the loss bias b.
 
     The prior table has one row per logit channel (C rows), so extended
-    2K-channel models get a prior row for every channel. ``version`` is
-    bumped by the optimizer after in-place updates; tapes check it to refuse
-    stale backward passes.
+    2K-channel models get a prior row for every channel. ``prior_weight``
+    tapes a copy of every tensor and of b, so a later edit or rebinding of
+    them does not reach the backward pass of an earlier forward pass.
     """
 
     w_proj: np.ndarray   # (C, d)
@@ -58,7 +58,6 @@ class PriorParams:
     w_v: np.ndarray      # (d, d)
     w_head: np.ndarray   # (2d,)
     b: float = 0.0
-    version: int = 0
 
     @property
     def logit_width(self) -> int:
@@ -88,20 +87,19 @@ class PriorParams:
         return {"w_proj": self.w_proj, "psi": self.psi, "w_q": self.w_q,
                 "w_k": self.w_k, "w_v": self.w_v, "w_head": self.w_head}
 
-    def mark_updated(self):
-        self.version += 1
-
 
 @dataclass(frozen=True, eq=False)
 class PriorTape:
     """Forward intermediates for one exact backward pass.
 
-    A tape built in a workspace holds views of its buffers and records the
+    ``params`` is the tape's own copy of the tensors and b, and ``logits``
+    a copy of a raw-array input (a ``LogitField``'s values are read-only),
+    so the backward pass reads nothing that its caller can change. A tape
+    built in a workspace holds views of its buffers and records the
     workspace's fill count; it must not outlive them.
     """
 
     params: PriorParams
-    version: int
     logits: np.ndarray
     e: np.ndarray       # (M, d)
     q: np.ndarray       # (M, d)
@@ -114,7 +112,8 @@ class PriorTape:
     fill: int = 0       # work.fills when the tape was made
 
 
-def _glorot(rng, shape):
+def glorot(rng, shape):
+    """A Glorot-uniform (fan_in, fan_out) matrix drawn from ``rng``."""
     a = np.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-a, a, size=shape)
 
@@ -125,11 +124,11 @@ def init_params(c: int, d: int = 16, seed: int = 0) -> PriorParams:
     _check_dims(c, d)
     rng = np.random.default_rng(seed)
     return PriorParams(
-        w_proj=_glorot(rng, (c, d)),
-        psi=_glorot(rng, (c, d)),
-        w_q=_glorot(rng, (d, d)),
-        w_k=_glorot(rng, (d, d)),
-        w_v=_glorot(rng, (d, d)),
+        w_proj=glorot(rng, (c, d)),
+        psi=glorot(rng, (c, d)),
+        w_q=glorot(rng, (d, d)),
+        w_k=glorot(rng, (d, d)),
+        w_v=glorot(rng, (d, d)),
         w_head=np.zeros(2 * d),
         b=0.0,
     )
@@ -151,14 +150,16 @@ def prior_weight(field_or_values, params: PriorParams, *,
                  work: Workspace | None = None) -> tuple[np.ndarray, PriorTape]:
     """Per-point weights w >= 1 plus the tape needed for the backward pass.
 
-    Accepts a LogitField or a raw (M, C) array of finite values. With
-    ``work`` the tape's (M, .) arrays are views of its buffers, valid until
-    the next ``prior_weight`` on it.
+    Accepts a LogitField or a raw (M, C) array of finite values. The tape
+    keeps copies of ``params`` and of raw-array logits. With ``work`` the
+    tape's (M, .) arrays are views of its buffers, valid until the next
+    ``prior_weight`` on it.
     """
+    params = PriorParams(**{k: t.copy() for k, t in params.tensors().items()}, b=params.b)
     params.validate()
     is_field = isinstance(field_or_values, LogitField)
-    values = field_or_values.values if is_field else np.asarray(field_or_values,
-                                                                dtype=np.float64)
+    values = field_or_values.values if is_field else np.array(field_or_values,
+                                                              dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != params.logit_width:
         raise ContractError(
             f"logits must be (M, {params.logit_width}) for these params, got shape {values.shape}")
@@ -192,27 +193,24 @@ def prior_weight(field_or_values, params: PriorParams, *,
 
     if work is not None:
         work.fills += 1
-    tape = PriorTape(params=params, version=params.version, logits=values,
-                     e=e, q=q, keys=keys, vals=vals, att=att, z=z, pre=pre,
-                     work=work, fill=0 if work is None else work.fills)
+    tape = PriorTape(params=params, logits=values, e=e, q=q, keys=keys, vals=vals, att=att,
+                     z=z, pre=pre, work=work, fill=0 if work is None else work.fills)
     return w, tape
 
 
-def prior_backward(tape: PriorTape, grad_w: np.ndarray, *,
-                   work: Workspace | None = None) -> tuple[PriorParams, np.ndarray]:
-    """Exact gradients of sum_i grad_w[i] * w[i].
+def prior_backward(tape: PriorTape, grad_w: np.ndarray) -> tuple[PriorParams, np.ndarray]:
+    """Exact gradients of sum_i grad_w[i] * w[i] for the taped forward pass.
 
-    Returns (parameter gradients as a PriorParams-shaped container with the
-    b slot zero, gradients w.r.t. the input logits). Raises ContractError if
-    the parameters were updated since the forward pass, or if a later
-    ``prior_weight`` refilled the tape's workspace. With ``work`` the
-    returned logit gradient is a view of its buffers, valid until the next
-    ``prior_weight`` or ``prior_backward`` on it.
+    Reads nothing but the tape, so edits to the caller's parameters or
+    logits after ``prior_weight`` do not change the result. Returns
+    (parameter gradients as a PriorParams-shaped container with the b slot
+    zero, gradients w.r.t. the input logits). Raises ContractError if a
+    later ``prior_weight`` refilled the tape's workspace. For a tape made in
+    a workspace the returned logit gradient is a view of its buffers, valid
+    until the next ``prior_weight`` or ``prior_backward`` on it.
     """
-    params = tape.params
-    if tape.version != params.version:
-        raise ContractError("stale tape: parameters were updated after the forward pass")
-    if tape.work is not None and tape.work.fills != tape.fill:
+    params, work = tape.params, tape.work
+    if work is not None and work.fills != tape.fill:
         raise ContractError("stale tape: a later prior_weight refilled its workspace")
     grad_w = np.asarray(grad_w, dtype=np.float64).reshape(-1)
     if grad_w.shape[0] != tape.pre.shape[0]:
@@ -285,17 +283,12 @@ def load_params(fh) -> PriorParams:
     version, c, d = struct.unpack("<III", read_exact(fh, 12))
     if version != 1:
         raise ContractError(f"unsupported checkpoint version {version}")
-
-    def mat(rows, cols):
-        buf = read_exact(fh, rows * cols * 4)
-        return np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(rows, cols)
-
-    w_proj = mat(c, d)
-    psi = mat(c, d)
-    w_q = mat(d, d)
-    w_k = mat(d, d)
-    w_v = mat(d, d)
-    w_head = mat(1, 2 * d).reshape(-1)
+    w_proj = read_float32(fh, c, d)
+    psi = read_float32(fh, c, d)
+    w_q = read_float32(fh, d, d)
+    w_k = read_float32(fh, d, d)
+    w_v = read_float32(fh, d, d)
+    w_head = read_float32(fh, 2 * d)
     (b,) = struct.unpack("<f", read_exact(fh, 4))
     if fh.read(1):
         raise FormatError("trailing bytes after the checkpoint")

@@ -40,13 +40,6 @@ class ScoreMethod(enum.Enum):
     def requires_extended(self) -> bool:
         return self is ScoreMethod.EXTENDED_ENERGY
 
-    @classmethod
-    def parse(cls, name: str) -> "ScoreMethod":
-        for m in cls:
-            if m.value == name or m.name.lower() == name.lower():
-                return m
-        raise ContractError(f"unknown score method {name!r}")
-
 
 def entropy_score(field: LogitField) -> np.ndarray:
     """Shannon entropy (natural log) of the inlier-channel softmax,

@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, Workspace,
-                   read_exact, to_float32, work_array)
+                   read_exact, read_float32, to_float32, work_array)
 from .losses import LossConfig, total_loss
 from .neighbors import GridIndex
 from .perlin import RaiseConfig, draw_raise, perlin_raise
-from .priornet import PriorParams, init_params, load_params, prior_weight, save_params
+from .priornet import PriorParams, glorot, init_params, load_params, prior_weight, save_params
 from .scenes import ROAD
 from .scoring import ScoreMethod
 
@@ -121,15 +121,10 @@ class Backbone:
 
 def init_backbone(hidden: int, out_width: int, seed: int = 0) -> Backbone:
     rng = np.random.default_rng(seed)
-
-    def glorot(shape):
-        a = np.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-a, a, size=shape)
-
     return Backbone(
-        w1=glorot((FEATURE_DIM, hidden)),
+        w1=glorot(rng, (FEATURE_DIM, hidden)),
         b1=np.zeros(hidden),
-        w2=glorot((hidden, out_width)),
+        w2=glorot(rng, (hidden, out_width)),
         b2=np.zeros(out_width),
     )
 
@@ -396,7 +391,6 @@ def train(
                 grads.update(result.prior_grads.tensors())
             opt.step(grads)
             params.b = float(tensors["b"])
-            params.mark_updated()
 
             sums += (result.total, result.ce, result.aux, result.void)
             steps += 1
@@ -446,15 +440,10 @@ def load_checkpoint(path) -> tuple[Backbone, PriorParams]:
     if version != 1:
         raise ContractError(f"unsupported checkpoint version {version}")
     _check_hidden(hidden)
-
-    def mat(*shape):
-        n = int(np.prod(shape))
-        return np.frombuffer(read_exact(fh, n * 4), dtype="<f4").astype(np.float64).reshape(shape)
-
-    scale = mat(FEATURE_DIM)
+    scale = read_float32(fh, FEATURE_DIM)
     backbone = Backbone(
-        w1=mat(FEATURE_DIM, hidden), b1=mat(hidden),
-        w2=mat(hidden, out), b2=mat(out), feature_scale=scale,
+        w1=read_float32(fh, FEATURE_DIM, hidden), b1=read_float32(fh, hidden),
+        w2=read_float32(fh, hidden, out), b2=read_float32(fh, out), feature_scale=scale,
     )
     params = load_params(fh)
     if params.logit_width != backbone.out_width:

@@ -160,13 +160,33 @@ class TestBackward:
         np.testing.assert_allclose(
             grads.w_head, np.concatenate([tape.e[0], tape.z[0]]), rtol=1e-12)
 
-    def test_stale_tape_rejected(self):
+    @pytest.mark.parametrize("edit", ["tensor_in_place", "tensor_rebound", "logits_in_place"])
+    def test_edits_after_the_forward_pass_do_not_reach_the_backward(self, edit):
+        """The tape keeps copies of the tensors and raw logits: every
+        gradient byte matches the backward of an untouched tape."""
         rng = np.random.default_rng(6)
-        params = init_params(4, d=3, seed=4)
-        _, tape = prior_weight(rng.normal(size=(3, 4)), params)
-        params.mark_updated()
-        with pytest.raises(ContractError):
-            prior_backward(tape, np.ones(3))
+        head = rng.normal(size=6)  # a live head, so every tensor gets gradient
+        logits = rng.normal(size=(5, 4))
+        grad_w = rng.normal(size=5)
+
+        def taped(values):
+            params = init_params(4, d=3, seed=4)
+            params.w_head = head.copy()
+            return params, prior_weight(values, params)[1]
+
+        _, untouched = taped(logits.copy())
+        params, tape = taped(logits)
+        if edit == "tensor_in_place":
+            params.w_q *= 2.0
+        elif edit == "tensor_rebound":
+            params.w_proj = params.w_proj + 1.0
+        else:
+            logits *= -1.0
+        want_grads, want_dlogits = prior_backward(untouched, grad_w)
+        grads, dlogits = prior_backward(tape, grad_w)
+        assert dlogits.tobytes() == want_dlogits.tobytes()
+        for name, g in grads.tensors().items():
+            assert g.tobytes() == getattr(want_grads, name).tobytes(), name
 
     def test_tape_of_a_refilled_workspace_rejected(self):
         rng = np.random.default_rng(7)
@@ -175,8 +195,8 @@ class TestBackward:
         _, first = prior_weight(rng.normal(size=(3, 4)), params, work=work)
         _, second = prior_weight(rng.normal(size=(5, 4)), params, work=work)
         with pytest.raises(ContractError, match="refilled"):
-            prior_backward(first, np.ones(3), work=work)
-        prior_backward(second, np.ones(5), work=work)
+            prior_backward(first, np.ones(3))
+        prior_backward(second, np.ones(5))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_small(self, seed):

@@ -385,7 +385,7 @@ def step_bytes(case, work) -> dict[str, bytes]:
     out["prior_weight"] = w.tobytes()
     for name in ("e", "q", "keys", "vals", "att", "z", "pre"):
         out[f"prior_weight.{name}"] = getattr(tape, name).tobytes()
-    grads, dlogits_prior = prior_backward(tape, grad_w, work=work)
+    grads, dlogits_prior = prior_backward(tape, grad_w)
     out["prior_backward"] = dlogits_prior.tobytes()
     for name, g in grads.tensors().items():
         out[f"prior_backward.{name}"] = g.tobytes()
