@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    ContractError, FormatError, LabelMap, PointCloud, ScoreField,
-    load_labels, load_point_cloud, load_scores,
+    ContractError, FormatError, LabelMap, PointCloud, ScoreField, format_record,
+    load_labels, load_point_cloud, load_scores, parse_record,
     save_labels, save_point_cloud, save_scores,
 )
 from .losses import LossConfig, Orientation
@@ -67,20 +67,11 @@ class PipelineConfig:
                 raise ContractError(f"unknown config key {key!r}")
 
     def to_text(self) -> str:
-        return "\n".join(f"{k} = {self.entries[k]}" for k in sorted(self.entries)) + "\n"
+        return format_record(self.entries)
 
     @classmethod
     def from_text(cls, text: str) -> "PipelineConfig":
-        entries = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ContractError(f"malformed config line {line!r}")
-            entries[key.strip()] = value.strip()
-        return cls(entries=entries)
+        return cls(entries=parse_record(text))
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
@@ -88,13 +79,9 @@ class PipelineConfig:
 
 def _write_provenance(artifact: Path, cfg: PipelineConfig, command: str) -> None:
     side = artifact.with_name(artifact.name + ".provenance")
-    lines = [
-        f"command = {command}",
-        f"config_digest = {cfg.digest()}",
-        f"version = {__version__}",
-    ]
-    lines.extend(cfg.to_text().strip().splitlines())
-    side.write_text("\n".join(sorted(lines)) + "\n", encoding="utf-8")
+    record = {"command": command, "config_digest": cfg.digest(), "version": __version__,
+              **cfg.entries}
+    side.write_text(format_record(record), encoding="utf-8")
 
 
 def _scene_stems(directory: Path, suffix: str) -> list[Path]:

@@ -1,4 +1,4 @@
-"""Domain types, label semantics, and bit-exact binary file I/O.
+"""Domain types, label semantics, and bit-exact file I/O.
 
 Binary conventions follow the common LiDAR benchmark layout:
 
@@ -6,6 +6,10 @@ Binary conventions follow the common LiDAR benchmark layout:
 * label file (``.label``): N x 1 little-endian uint32, lower 16 bits semantic
   class id, upper 16 bits instance id
 * score file (``.score``): N x 1 little-endian float32, one scalar per point
+* checkpoint header: a 4-byte magic, then ``<III`` (version 1, two dimensions)
+
+Sidecars, eval reports and pipeline configs are records: UTF-8
+``key = value`` lines sorted by key, with one formatter and one parser.
 
 All types are immutable after construction (backing arrays are marked
 read-only, and so are the values a ``LogitField`` derives and caches on
@@ -17,6 +21,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,24 +30,11 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "ContractError",
-    "FormatError",
-    "Role",
-    "PointCloud",
-    "ClassSpec",
-    "LabelMap",
-    "LogitField",
-    "ScoreField",
-    "roles_from_semantic",
-    "load_point_cloud",
-    "save_point_cloud",
-    "load_labels",
-    "save_labels",
-    "load_scores",
-    "save_scores",
-    "read_exact",
-    "read_float32",
-    "to_float32",
+    "ContractError", "FormatError", "Role", "PointCloud", "ClassSpec", "LabelMap",
+    "LogitField", "ScoreField", "roles_from_semantic",
+    "load_point_cloud", "save_point_cloud", "load_labels", "save_labels",
+    "load_scores", "save_scores", "format_record", "parse_record",
+    "write_header", "read_header", "read_exact", "read_float32", "to_float32",
 ]
 
 
@@ -325,15 +317,20 @@ class ScoreField:
 
 
 # --------------------------------------------------------------------------
-# binary I/O
+# file I/O
 # --------------------------------------------------------------------------
+
+def _read_records(path, dtype: str, record_bytes: int) -> np.ndarray:
+    """The raw file at ``path`` as ``dtype`` values; FormatError if cut mid-record."""
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size % record_bytes != 0:
+        raise FormatError(f"{path}: size {raw.size} is not a multiple of {record_bytes} bytes")
+    return raw.view(dtype)
+
 
 def load_point_cloud(path) -> PointCloud:
     """Read an N x 4 float32 point file into a cloud with intensity."""
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size % 16 != 0:
-        raise FormatError(f"{path}: size {raw.size} is not a multiple of 16 bytes")
-    data = raw.view("<f4").reshape(-1, 4)
+    data = _read_records(path, "<f4", 16).reshape(-1, 4)
     return PointCloud(points=data[:, :3], intensity=data[:, 3])
 
 
@@ -353,10 +350,7 @@ def load_labels(path, spec: ClassSpec) -> LabelMap:
     void/ood/ignore ids degrade to ``spec.void_id`` (test-set label maps are
     routinely partial); the number of remapped points is logged as a warning.
     """
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size % 4 != 0:
-        raise FormatError(f"{path}: size {raw.size} is not a multiple of 4 bytes")
-    words = raw.view("<u4")
+    words = _read_records(path, "<u4", 4)
     semantic = (words & 0xFFFF).astype(np.int64)
     instance = (words >> 16).astype(np.int64)
 
@@ -383,10 +377,7 @@ def save_labels(labels: LabelMap, path) -> None:
 
 
 def load_scores(path) -> ScoreField:
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size % 4 != 0:
-        raise FormatError(f"{path}: size {raw.size} is not a multiple of 4 bytes")
-    values = raw.view("<f4")
+    values = _read_records(path, "<f4", 4)
     # checked before widening: casting a NaN payload would warn
     if not np.all(np.isfinite(values)):
         raise ContractError("scores must be finite")
@@ -409,6 +400,23 @@ def to_float32(values, what: str) -> np.ndarray:
     return out
 
 
+def write_header(fh, magic: bytes, dim_a: int, dim_b: int) -> None:
+    """Write ``magic``, then version 1 and two dimensions as ``<III``, to a binary file handle."""
+    fh.write(magic)
+    fh.write(struct.pack("<III", 1, dim_a, dim_b))
+
+
+def read_header(fh, magic: bytes) -> tuple[int, int]:
+    """The two dimensions of a header that :func:`write_header` wrote with ``magic``."""
+    found = read_exact(fh, 4)
+    if found != magic:
+        raise ContractError(f"bad checkpoint magic {found!r}")
+    version, dim_a, dim_b = struct.unpack("<III", read_exact(fh, 12))
+    if version != 1:
+        raise ContractError(f"unsupported checkpoint version {version}")
+    return dim_a, dim_b
+
+
 def read_exact(fh, size: int) -> bytes:
     """Read exactly ``size`` bytes from a binary file handle."""
     buf = fh.read(size)
@@ -422,3 +430,25 @@ def read_float32(fh, *shape: int) -> np.ndarray:
     binary file handle, widened to float64."""
     buf = read_exact(fh, 4 * math.prod(shape))
     return np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)
+
+
+def format_record(entries: dict) -> str:
+    """One ``key = value`` line per entry, sorted by key, each ending in a newline
+    (an empty record is one newline); ``f"{value}"`` gives a float's ``repr``."""
+    return "\n".join(f"{key} = {entries[key]}" for key in sorted(entries)) + "\n"
+
+
+def parse_record(text: str) -> dict[str, str]:
+    """The entries of a :func:`format_record` text, as strings. Blank and ``#``
+    lines are skipped; a line splits at its first ``=``, both sides stripped,
+    and ContractError for a line without ``=``."""
+    entries = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ContractError(f"malformed config line {line!r}")
+        entries[key.strip()] = value.strip()
+    return entries

@@ -17,11 +17,12 @@ are not penalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .cluster import dbscan
-from .core import ContractError, LabelMap, PointCloud, Role, ScoreField
+from .core import ContractError, LabelMap, PointCloud, Role, ScoreField, format_record, parse_record
 from .scoring import classify
 
 __all__ = [
@@ -40,6 +41,15 @@ class EvalConfig:
     gamma: float = 0.0
     dbscan_eps: float = 0.5
     dbscan_min_pts: int = 5
+
+    def __post_init__(self):
+        # classify's and dbscan's messages; they see these only when a point is flagged
+        if np.isnan(self.gamma):
+            raise ContractError("gamma must not be NaN")
+        if not 0.0 < self.dbscan_eps < np.inf:
+            raise ContractError(f"eps must be finite and positive, got {self.dbscan_eps}")
+        if self.dbscan_min_pts < 1:
+            raise ContractError("min_pts must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,35 +273,16 @@ def evaluate_scenes(
 
 
 # --------------------------------------------------------------------------
-# report: canonical key-sorted "key = value" text
+# report: one key-sorted "key = value" record
 # --------------------------------------------------------------------------
 
 def write_report(metrics: dict, config: dict, path) -> None:
     """Deterministic, key-sorted report containing every metric and every
     config/provenance value."""
-    entries: dict[str, str] = {}
-    for k, v in metrics.items():
-        entries[f"metric.{k}"] = _fmt(v)
-    for k, v in config.items():
-        entries[f"config.{k}"] = _fmt(v)
-    lines = [f"{k} = {entries[k]}" for k in sorted(entries)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    entries = {f"metric.{k}": v for k, v in metrics.items()}
+    entries.update({f"config.{k}": v for k, v in config.items()})
+    Path(path).write_text(format_record(entries), encoding="utf-8")
 
 
 def read_report(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" = ")
-            out[key] = value
-    return out
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return parse_record(Path(path).read_text(encoding="utf-8"))

@@ -20,13 +20,12 @@ The backward pass is exact (hand-derived); the ReLU subgradient at 0 is 0.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ContractError, FormatError, LogitField, Workspace, read_exact, read_float32,
-                   to_float32, work_array)
+from .core import (ContractError, FormatError, LogitField, Workspace, read_float32, read_header,
+                   to_float32, work_array, write_header)
 
 __all__ = ["PriorParams", "PriorTape", "init_params", "prior_weight", "prior_backward",
            "save_params", "load_params", "zeros_like_params"]
@@ -269,27 +268,21 @@ def save_params(params: PriorParams, fh) -> None:
     params.validate()
     names = ("w_proj", "psi", "w_q", "w_k", "w_v", "w_head", "b")
     narrowed = [to_float32(getattr(params, name), name) for name in names]
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<III", 1, params.logit_width, params.latent_dim))
+    write_header(fh, _MAGIC, params.logit_width, params.latent_dim)
     for values in narrowed:
         fh.write(values.tobytes())
 
 
 def load_params(fh) -> PriorParams:
     """Read the container through the end of ``fh``; FormatError if cut short or longer."""
-    magic = read_exact(fh, 4)
-    if magic != _MAGIC:
-        raise ContractError(f"bad checkpoint magic {magic!r}")
-    version, c, d = struct.unpack("<III", read_exact(fh, 12))
-    if version != 1:
-        raise ContractError(f"unsupported checkpoint version {version}")
+    c, d = read_header(fh, _MAGIC)
     w_proj = read_float32(fh, c, d)
     psi = read_float32(fh, c, d)
     w_q = read_float32(fh, d, d)
     w_k = read_float32(fh, d, d)
     w_v = read_float32(fh, d, d)
     w_head = read_float32(fh, 2 * d)
-    (b,) = struct.unpack("<f", read_exact(fh, 4))
+    b = read_float32(fh)
     if fh.read(1):
         raise FormatError("trailing bytes after the checkpoint")
     params = PriorParams(w_proj=w_proj, psi=psi, w_q=w_q, w_k=w_k, w_v=w_v,

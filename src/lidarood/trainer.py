@@ -16,14 +16,13 @@ from __future__ import annotations
 import io
 import itertools
 import logging
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, Workspace,
-                   read_exact, read_float32, to_float32, work_array)
+                   read_float32, read_header, to_float32, work_array, write_header)
 from .losses import LossConfig, total_loss
 from .neighbors import GridIndex
 from .perlin import RaiseConfig, draw_raise, perlin_raise
@@ -420,11 +419,10 @@ def _check_hidden(hidden: int) -> None:
 def save_checkpoint(path, backbone: Backbone, params: PriorParams) -> None:
     """Write the checkpoint; ContractError, with no file written, if a tensor
     overflows float32 or the backbone has no hidden unit."""
-    fh = io.BytesIO()
-    fh.write(_CKPT_MAGIC)
     hidden = backbone.w1.shape[1]
     _check_hidden(hidden)
-    fh.write(struct.pack("<III", 1, hidden, backbone.out_width))
+    fh = io.BytesIO()
+    write_header(fh, _CKPT_MAGIC, hidden, backbone.out_width)
     for name in ("feature_scale", "w1", "b1", "w2", "b2"):
         fh.write(to_float32(getattr(backbone, name), name).tobytes())
     save_params(params, fh)
@@ -433,12 +431,7 @@ def save_checkpoint(path, backbone: Backbone, params: PriorParams) -> None:
 
 def load_checkpoint(path) -> tuple[Backbone, PriorParams]:
     fh = io.BytesIO(Path(path).read_bytes())  # a bad header size cannot over-allocate a read
-    magic = read_exact(fh, 4)
-    if magic != _CKPT_MAGIC:
-        raise ContractError(f"bad checkpoint magic {magic!r}")
-    version, hidden, out = struct.unpack("<III", read_exact(fh, 12))
-    if version != 1:
-        raise ContractError(f"unsupported checkpoint version {version}")
+    hidden, out = read_header(fh, _CKPT_MAGIC)
     _check_hidden(hidden)
     scale = read_float32(fh, FEATURE_DIM)
     backbone = Backbone(

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lidarood import __version__
 from lidarood.cli import _KNOWN_KEYS, PipelineConfig, main
-from lidarood.core import ContractError
+from lidarood.core import ContractError, parse_record
 from lidarood.metrics import read_report
 from lidarood.priornet import init_params, save_params
 from lidarood.scenes import IGNORE_ID
@@ -245,6 +246,13 @@ class TestBadNumericFlags:
         pytest.param(["eval", "--gamma=-inf", "--eps", "inf"], 1, id="eval-eps-inf"),
         pytest.param(["eval", "--gamma=-inf", "--min-pts", "-3"], 1, id="eval-min-pts"),
         pytest.param(["eval", "--gamma", "nan"], 1, id="eval-gamma-nan"),
+        # --gamma 1e9 flags no point, so DBSCAN never sees its settings
+        pytest.param(["eval", "--gamma", "1e9", "--eps", "-1"], 1,
+                     id="eval-eps-negative-unflagged"),
+        pytest.param(["eval", "--gamma", "1e9", "--eps", "0"], 1, id="eval-eps-zero-unflagged"),
+        pytest.param(["eval", "--gamma", "1e9", "--eps", "inf"], 1, id="eval-eps-inf-unflagged"),
+        pytest.param(["eval", "--gamma", "1e9", "--min-pts", "0"], 1,
+                     id="eval-min-pts-zero-unflagged"),
         pytest.param(["eval", "--gamma", "0", "--gamma-from-tpr", "0.9"], 2,
                      id="eval-two-gammas"),
         pytest.param(["synth", "--extent", "nan"], 1, id="synth-extent-nan"),
@@ -294,6 +302,7 @@ class TestBadNumericFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: " if code == 1 else "usage error: "), err
         assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert not (tmp_path / "r.txt").exists()
 
 
 class TestExportMap:
@@ -344,6 +353,10 @@ class TestPipelineConfig:
         cfg = PipelineConfig(entries={"scene.seed": 7, "train.lr": 0.001})
         again = PipelineConfig.from_text(cfg.to_text())
         assert again.entries == {"scene.seed": "7", "train.lr": "0.001"}
+
+    def test_malformed_line_rejected(self):
+        with pytest.raises(ContractError, match="malformed config line"):
+            PipelineConfig.from_text("scene.seed = 1\nscene.points 600\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ContractError):
@@ -456,8 +469,18 @@ class TestPinnedPipeline:
         is written by some subcommand."""
         written = set()
         for side in full_run.rglob("*.provenance"):
-            for line in side.read_text().splitlines():
-                written.add(line.partition(" = ")[0])
+            written.update(parse_record(side.read_text(encoding="utf-8")))
         written -= {"command", "config_digest", "version"}
         assert written <= _KNOWN_KEYS
         assert _KNOWN_KEYS <= written, sorted(_KNOWN_KEYS - written)
+
+    def test_sidecars_read_back(self, full_run):
+        """Each sidecar parses to its command, the package version and the
+        digest of its config entries."""
+        commands = []
+        for side in sorted(full_run.rglob("*.provenance")):
+            rest = parse_record(side.read_text(encoding="utf-8"))
+            commands.append(rest.pop("command"))
+            assert rest.pop("version") == __version__
+            assert rest.pop("config_digest") == PipelineConfig(entries=rest).digest(), side
+        assert sorted(set(commands)) == ["eval", "export-map", "raise", "score", "synth", "train"]

@@ -1,5 +1,7 @@
-"""Domain types and bit-exact binary I/O."""
+"""Domain types and bit-exact file I/O."""
 
+import io
+import struct
 import warnings
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 
 from lidarood.core import (
     ClassSpec, ContractError, FormatError, LabelMap, PointCloud, Role, ScoreField,
-    load_labels, load_point_cloud, load_scores, roles_from_semantic,
-    save_labels, save_point_cloud, save_scores,
+    format_record, load_labels, load_point_cloud, load_scores, parse_record, read_header,
+    roles_from_semantic, save_labels, save_point_cloud, save_scores, write_header,
 )
 
 
@@ -213,3 +215,48 @@ class TestClassSpec:
         ext = ClassSpec(inlier_classes=(1, 2, 3, 4), void_id=0, ood_id=200,
                         ignore_id=250, extended=True)
         assert ext.logit_width == 8
+
+
+class TestRecord:
+    def test_lines_sorted_by_key(self):
+        assert format_record({"b": 1, "a.x": 0.1, "a": "on"}) == "a = on\na.x = 0.1\nb = 1\n"
+        assert format_record({}) == "\n"
+
+    def test_numpy_scalars_written_like_python_numbers(self):
+        text = format_record({"x": np.float64(0.1), "y": np.float32(0.25), "n": np.int64(3)})
+        assert text == "n = 3\nx = 0.1\ny = 0.25\n"
+
+    def test_parse_rules(self):
+        text = "# note = skipped\n\n  a =  1 = 2 \nb=\r\nc.d = x\n"
+        assert parse_record(text) == {"a": "1 = 2", "b": "", "c.d": "x"}
+
+    def test_roundtrip(self):
+        entries = {"gamma": 0.1 + 0.2, "source": "tpr=0.95", "n": 7}
+        assert parse_record(format_record(entries)) == {k: str(v) for k, v in entries.items()}
+        assert parse_record(format_record({})) == {}
+
+    def test_line_without_separator_rejected(self):
+        with pytest.raises(ContractError, match="^malformed config line 'no separator'$"):
+            parse_record("a = 1\n no separator\n")
+
+
+class TestHeader:
+    def test_bytes_and_roundtrip(self):
+        fh = io.BytesIO()
+        write_header(fh, b"TEST", 3, 5)
+        assert fh.getvalue() == b"TEST" + struct.pack("<III", 1, 3, 5)
+        fh.seek(0)
+        assert read_header(fh, b"TEST") == (3, 5)
+        assert fh.read() == b""
+
+    def test_bad_magic(self):
+        with pytest.raises(ContractError, match="^bad checkpoint magic b'JUNK'$"):
+            read_header(io.BytesIO(b"JUNK" + struct.pack("<III", 1, 3, 5)), b"TEST")
+
+    def test_unsupported_version(self):
+        with pytest.raises(ContractError, match="^unsupported checkpoint version 2$"):
+            read_header(io.BytesIO(b"TEST" + struct.pack("<III", 2, 3, 5)), b"TEST")
+
+    def test_truncated(self):
+        with pytest.raises(FormatError):
+            read_header(io.BytesIO(b"TEST" + bytes(11)), b"TEST")

@@ -461,3 +461,27 @@ class TestReport:
         path = tmp_path / "empty.txt"
         write_report({"PQ": 0.0}, {}, path)
         assert read_report(path)["metric.PQ"] == "0.0"
+
+    def test_numpy_scalars_written_like_python_numbers(self, tmp_path):
+        path = tmp_path / "report.txt"
+        write_report({"AP": np.float64(0.5)}, {"gamma": np.float32(0.25)}, path)
+        assert path.read_text() == "config.gamma = 0.25\nmetric.AP = 0.5\n"
+
+    def test_line_without_separator_rejected(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("metric.AP = 0.5\nmetric.PQ 0.25\n")
+        with pytest.raises(ContractError, match="malformed config line"):
+            read_report(path)
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"gamma": np.nan}, {"dbscan_eps": 0.0}, {"dbscan_eps": -1.0},
+        {"dbscan_eps": np.inf}, {"dbscan_eps": np.nan}, {"dbscan_min_pts": 0},
+    ], ids=["gamma-nan", "eps-zero", "eps-negative", "eps-inf", "eps-nan", "min-pts-zero"])
+    def test_invalid_settings_rejected(self, kwargs):
+        with pytest.raises(ContractError):
+            EvalConfig(**kwargs)
+
+    def test_infinite_gamma_accepted(self):
+        assert EvalConfig(gamma=-np.inf, dbscan_min_pts=1).gamma == -np.inf
