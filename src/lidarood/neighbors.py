@@ -10,13 +10,13 @@ in cell order) it looks up every cell's run at once, expands each point's
 runs into candidate pairs, in blocks of bounded size, and measures them on
 coordinate columns in cell order, filtering by exact Euclidean distance,
 boundary inclusive. Each unordered pair comes once: ``unique_pairs`` gives
-them as they are (for ``cluster.dbscan``), and ``ball_stats`` adds each to
-both ends. Its order contract: each point's sums take its neighbors one at
-a time in ascending cell order (by cell in lexicographic offset order, then
-by index), as a walk over all 9 columns from the point would, whatever the
-block size. It keeps that order by replaying each hit mirrored for the far
-point, which always comes later in cell order, ahead of that point's own
-hits.
+them as positions in cell order (``order`` maps them to indices) for
+``cluster.dbscan``, and ``ball_stats`` adds each to both ends. Its order
+contract: each point's sums take its neighbors one at a time in ascending
+cell order (by cell in lexicographic offset order, then by index), as a
+walk over all 9 columns from the point would, whatever the block size. It
+keeps that order by replaying each hit mirrored for the far point, which
+always comes later in cell order, ahead of that point's own hits.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 __all__ = ["GridIndex"]
 
-# candidate pairs per block of ``_blocks``: whole points up to about this
+# candidate pairs per block of ``unique_pairs``: whole points up to about this
 # many, so the distance temporaries stay cache-sized and memory does not
 # grow with the cloud
 _CHUNK = 1 << 15
@@ -54,10 +54,10 @@ class GridIndex:
         keys -= self._origin
         self._dims = keys.max(axis=0, initial=0) + 2
         code = self._encode(*keys.T)
-        self._order = np.argsort(code, kind="stable")
-        self._cell_code, cell_start = np.unique(code[self._order], return_index=True)
+        self.order = np.argsort(code, kind="stable")
+        self._cell_code, cell_start = np.unique(code[self.order], return_index=True)
         # cell c holds the points at positions _cell_bound[c]:_cell_bound[c + 1]
-        # of _order; a run of cells c..d those at _cell_bound[c]:_cell_bound[d + 1]
+        # of order; a run of cells c..d those at _cell_bound[c]:_cell_bound[d + 1]
         self._cell_bound = np.append(cell_start, len(keys))
 
     def _encode(self, kx, ky, kz):
@@ -85,40 +85,29 @@ class GridIndex:
         kx, ky = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
                              indexing="ij")
         first, end = self._runs(self._encode(kx.ravel(), ky.ravel(), 0), lo[2], hi[2])
-        idx = self._order[_ranges(first, end - first)]
+        idx = self.order[_ranges(first, end - first)]
         d2 = np.sum((self.points[idx] - center) ** 2, axis=1)
         hits = idx[d2 <= radius * radius]
         hits.sort()
         return hits
 
     def unique_pairs(self, radius: float):
-        """Yield (i, j) index arrays that together hold every unordered pair
-        with distance <= radius exactly once (one of (i, j) and (j, i)),
-        self pairs included, one block of points at a time and in no
-        promised order (``cluster.dbscan`` needs only the set).
-
-        Requires radius <= cell_size.
-        """
-        for p, q, _ in self._blocks(radius):
-            yield self._order[p], self._order[q]
-
-    def _blocks(self, radius: float):
-        """Yield (p, q, cut) per block of consecutive points p in cell
-        order: the pairs within radius of each point p with the points q of
-        its rows, as positions in cell order, with q > p except self pairs.
+        """Yield (p, q, cut) per block of consecutive points p in cell order:
+        the pairs within radius of each point p with the points q of its rows,
+        as cell-order positions, q > p except self pairs, each pair once.
 
         A row is one point and one column of ``_HALF_COLUMNS``: the point's
         cells z - 1..z + 1 of that column, one run of q in cell order, in
         the (0, 0) column from p itself. Hits cut[k]:cut[k + 1] are those
         of column k, by ascending p, then ascending q. A block holds whole
-        points up to about ``_CHUNK`` candidates.
+        points up to about ``_CHUNK`` candidates. Requires radius <= cell_size.
         """
         if radius > self.cell_size:
             raise ValueError("pairs need radius <= cell_size")
         # p and q below are positions in cell order, where a cell's points
         # are contiguous and ascend by index; a point's neighbor cells
         # z - 1, z, z + 1 of one column are one run of q, in offset order
-        x, y, z = np.ascontiguousarray(self.points[self._order].T)
+        x, y, z = np.ascontiguousarray(self.points[self.order].T)
         n = len(x)
         cell = np.repeat(np.arange(len(self._cell_code)), np.diff(self._cell_bound))
         first, end = np.stack([self._runs(self._cell_code + self._encode(dx, dy, 0), -1, 1)
@@ -154,7 +143,7 @@ class GridIndex:
             yield block(lo, hi)
 
     def _ordered_pairs(self, radius: float):
-        """Yield (t, s) per block of ``_blocks``: every ordered pair with
+        """Yield (t, s) per block of ``unique_pairs``: every ordered pair with
         distance <= radius once over all blocks, self pairs included, as
         positions in cell order, target t and source s. Over the blocks in
         order, each target's sources come one at a time in ascending cell
@@ -162,18 +151,16 @@ class GridIndex:
         order of a walk over all 9 columns from the target, whatever the
         block size.
 
-        Each unordered pair is measured once (``_blocks``) and given to both
-        ends: p gets q directly, and q gets p mirrored, as a neighbor in
+        Each unordered pair is measured once (``unique_pairs``) and given to
+        both ends: p gets q directly, and q gets p mirrored, as a neighbor in
         column (-dx, -dy), or for (0, 0) ahead of q's own row. A point's
         mirrored neighbors all precede it in cell order and come before its
         direct ones; within a block, the columns in reverse order, each by
         ascending p, give them in that order. So each block's mirrored hits,
         then its direct ones, keep every target's order within and across
-        blocks.
-
-        Requires radius <= cell_size.
+        blocks. Requires radius <= cell_size.
         """
-        for p, q, cut in self._blocks(radius):
+        for p, q, cut in self.unique_pairs(radius):
             col = [slice(cut[k], cut[k + 1]) for k in range(len(_HALF_COLUMNS))]
             col[0] = np.flatnonzero(p[col[0]] != q[col[0]])  # self pairs only direct
             t = np.concatenate([*(q[c] for c in col[::-1]), p])
@@ -193,7 +180,7 @@ class GridIndex:
         Requires radius <= cell_size.
         """
         n = len(self.points)
-        z = self.points[self._order, 2]
+        z = self.points[self.order, 2]
         counts = np.zeros(n, dtype=np.int64)
         s1 = np.zeros(n)
         s2 = np.zeros(n)
@@ -206,8 +193,8 @@ class GridIndex:
         mean = s1 / counts
         zvar = np.maximum(s2 / counts - mean * mean, 0.0)
         out_counts, out_zvar = np.empty_like(counts), np.empty_like(zvar)
-        out_counts[self._order] = counts
-        out_zvar[self._order] = zvar
+        out_counts[self.order] = counts
+        out_zvar[self.order] = zvar
         return out_counts, out_zvar
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

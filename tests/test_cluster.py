@@ -1,13 +1,20 @@
 """Density clustering against a brute-force O(n^2) reference."""
 
+import hashlib
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lidarood import perlin
 from lidarood.cluster import ClusterAssignment, dbscan, largest_cluster
 from lidarood.core import ContractError
-from lidarood.scenes import SceneConfig, default_budget, generate_scene
+from lidarood.perlin import draw_raise, perlin_raise
+from lidarood.scenes import SceneConfig, default_budget, default_class_spec, generate_scene
+from lidarood.trainer import TrainConfig
 
 
 def brute_force_dbscan(points, eps, min_pts):
@@ -63,13 +70,22 @@ def scene_points():
     return cloud.points
 
 
-def flagged_points():
-    """The highest 21 % of a 20k-point scene, about the share of points
-    eval flags: ~4.2k points, the size of eval's DBSCAN inputs."""
-    cloud, _ = generate_scene(SceneConfig(seed=5, extent=12.0,
-                                          class_budget=default_budget(20000)))
+def flagged_points(seed=5, points=20000):
+    """The highest 21 % of a scene at extent 12 (the CLI default), about
+    the share of points eval flags: ~4.2k points of a 20k-point scene, the
+    size of eval's DBSCAN inputs."""
+    cloud, _ = generate_scene(SceneConfig(seed=seed, extent=12.0,
+                                          class_budget=default_budget(points)))
     z = cloud.points[:, 2]
     return cloud.points[z > np.quantile(z, 0.79)]
+
+
+def lattice_points():
+    """45 % of a 16 x 16 x 3 lattice of spacing 0.25: at eps 0.25 every
+    neighbor lies at exactly d == eps."""
+    g = np.arange(16) * 0.25
+    points = np.stack(np.meshgrid(g, g, g[:3], indexing="ij"), axis=-1).reshape(-1, 3)
+    return points[np.random.default_rng(3).random(len(points)) < 0.45]
 
 
 class TestDbscan:
@@ -108,6 +124,19 @@ class TestDbscan:
     def test_eps_not_finite_positive(self, eps):
         with pytest.raises(ContractError):
             dbscan(np.zeros((3, 3)), eps=eps, min_pts=2)
+
+    @pytest.mark.parametrize("shape", [(6, 2), (4,), (2, 3, 3), (3, 4)])
+    def test_points_not_m_by_3(self, shape):
+        """(6, 2) has 12 values, which reshape(-1, 3) would read as 4 points."""
+        with pytest.raises(ContractError, match="3"):
+            dbscan(np.random.default_rng(0).random(shape), eps=0.5, min_pts=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_points_not_finite(self, bad):
+        points = np.zeros((6, 3))
+        points[4, 1] = bad
+        with pytest.raises(ContractError, match="finite"):
+            dbscan(points, eps=0.5, min_pts=2)
 
     @pytest.mark.parametrize("make_points", [
         *(pytest.param(partial(random_points, seed), id=str(seed)) for seed in range(10)),
@@ -159,6 +188,111 @@ class TestDbscan:
         a = dbscan(points, eps=0.3, min_pts=3)
         b = dbscan(points, eps=0.3, min_pts=3)
         np.testing.assert_array_equal(a.cluster_id, b.cluster_id)
+
+
+@st.composite
+def pieces(draw, eps, min_pts):
+    """One piece of a cloud, on a lattice of eps / 4, so neighbors often lie
+    at exactly d == eps."""
+    kind = draw(st.sampled_from(["chain", "walk", "blob", "duplicates", "bridge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin = rng.integers(-16, 16, size=3) * eps / 4
+    if kind == "chain":    # a straight line of ties, d == eps
+        axis = np.eye(3)[rng.integers(3)]
+        return origin + np.arange(rng.integers(2, 60))[:, None] * eps * axis
+    if kind == "walk":     # a folded chain, whose cell order runs back and forth
+        steps = np.eye(3)[rng.integers(3, size=rng.integers(2, 120))]
+        steps *= rng.choice([-eps, eps], size=(len(steps), 1)) / 2
+        return origin + np.cumsum(steps, axis=0)
+    if kind == "blob":
+        return origin + rng.integers(-4, 5, size=(rng.integers(1, 30), 3)) * eps / 4
+    if kind == "duplicates":
+        return np.repeat(origin[None], rng.integers(1, 8), axis=0)
+    # two dense sides whose one-point tips sit at d == eps on either side of
+    # a middle point: with min_pts >= 4 the middle point is a border point
+    # of both clusters
+    x = eps * np.r_[1.0, 1.0 + rng.uniform(0.1, 1.0, size=max(min_pts, 2))]
+    side = x[:, None] * [1.0, 0.0, 0.0]
+    return origin + np.r_[side, [[0.0, 0, 0]], -side]
+
+
+@st.composite
+def structured_clouds(draw):
+    eps = draw(st.sampled_from([0.25, 0.5]))
+    min_pts = draw(st.integers(1, 6))
+    points = np.concatenate([draw(pieces(eps, min_pts)) for _ in range(draw(st.integers(1, 5)))])
+    # a random index order, so a component's smallest index is seldom its
+    # smallest position in cell order
+    perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(points))
+    return points[perm], eps, min_pts
+
+
+class TestDbscanProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(structured_clouds())
+    def test_matches_brute_force(self, case):
+        """Duplicates and min_pts 1, border points between two clusters,
+        chains at d == eps and folded chains that take several hooking
+        rounds, all in a random index order."""
+        points, eps, min_pts = case
+        assign = dbscan(points, eps=eps, min_pts=min_pts)
+        ref_labels, ref_k = brute_force_dbscan(points, eps, min_pts)
+        np.testing.assert_array_equal(assign.cluster_id, ref_labels)
+        assert assign.num_clusters == ref_k
+
+
+class TestPinnedPartitions:
+    """sha256 of ``cluster_id.tobytes()`` as the input-order implementation
+    with a hooking round over every edge gave them: a change of a partition,
+    of its numbering or of the id dtype changes them."""
+
+    @pytest.mark.parametrize("make_points, eps, min_pts, want", [
+        pytest.param(partial(flagged_points, 1), 0.5, 5,
+                     "15e5866aa1111d1d96c673e68e6e16dfae0435e83d93afb7ee448b99d0818e8d",
+                     id="top-21%-of-20k"),
+        pytest.param(lattice_points, 0.25, 3,
+                     "84d0ada3f8b01ac33ebbbb0bba74424899da58283a396a74166c987613e9f5c4",
+                     id="lattice-ties"),
+    ])
+    def test_partition_digest(self, make_points, eps, min_pts, want):
+        assign = dbscan(make_points(), eps=eps, min_pts=min_pts)
+        assert hashlib.sha256(assign.cluster_id.tobytes()).hexdigest() == want
+
+    def test_raise_partitions_digest(self, monkeypatch):
+        """All partitions of 20 seeded raises on a 3k scan at the default
+        raise settings, as ``train`` draws them."""
+        cloud, labels = generate_scene(SceneConfig(seed=8, extent=6.0,
+                                                   class_budget=default_budget(3000)))
+        digest = hashlib.sha256()
+
+        def recording(points, eps, min_pts):
+            assign = dbscan(points, eps, min_pts)
+            digest.update(assign.cluster_id.tobytes())
+            return assign
+
+        monkeypatch.setattr(perlin, "dbscan", recording)
+        cfg, rng = TrainConfig(), np.random.default_rng(0)
+        for _ in range(20):
+            perlin_raise(cloud, labels, default_class_spec(),
+                         draw_raise(rng, cfg.raise_r_range, **cfg._raise_settings()))
+        assert digest.hexdigest() == \
+            "74b471a6feaaace83c816925788f4c50795f400274937ee25560e6ee0becaeb2"
+
+
+class TestMemory:
+    @pytest.mark.parametrize("points, bound_mb", [
+        pytest.param(20000, 10.0, id="top-21%-of-20k"),    # 4.2k points, 50k pairs
+        pytest.param(100000, 70.0, id="top-21%-of-100k"),  # 21k points, 2.2M pairs
+    ])
+    def test_peak_bounded(self, points, bound_mb):
+        flagged = flagged_points(1, points)
+        tracemalloc.start()
+        try:
+            dbscan(flagged, eps=0.5, min_pts=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20
 
 
 class TestLargestCluster:

@@ -120,7 +120,7 @@ class TestPairs:
     @staticmethod
     def chunks(points, radius, cell_size):
         index = GridIndex(points, cell_size=cell_size)
-        return [(index._order[t], index._order[s]) for t, s in index._ordered_pairs(radius)]
+        return [(index.order[t], index.order[s]) for t, s in index._ordered_pairs(radius)]
 
     @pytest.mark.parametrize("make_points", CLOUDS)
     @pytest.mark.parametrize("radius", [0.3, 0.5])
@@ -168,9 +168,13 @@ class TestPairs:
 
 
 class TestUniquePairs:
+    """The pairs ``cluster.dbscan`` reads: positions in cell order, mapped
+    to indices here through ``GridIndex.order``."""
+
     @staticmethod
     def chunks(points, radius, cell_size):
-        return list(GridIndex(points, cell_size=cell_size).unique_pairs(radius))
+        index = GridIndex(points, cell_size=cell_size)
+        return [(index.order[p], index.order[q]) for p, q, _ in index.unique_pairs(radius)]
 
     @staticmethod
     def unordered(chunks, n):
@@ -188,6 +192,22 @@ class TestUniquePairs:
         upper = want_i <= want_j                        # self pairs once
         assert len(np.unique(got)) == len(got)          # no pair twice
         np.testing.assert_array_equal(np.sort(got), want_i[upper] * n + want_j[upper])
+
+    @pytest.mark.parametrize("make_points", CLOUDS)
+    def test_positions_ascend_within_each_pair(self, make_points):
+        """q > p, except the self pairs, one per point."""
+        points = make_points()
+        index = GridIndex(points, cell_size=0.5)
+        p, q = map(np.concatenate, zip(*((p, q) for p, q, _ in index.unique_pairs(0.5))))
+        assert np.all(q >= p)
+        np.testing.assert_array_equal(np.sort(p[p == q]), np.arange(len(points)))
+
+    def test_order_is_a_permutation_by_cell(self):
+        points = scene_cloud()
+        order = GridIndex(points, cell_size=0.5).order
+        np.testing.assert_array_equal(np.sort(order), np.arange(len(points)))
+        cell = np.floor(points[order] / 0.5).astype(np.int64)
+        np.testing.assert_array_equal(np.lexsort((order, *cell.T[::-1])), np.arange(len(order)))
 
     def test_dense_cloud_spans_several_chunks(self):
         chunks = self.chunks(dense_cloud(), 0.5, cell_size=0.5)
