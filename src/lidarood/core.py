@@ -201,6 +201,24 @@ def work_array(work: Workspace | None, name: str, rows: int, cols: int) -> np.nd
     return np.empty((rows, cols)) if work is None else work.take(name, rows, cols)
 
 
+_CHUNK_ROWS = 4096
+# BLAS computes a row of a product of 1-3 rows in another order than the
+# same row inside a larger product, so no chunk of a larger call is so short
+_MIN_CHUNK_ROWS = 4
+
+
+def row_chunks(rows: int) -> list[slice]:
+    """Slices that cover ``range(rows)`` in order: 4096 rows each, the last
+    one holding what is left, with a rest of fewer than 4 rows folded into
+    the chunk before it. Row-independent array work walks them to keep its
+    temporaries chunk-sized, with the bytes of one whole-array pass; no
+    chunk for 0 rows."""
+    starts = list(range(0, rows, _CHUNK_ROWS))
+    if len(starts) > 1 and rows - starts[-1] < _MIN_CHUNK_ROWS:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
+
+
 class RowSoftmax:
     """Row-wise softmax of an (M, c) logit block.
 
@@ -284,6 +302,17 @@ class LogitField:
     @property
     def count(self) -> int:
         return self.values.shape[0]
+
+    def _rows(self, rows: slice) -> LogitField:
+        """The field of the ``rows`` of this one: this field itself for all
+        of its rows, else a field over a view of its values, which are not
+        checked again."""
+        if rows == slice(0, self.count):
+            return self
+        part = object.__new__(LogitField)
+        object.__setattr__(part, "values", self.values[rows])
+        object.__setattr__(part, "class_spec", self.class_spec)
+        return part
 
     @cached_property
     def softmax(self) -> RowSoftmax:

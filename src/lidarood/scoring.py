@@ -21,7 +21,7 @@ import enum
 
 import numpy as np
 
-from .core import ContractError, LogitField, ScoreField
+from .core import ContractError, LogitField, ScoreField, row_chunks
 
 __all__ = [
     "ScoreMethod",
@@ -119,12 +119,20 @@ def reweighted_score(field: LogitField, method: ScoreMethod, params) -> ScoreFie
 
     ``params`` is a :class:`lidarood.priornet.PriorParams`; with its weight
     head at zero this reduces to the static score exactly.
+
+    The rows are scored in ``core.row_chunks``, each written into one
+    score vector, so the softmax temporaries and the prior tape stay
+    chunk-sized; every score has the bytes of one whole-field pass. A field
+    of 4096 rows or fewer is one chunk, the field itself, and an empty
+    field one empty chunk, with the checks of a call.
     """
     from .priornet import prior_weight
 
-    base = static_score(field, method)
-    weights, _ = prior_weight(field, params)
-    return ScoreField(scores=base * weights)
+    scores = np.empty(field.count)
+    for rows in row_chunks(field.count) or [slice(0, 0)]:
+        part = field._rows(rows)
+        np.multiply(static_score(part, method), prior_weight(part, params)[0], out=scores[rows])
+    return ScoreField(scores=scores)
 
 
 def classify(scores: ScoreField, gamma: float) -> np.ndarray:

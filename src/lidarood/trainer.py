@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, Workspace,
-                   read_float32, read_header, to_float32, work_array, write_header)
+                   read_float32, read_header, row_chunks, to_float32, work_array,
+                   write_header)
 from .losses import LossConfig, total_loss
 from .neighbors import GridIndex
 from .perlin import RaiseConfig, draw_raise, perlin_raise
@@ -128,10 +129,15 @@ def init_backbone(hidden: int, out_width: int, seed: int = 0) -> Backbone:
     )
 
 
-def _scaled(backbone: Backbone, features: np.ndarray, work: Workspace | None) -> np.ndarray:
+def _feature_rows(features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
         raise ContractError(f"features must be (M, {FEATURE_DIM}), got shape {x.shape}")
+    return x
+
+
+def _scaled(backbone: Backbone, x: np.ndarray, work: Workspace | None) -> np.ndarray:
+    """``x`` (checked by ``_feature_rows``) over the feature scale."""
     return np.divide(x, backbone.feature_scale, out=work_array(work, "x", *x.shape))
 
 
@@ -144,10 +150,25 @@ def _hidden(backbone: Backbone, x: np.ndarray, work: Workspace | None) -> np.nda
 
 def forward(backbone: Backbone, features: np.ndarray, spec: ClassSpec, *,
             work: Workspace | None = None) -> LogitField:
-    """The logit field of ``features``; with ``work`` the scaled features
-    and the hidden layer fill its buffers (the logits are always fresh)."""
-    logits = _hidden(backbone, _scaled(backbone, features, work), work) @ backbone.w2
-    logits += backbone.b2
+    """The logit field of ``features``.
+
+    The rows go through the network in ``core.row_chunks``, all into one
+    fresh (M, C) logit array, so the scaled features and the hidden layer
+    are chunk-sized (in the buffers of ``work`` when it is given); the
+    logits have the bytes of one whole-array pass. Up to 4096 rows are one
+    chunk, and no rows one empty chunk."""
+    x = _feature_rows(features)
+    logits = None
+    for rows in row_chunks(x.shape[0]) or [slice(0, 0)]:
+        h = _hidden(backbone, _scaled(backbone, x[rows], work), work)
+        if logits is None:
+            # made while the first hidden layer is alive, where the
+            # whole-array pass makes its product, so one chunk allocates in
+            # the unchunked order (made first, the logits let malloc trim
+            # and regrow the heap top: ~430 page faults a call at 3.4k rows)
+            logits = np.empty((x.shape[0], backbone.out_width))
+        np.matmul(h, backbone.w2, out=logits[rows])
+        logits[rows] += backbone.b2
     return LogitField(values=logits, class_spec=spec)
 
 
@@ -160,7 +181,7 @@ def backbone_backward(
     The hidden layer is recomputed, as ``forward`` builds it and in the same
     ``work`` buffer, rather than kept from the forward pass: a kept (M, H)
     array outlives the step and raises the peak memory of scoring."""
-    x = _scaled(backbone, features, work)
+    x = _scaled(backbone, _feature_rows(features), work)
     if np.shape(dlogits) != (x.shape[0], backbone.out_width):
         raise ContractError(f"dlogits must be ({x.shape[0]}, {backbone.out_width}) for these "
                             f"features and backbone, got shape {np.shape(dlogits)}")
