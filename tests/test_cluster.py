@@ -64,20 +64,19 @@ def scrambled_chain():
     return np.c_[x, np.zeros_like(x), rng.uniform(0, 0.01, size=x.size)]
 
 
-def scene_points():
-    cloud, _ = generate_scene(SceneConfig(seed=5, extent=5.0,
-                                          class_budget=default_budget(1200)))
+def scene_points(seed=5, points=1200, extent=5.0):
+    cloud, _ = generate_scene(SceneConfig(seed=seed, extent=extent,
+                                          class_budget=default_budget(points)))
     return cloud.points
 
 
-def flagged_points(seed=5, points=20000):
-    """The highest 21 % of a scene at extent 12 (the CLI default), about
-    the share of points eval flags: ~4.2k points of a 20k-point scene, the
-    size of eval's DBSCAN inputs."""
-    cloud, _ = generate_scene(SceneConfig(seed=seed, extent=12.0,
-                                          class_budget=default_budget(points)))
-    z = cloud.points[:, 2]
-    return cloud.points[z > np.quantile(z, 0.79)]
+def flagged_points(seed=5, points=20000, extent=12.0):
+    """The highest 21 % of a scene, by default at extent 12 (the CLI
+    default), about the share of points eval flags: ~4.2k points of a
+    20k-point scene, the size of eval's DBSCAN inputs."""
+    points = scene_points(seed, points, extent)
+    z = points[:, 2]
+    return points[z > np.quantile(z, 0.79)]
 
 
 def lattice_points():
@@ -194,7 +193,7 @@ class TestDbscan:
 def pieces(draw, eps, min_pts):
     """One piece of a cloud, on a lattice of eps / 4, so neighbors often lie
     at exactly d == eps."""
-    kind = draw(st.sampled_from(["chain", "walk", "blob", "duplicates", "bridge"]))
+    kind = draw(st.sampled_from(["chain", "walk", "blob", "duplicates", "bridge", "dense"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     origin = rng.integers(-16, 16, size=3) * eps / 4
     if kind == "chain":    # a straight line of ties, d == eps
@@ -208,12 +207,35 @@ def pieces(draw, eps, min_pts):
         return origin + rng.integers(-4, 5, size=(rng.integers(1, 30), 3)) * eps / 4
     if kind == "duplicates":
         return np.repeat(origin[None], rng.integers(1, 8), axis=0)
+    if kind == "dense":
+        return dense_cells(rng, eps, min_pts)
     # two dense sides whose one-point tips sit at d == eps on either side of
     # a middle point: with min_pts >= 4 the middle point is a border point
     # of both clusters
     x = eps * np.r_[1.0, 1.0 + rng.uniform(0.1, 1.0, size=max(min_pts, 2))]
     side = x[:, None] * [1.0, 0.0, 0.0]
     return origin + np.r_[side, [[0.0, 0, 0]], -side]
+
+
+def dense_cells(rng, eps, min_pts):
+    """Two cells of side eps / 2 (the grid is anchored at 0) that each hold
+    >= min_pts points, with duplicates, and points at d == eps from their
+    extreme points. A middle point sits at d == eps from one tip of each
+    cell and from nothing else: with min_pts >= 4 it is a border point of
+    both. Half the time a cell's face collapses onto its corner, so the
+    cell's box is one point and a tie lies exactly at its far corner."""
+    origin = rng.integers(-8, 8, size=3) * eps / 2
+    face = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1]]) * eps / 4
+    face = face[rng.integers(3, size=max(min_pts, 4))]
+    if rng.random() < 0.5:
+        face[:] = 0.0
+    face = np.r_[[[0.0, 0, 0]], face]               # the corner, once unless collapsed
+    tip = [[eps / 4, 0.0, 0.0]]
+    other = face + [9 * eps / 4, 0.0, 0.0]           # its corner at d == eps from the middle
+    cells = np.r_[face, tip, other]
+    axis = np.eye(3)[rng.integers(3, size=4)] * rng.choice([-eps, eps], size=(4, 1))
+    ties = cells[rng.integers(len(cells), size=4)] + axis
+    return origin + np.r_[cells, [[5 * eps / 4, 0.0, 0.0]], ties]
 
 
 @st.composite
@@ -250,6 +272,17 @@ class TestPinnedPartitions:
         pytest.param(partial(flagged_points, 1), 0.5, 5,
                      "15e5866aa1111d1d96c673e68e6e16dfae0435e83d93afb7ee448b99d0818e8d",
                      id="top-21%-of-20k"),
+        pytest.param(partial(flagged_points, 1, 100000), 0.5, 5,
+                     "2f0c0d76d7190d0a055c6010fc9fea93f1c2c3a83ecf1598e90494d39cdb4fcd",
+                     id="top-21%-of-100k"),
+        # the eval --gamma=-inf input: sparse ground cells and dense objects
+        pytest.param(partial(scene_points, 1, 20000, 12.0), 0.5, 5,
+                     "71e003d0aa2af3fe2fee6f718063efc0ea59dd8f9fae00807b20258ec14e621a",
+                     id="whole-20k"),
+        # a train_3k eval set
+        pytest.param(partial(flagged_points, 1, 3400, 8.0), 0.5, 5,
+                     "29be0d26a170b6253565c6dd7c244d1b1b2f6ddff2b9dede7311209e51c40332",
+                     id="top-21%-of-3.4k"),
         pytest.param(lattice_points, 0.25, 3,
                      "84d0ada3f8b01ac33ebbbb0bba74424899da58283a396a74166c987613e9f5c4",
                      id="lattice-ties"),
