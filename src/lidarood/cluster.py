@@ -3,17 +3,33 @@
 Semantics: a core point has at least ``min_pts`` neighbors within ``eps``
 (inclusive of itself, boundary inclusive d <= eps); clusters are maximal
 density-connected sets of core points plus the border points they reach.
-Exact grid DBSCAN in array form on positions in the cell order of one
-``GridIndex``, which lists each unordered neighbor pair once (core counts
-add both ends). Clusters are the connected components of core-core pairs:
-min-label hooking with pointer jumping (Shiloach & Vishkin 1982), pruned
-as grid DBSCAN skips joined cells (Gan & Tao 2015): each round keeps only
-the pairs between two trees. They are numbered by their smallest core index
-and mapped back to input order once. DBSCAN leaves border ownership open;
-here a border point joins the smallest cluster id among its core neighbors,
-as a sequential DBSCAN growing clusters from seeds in ascending index order
-does. Output is a deterministic function of the input ordering; fewer points
-than ``min_pts`` are all noise, with no index built.
+
+Exact grid DBSCAN (Gunawan 2013; Gan & Tao, "DBSCAN revisited", SIGMOD
+2015) in array form, on the cells of side eps / 2 of one ``GridIndex``. A
+cell's diagonal is 0.87 eps, so its points are mutual neighbors, and every
+neighbor of a point lies in the 5 x 5 x 5 cells around its own. Cells, not
+points, are counted and joined:
+
+1. a cell of ``min_pts`` points is all core, with no distance measured;
+2. so is a cell that holds ``min_pts`` together with its face, edge and
+   corner cells whose point boxes lie wholly within eps of its own box. The
+   farthest corners bound every measured d2, as rounding is monotone. Only
+   the points of the other cells are counted pair by pair;
+3. a cell's core points form one component. Cells join over pairs of core
+   points within eps: first the face, edge and corner pairs wholly within
+   eps, with nothing measured, then in rounds of offsets nearest first
+   (face, edge, corner, then the shell at 2), each measuring only the cell
+   pairs whose trees still differ, by min-label hooking with pointer
+   jumping (Shiloach & Vishkin 1982);
+4. clusters are numbered by their smallest core index. DBSCAN leaves border
+   ownership open; here a border point joins the smallest cluster id among
+   its own cell's core points and its measured core neighbors, as a
+   sequential DBSCAN growing clusters from seeds in ascending index order
+   does.
+
+Output is a deterministic function of the input ordering; fewer points than
+``min_pts`` are all noise, with no index built, and so is a cloud in which
+no 5 x 5 x 5 block of cells holds ``min_pts`` points, with nothing measured.
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError
-from .neighbors import GridIndex
+from .neighbors import GridIndex, _ranges
 
 __all__ = ["ClusterAssignment", "dbscan", "largest_cluster"]
 
@@ -51,47 +67,141 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     if points.ndim != 2 or points.shape[1] != 3 or not np.isfinite(points).all():
         raise ContractError(f"points must be a finite (M, 3) array, got shape {points.shape}")
     n = len(points)
+    noise = ClusterAssignment(cluster_id=np.full(n, NOISE, dtype=np.int64), num_clusters=0)
     if n < min_pts:  # no point can have min_pts neighbors
-        return ClusterAssignment(cluster_id=np.full(n, NOISE, dtype=np.int64), num_clusters=0)
-    # int32 positions in cell order, half the memory (take gathers by int32
-    # faster than []): each unordered pair once with p < q, and self pairs
-    # p == q at both ends, so a point's count is one over its neighbors
-    index = GridIndex(points, cell_size=eps)
-    blocks = ((p.astype(np.int32), q.astype(np.int32)) for p, q, _ in index.unique_pairs(eps))
-    p, q = map(np.concatenate, zip(*blocks))
-    core = np.bincount(p, minlength=n) + np.bincount(q, minlength=n) > min_pts
-    core_p, core_q = core.take(p), core.take(q)
-    edge, one = core_p & core_q, core_p != core_q
-    a, b = p[edge], q[edge]
-    u, v, p_core = p[one], q[one], core_p[one]
-    u, v = np.where(p_core, v, u), np.where(p_core, u, v)  # border point u, core point v
-    del p, q, core_p, core_q, edge, one  # only the edges and border pairs go on
+        return noise
+    index = GridIndex(points, cell_size=eps / 2)
+    bound = index.cell_bound
+    size = np.diff(bound)
+    c, d, dist2 = index.cell_pairs(2)
+    if (size + _around(size, c, d)).max() < min_pts:
+        return noise
+    cells = len(size)
+    cell = np.repeat(np.arange(cells), size)
+    xyz = np.ascontiguousarray(points[index.order].T)  # positions in cell order
+    box = (np.minimum.reduceat(xyz, bound[:-1], axis=1),  # each cell's point box
+           np.maximum.reduceat(xyz, bound[:-1], axis=1))
+    r2 = eps * eps
 
-    # label[x] <= x points toward x's root, the smallest position of its tree.
-    # Each round hooks every edge's larger end onto its smaller (at first each
-    # core point onto its smallest core neighbor, then roots onto roots),
-    # jumps every pointer to its root and keeps the edges between two trees.
-    label = np.arange(n, dtype=np.int32)
-    while a.size:
-        np.minimum.at(label, b, a)
-        for _ in range(n.bit_length()):  # 2 ** n.bit_length() > n > any depth
-            label = label.take(label)
-        a, b = label.take(a), label.take(b)
-        keep = a != b
+    # (1), (2): the full cells are all core. The points of the others are
+    # counted over their neighbor cells; the pairs of those that stay below
+    # min_pts are their core candidates as border points
+    whole = np.flatnonzero(dist2 <= 3)
+    whole = whole[_box_d2(box, c.take(whole), d.take(whole), _span) <= r2]
+    wc, wd = c.take(whole), d.take(whole)
+    full = size + _around(size, wc, wd) >= min_pts
+    from_c, from_d = ~full.take(c), ~full.take(d)
+    p, q, _ = _within(xyz, r2, bound, np.arange(n), np.concatenate((c[from_c], d[from_d])),
+                      np.concatenate((d[from_c], c[from_d])))
+    core = full.take(cell) | (size.take(cell) + np.bincount(p, minlength=n) >= min_pts)
+    if not core.any():
+        return noise
+    border = ~core.take(p) & core.take(q)
+    p, q = p[border], q[border]
+
+    # (3): the whole pairs of core cells at once, then the near pairs of
+    # core cells whose trees differ, by rings
+    core_at = np.flatnonzero(core)
+    core_bound = np.searchsorted(core_at, bound)
+    has_core = core_bound[1:] > core_bound[:-1]
+    free = has_core.take(wc) & has_core.take(wd)
+    label = _join(np.arange(cells), wc[free], wd[free])
+    rest = has_core.take(c) & has_core.take(d) & (label.take(c) != label.take(d))
+    c, d, ring = c[rest], d[rest], np.minimum(dist2[rest], 4)
+    for r in range(1, 5):  # face, edge, corner, shell
+        a, b = c[ring == r], d[ring == r]
+        keep = label.take(a) != label.take(b)
         a, b = a[keep], b[keep]
-        a, b = np.minimum(a, b), np.maximum(a, b)
+        keep = _box_d2(box, a, b, _gap) <= r2
+        a, b = a[keep], b[keep]
+        k = np.unique(_within(xyz, r2, core_bound, core_at, a, b)[2])
+        label = _join(label, a[k], b[k])
 
-    # clusters ascend by their smallest core index, as a sequential DBSCAN
-    # numbers them: roots rank below k by it, and ranks >= k mark noise
-    first = np.full(n, n)
-    np.minimum.at(first, label[core], index.order[core])
+    # (4): roots rank below k by their smallest core index, and ranks >= k
+    # mark noise
+    first = np.full(cells, n)
+    np.minimum.at(first, label[cell[core_at]], index.order[core_at])
     k = int(np.count_nonzero(first < n))
-    cluster = np.argsort(np.argsort(first)).take(label)
-    np.minimum.at(cluster, u, cluster.take(v))  # a border point's smallest core neighbor id
+    cluster = np.argsort(np.argsort(first)).take(label).take(cell)
+    np.minimum.at(cluster, p, cluster.take(q))
     cluster[cluster >= k] = NOISE
     cluster_id = np.empty(n, dtype=np.int64)
     cluster_id[index.order] = cluster
     return ClusterAssignment(cluster_id=cluster_id, num_clusters=k)
+
+
+def _around(size, c, d):
+    """Points in each cell's partner cells over the cell pairs (c, d)."""
+    cells = len(size)
+    return np.bincount(c, size.take(d), cells) + np.bincount(d, size.take(c), cells)
+
+
+def _gap(lo_c, hi_c, lo_d, hi_d):
+    """Per axis, the least distance between the two boxes."""
+    return np.maximum(np.maximum(lo_d - hi_c, lo_c - hi_d), 0.0)
+
+
+def _span(lo_c, hi_c, lo_d, hi_d):
+    """Per axis, the greatest distance between the two boxes."""
+    return np.maximum(hi_d - lo_c, hi_c - lo_d)
+
+
+def _box_d2(box, c, d, corners):
+    """d2 between the point boxes of cells c and d, over their nearest
+    (``_gap``) or farthest (``_span``) corners. Each axis term bounds that
+    of every pair of their points, as rounding is monotone, so the sum
+    bounds every measured d2."""
+    lo, hi = box
+    return _d2(*(corners(lo[k].take(c), hi[k].take(c), lo[k].take(d), hi[k].take(d))
+                 for k in range(3)))
+
+
+def _within(xyz, r2, bound, at, c, d):
+    """(p, q, k) for each pair of a member p of cell c[k] and a member q of
+    cell d[k] with d2 <= r2, the members of cell c being the positions
+    at[bound[c]:bound[c + 1]]."""
+    p, k = _members(bound, c)
+    q, kk = _members(bound, d.take(k))
+    p, q, k = at.take(p.take(kk)), at.take(q), k.take(kk)
+    hit = _d2(*(w.take(p) - w.take(q) for w in xyz)) <= r2
+    return p[hit], q[hit], k[hit]
+
+
+def _join(label, a, b):
+    """``label`` with the trees of a[k] and b[k] joined for each k.
+
+    label[c] <= c points toward c's root, the smallest node of its tree.
+    Each round hooks each pair's larger root onto its smaller and jumps
+    every pointer to its root, until no pair joins two trees.
+    """
+    jumps = len(label).bit_length()  # 2 ** jumps > nodes > any depth
+    a, b = label.take(a), label.take(b)
+    while a.size:
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        np.minimum.at(label, b, a)
+        for _ in range(jumps):
+            label = label.take(label)
+        a, b = label.take(a), label.take(b)
+        keep = a != b
+        a, b = a[keep], b[keep]
+    return label
+
+
+def _d2(dx, dy, dz):
+    """dx * dx + dy * dy + dz * dz, summed in x, y, z order like every d2
+    here and in the brute-force reference."""
+    d2 = dx * dx
+    d2 += dy * dy
+    d2 += dz * dz
+    return d2
+
+
+def _members(bound, groups):
+    """Every member of each group g of ``groups`` (group g's members are
+    bound[g]:bound[g + 1]), and the index into ``groups`` it came from."""
+    start = bound.take(groups)
+    lens = bound.take(groups + 1) - start
+    return _ranges(start, lens), np.repeat(np.arange(len(groups)), lens)
 
 
 def largest_cluster(assign: ClusterAssignment) -> int:

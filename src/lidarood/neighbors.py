@@ -3,20 +3,28 @@
 Points are bucketed into cubic cells of side ``cell_size``. Built once per
 point array, the index holds the sorted integer codes of the occupied
 cells, the points ordered by cell (ascending index within a cell) and where
-each cell's points start and end in that order. A ball query scans the cells around
-one centre. The pair enumerator works per point of the cell order: for 5
-of the 9 columns of neighbor cells (three stacked cells, one run of points
-in cell order) it looks up every cell's run at once, expands each point's
-runs into candidate pairs, in blocks of bounded size, and measures them on
-coordinate columns in cell order, filtering by exact Euclidean distance,
-boundary inclusive. Each unordered pair comes once: ``unique_pairs`` gives
-them as positions in cell order (``order`` maps them to indices) for
-``cluster.dbscan``, and ``ball_stats`` adds each to both ends. Its order
-contract: each point's sums take its neighbors one at a time in ascending
-cell order (by cell in lexicographic offset order, then by index), as a
-walk over all 9 columns from the point would, whatever the block size. It
-keeps that order by replaying each hit mirrored for the far point, which
-always comes later in cell order, ahead of that point's own hits.
+each cell's points start and end in that order (``cell_bound``). Cells
+stacked in z have consecutive codes, so a column of them is one run of
+cells and of points, found by two lookups. A cloud whose int64 codes would
+wrap is refused with ``ContractError``.
+
+``cell_pairs`` lists each pair of occupied cells within 1 or 2 cells on
+every axis once, with the squared length of their offset; ``cluster.dbscan``
+counts and joins over them on cells of side eps / 2. A ball query scans the
+cells around one centre. The pair enumerator, which serves only the density
+features, works per point of the cell order: for 5 of the 9 columns of
+neighbor cells (three stacked cells, one run of points in cell order) it
+looks up every cell's run at once, expands each point's runs into candidate
+pairs, in blocks of bounded size, and measures them on coordinate columns in
+cell order, filtering by exact Euclidean distance, boundary inclusive. Each
+unordered pair comes once: ``unique_pairs`` gives them as positions in cell
+order (``order`` maps them to indices), and ``ball_stats`` adds each to
+both ends. Its order contract: each point's sums take its neighbors one at
+a time in ascending cell order (by cell in lexicographic offset order, then
+by index), as a walk over all 9 columns from the point would, whatever the
+block size. It keeps that order by replaying each hit mirrored for the far
+point, which always comes later in cell order, ahead of that point's own
+hits.
 """
 
 from __future__ import annotations
@@ -25,12 +33,30 @@ import itertools
 
 import numpy as np
 
+from .core import ContractError
+
 __all__ = ["GridIndex"]
+
+# largest cell key and cell-box volume (with room for offsets of 2 cells)
+# whose int64 codes cannot wrap
+_KEY_LIMIT = 2.0**62
 
 # candidate pairs per block of ``unique_pairs``: whole points up to about this
 # many, so the distance temporaries stay cache-sized and memory does not
 # grow with the cloud
 _CHUNK = 1 << 15
+
+
+def _half_block(reach: int):
+    """(dx, dy, dz_lo) of the columns of half a block of (2 * reach + 1)**3
+    cells: the cells above in the own column and all of the columns after it
+    in lexicographic order, which give each unordered pair of cells once."""
+    span = range(-reach, reach + 1)
+    dx, dy = np.array([(0, 0), *((a, b) for a in span for b in span if (a, b) > (0, 0))]).T
+    return dx, dy, np.where(dx | dy, -reach, 1)
+
+
+_HALF_BLOCK = {reach: _half_block(reach) for reach in (1, 2)}
 
 # (dx, dy) columns of neighbor cells that give each unordered pair once: the
 # (0, 0) column from each point itself (the later points of its cell and all
@@ -47,30 +73,77 @@ class GridIndex:
             raise ValueError(f"cell_size must be finite and positive, got {cell_size}")
         self.points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         self.cell_size = float(cell_size)
-        keys = np.floor(self.points / self.cell_size).astype(np.int64)
+        # per axis, one contiguous row: reductions along rows are fast
+        keys = np.ascontiguousarray(np.floor(self.points / self.cell_size).T)
+        # an empty cloud gets origin 0 and dims 2
+        lo, hi = (keys.min(axis=1), keys.max(axis=1)) if keys.size else (np.ones(3), np.zeros(3))
+        # the int64 keys and codes, and codes a few cells past the box, must
+        # not wrap: a wrapped code would put distant points in one cell
+        if not (-_KEY_LIMIT <= lo.min() and hi.max() <= _KEY_LIMIT
+                and np.prod(hi - lo + 5) <= _KEY_LIMIT):
+            raise ContractError(f"points span too many cells of size {cell_size} "
+                                "for int64 cell codes")
         # shift occupied cells into [1, dims - 2] per axis, so every cell next
         # to an occupied one has a code of its own
-        self._origin = keys.min(axis=0) - 1 if len(keys) else np.zeros(3, dtype=np.int64)
-        keys -= self._origin
-        self._dims = keys.max(axis=0, initial=0) + 2
-        code = self._encode(*keys.T)
+        self._origin = lo.astype(np.int64) - 1
+        self._dims = (hi - lo).astype(np.int64) + 3
+        code = self._encode(*(keys.astype(np.int64) - self._origin[:, None]))
         self.order = np.argsort(code, kind="stable")
-        self._cell_code, cell_start = np.unique(code[self.order], return_index=True)
-        # cell c holds the points at positions _cell_bound[c]:_cell_bound[c + 1]
-        # of order; a run of cells c..d those at _cell_bound[c]:_cell_bound[d + 1]
-        self._cell_bound = np.append(cell_start, len(keys))
+        code = code[self.order]
+        new = np.empty(len(code), dtype=bool)
+        new[:1] = True
+        np.not_equal(code[1:], code[:-1], out=new[1:])
+        cell_start = np.flatnonzero(new)
+        self._cell_code = code[cell_start]
+        # cell c holds the points at positions cell_bound[c]:cell_bound[c + 1]
+        # of order; a run of cells c..d those at cell_bound[c]:cell_bound[d + 1]
+        self.cell_bound = np.append(cell_start, len(code))
 
     def _encode(self, kx, ky, kz):
         return (kx * self._dims[1] + ky) * self._dims[2] + kz
 
+    def _cell_runs(self, column: np.ndarray, dz_lo, dz_hi) -> tuple[np.ndarray, np.ndarray]:
+        """First and end cell index of the occupied cells dz_lo..dz_hi above
+        each code of ``column``. Cells stacked in z have consecutive codes,
+        so they form one run of cells."""
+        first = np.searchsorted(self._cell_code, column + dz_lo)
+        end = np.searchsorted(self._cell_code, column + dz_hi, side="right")
+        return first, end
+
     def _runs(self, column: np.ndarray, dz_lo, dz_hi) -> tuple[np.ndarray, np.ndarray]:
         """Start and end, in cell order, of the points in cells dz_lo..dz_hi
-        above each column code (the code of a cell at z = 0). Cells stacked
-        in z have consecutive codes, so their points form one run."""
-        bound = self._cell_bound
-        first = bound[np.searchsorted(self._cell_code, column + dz_lo)]
-        end = bound[np.searchsorted(self._cell_code, column + dz_hi, side="right")]
-        return first, end
+        above each column code: a run of cells holds one run of points."""
+        first, end = self._cell_runs(column, dz_lo, dz_hi)
+        return self.cell_bound[first], self.cell_bound[end]
+
+    def cell_pairs(self, reach: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each unordered pair of distinct occupied cells at most ``reach``
+        cells apart on each axis once, as cell indices c < d (cell c holds
+        the points at positions cell_bound[c]:cell_bound[c + 1]), with the
+        squared length of d's offset from c in cells: 1, 2 and 3 are the
+        face, edge and corner neighbors.
+
+        Per cell, each (dx, dy) column of 2 * reach + 1 stacked cells is one
+        run of cells, found by two lookups: the cells above in its own
+        column and the columns after it in lexicographic order. Requires
+        reach <= 2: the one empty margin code per axis then catches every
+        offset that leaves the box of occupied cells, and a run never
+        reaches into the next column.
+        """
+        if reach not in _HALF_BLOCK:
+            raise ValueError(f"reach must be 1 or 2, got {reach}")
+        dx, dy, dz_lo = _HALF_BLOCK[reach]
+        # one row of ascending lookups per column, which searchsorted takes
+        # faster than rows of mixed columns
+        first, end = self._cell_runs(self._cell_code + self._encode(dx, dy, 0)[:, None],
+                                     dz_lo[:, None], reach)
+        lens = end - first
+        d = _ranges(first.ravel(), lens.ravel())
+        c = np.repeat(np.tile(np.arange(len(self._cell_code)), len(dx)), lens.ravel())
+        kz = self._cell_code % self._dims[2]
+        dz = kz.take(d) - kz.take(c)
+        dist2 = np.repeat(dx * dx + dy * dy, lens.sum(axis=1)) + dz * dz
+        return c, d, dist2
 
     def query_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Indices of all points with Euclidean distance <= radius of center. No
@@ -109,7 +182,7 @@ class GridIndex:
         # z - 1, z, z + 1 of one column are one run of q, in offset order
         x, y, z = np.ascontiguousarray(self.points[self.order].T)
         n = len(x)
-        cell = np.repeat(np.arange(len(self._cell_code)), np.diff(self._cell_bound))
+        cell = np.repeat(np.arange(len(self._cell_code)), np.diff(self.cell_bound))
         first, end = np.stack([self._runs(self._cell_code + self._encode(dx, dy, 0), -1, 1)
                                for dx, dy in _HALF_COLUMNS], axis=1)
         # a point's candidates: its cell's runs, less the (0, 0) run before it

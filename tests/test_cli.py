@@ -219,6 +219,23 @@ class TestBadInput:
         self.assert_one_line_error(capsys)
         assert not list(out.glob("*.score"))
 
+    def test_point_beyond_int64_cells(self, pipeline, tmp_path, capsys):
+        """A finite x of 1e20 has no int64 cell key: score refuses the cloud."""
+        data = tmp_path / "data"
+        data.mkdir()
+        for src in sorted((pipeline / "eval").glob("scene_*")):
+            (data / src.name).write_bytes(src.read_bytes())
+        cloud = sorted(data.glob("*.bin"))[0]
+        records = np.fromfile(cloud, dtype="<f4").reshape(-1, 4)
+        records[3, 0] = 1e20
+        records.tofile(cloud)
+        out = tmp_path / "s"
+        capsys.readouterr()
+        assert main(["score", "--data", str(data), "--ckpt", str(pipeline / "model.ckpt"),
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys)
+        assert not list(out.glob("*.score"))
+
     def test_gamma_from_tpr_with_every_point_ignored(self, pipeline, tmp_path, capsys):
         """Calibrating gamma needs an OOD point outside the ignore mask; an
         all-ignore label set has none and is refused."""

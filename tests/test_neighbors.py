@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lidarood import neighbors
+from lidarood.core import ContractError
 from lidarood.neighbors import GridIndex
 from lidarood.scenes import SceneConfig, default_budget, generate_scene
 
@@ -168,8 +169,10 @@ class TestPairs:
 
 
 class TestUniquePairs:
-    """The pairs ``cluster.dbscan`` reads: positions in cell order, mapped
-    to indices here through ``GridIndex.order``."""
+    """The unordered pairs behind ``ball_stats``, which only the density
+    features read (``cluster.dbscan`` joins cells, ``TestCellPairs``):
+    positions in cell order, mapped to indices here through
+    ``GridIndex.order``."""
 
     @staticmethod
     def chunks(points, radius, cell_size):
@@ -232,6 +235,70 @@ class TestUniquePairs:
     def test_radius_larger_than_cell_rejected(self):
         with pytest.raises(ValueError):
             next(GridIndex(np.zeros((2, 3)), cell_size=0.5).unique_pairs(0.6))
+
+
+def thin_clouds():
+    """A row of cells along x and a column of cells along z: one occupied
+    cell thick on two axes, where a run of reach 2 crosses the margin."""
+    rng = np.random.default_rng(4)
+    t = rng.uniform(0, 3, size=(60, 1))
+    return np.r_[np.c_[t, np.zeros((60, 2))], np.c_[np.full((60, 2), 5.0), t]]
+
+
+class TestCellPairs:
+    """The cell pairs ``cluster.dbscan`` counts and joins over."""
+
+    @staticmethod
+    def brute_force(index, reach):
+        """(c, d, squared offset) of every cell pair c < d within reach."""
+        points = index.points[index.order][index.cell_bound[:-1]]
+        keys = np.floor(points / index.cell_size).astype(np.int64)
+        offset = keys[None] - keys[:, None]
+        within = (np.abs(offset).max(axis=2) <= reach) & np.triu(np.ones(len(keys), bool), 1)
+        c, d = np.nonzero(within)
+        return c, d, (offset[c, d] ** 2).sum(axis=1)
+
+    @pytest.mark.parametrize("make_points", [*CLOUDS, pytest.param(thin_clouds, id="thin")])
+    @pytest.mark.parametrize("reach", [1, 2])
+    def test_each_pair_within_reach_once(self, make_points, reach):
+        index = GridIndex(make_points(), cell_size=0.25)
+        got = sorted(zip(*(a.tolist() for a in index.cell_pairs(reach))))
+        want = sorted(zip(*(a.tolist() for a in self.brute_force(index, reach))))
+        assert got == want
+
+    def test_single_cell_has_no_pairs(self):
+        c, d, dist2 = GridIndex(np.zeros((5, 3)), cell_size=0.25).cell_pairs(2)
+        assert c.size == d.size == dist2.size == 0
+
+    @pytest.mark.parametrize("reach", [0, 3])
+    def test_reach_beyond_the_margin_rejected(self, reach):
+        with pytest.raises(ValueError):
+            GridIndex(np.zeros((2, 3)), cell_size=0.5).cell_pairs(reach)
+
+
+class TestCellCodeRange:
+    """Cell keys and codes are int64; a cloud whose codes would wrap is
+    refused, since a wrapped code puts distant points in one cell."""
+
+    @pytest.mark.parametrize("far", [1e20, -1e20])
+    def test_key_beyond_int64_rejected(self, far):
+        points = np.zeros((3, 3))
+        points[1, 0] = far
+        with pytest.raises(ContractError, match="cell"):
+            GridIndex(points, cell_size=0.5)
+
+    def test_box_of_too_many_cells_rejected(self):
+        """2**21 cells per axis: the box holds 2**63 codes."""
+        points = np.array([[0.0, 0, 0], [2.0**21, 2.0**21, 2.0**21]])
+        with pytest.raises(ContractError, match="cell"):
+            GridIndex(points, cell_size=1.0)
+
+    def test_long_row_of_cells_kept(self):
+        """2**40 cells on one axis and one on the others fit."""
+        points = np.array([[0.0, 0, 0], [2.0**40, 0, 0]])
+        index = GridIndex(points, cell_size=1.0)
+        np.testing.assert_array_equal(index.cell_bound, [0, 1, 2])
+        assert index.query_ball(points[1], 0.5).tolist() == [1]
 
 
 class TestBallStats:

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestExtractFeatures:
     def test_empty_cloud_rejected(self):
         with pytest.raises(ContractError):
             extract_features(PointCloud(points=np.empty((0, 3))))
+
+    def test_point_beyond_int64_cells_rejected_without_warning(self):
+        """x = 1e20 has a cell key past int64: the index refuses the cloud
+        before a cast that would warn and wrap the key."""
+        points = np.zeros((4, 3))
+        points[2, 0] = 1e20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="cell"):
+                extract_features(PointCloud(points=points))
 
     def test_bytes_pinned_at_20k_points(self):
         """The features of one CLI-default scene, to the byte. The hash was
