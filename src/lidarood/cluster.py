@@ -5,27 +5,32 @@ Semantics: a core point has at least ``min_pts`` neighbors within ``eps``
 density-connected sets of core points plus the border points they reach.
 
 Exact grid DBSCAN (Gunawan 2013; Gan & Tao, "DBSCAN revisited", SIGMOD
-2015) in array form, on the cells of side eps / 2 of one ``GridIndex``. A
-cell's diagonal is 0.87 eps, so its points are mutual neighbors, and every
-neighbor of a point lies in the 5 x 5 x 5 cells around its own. Cells, not
-points, are counted and joined:
+2015) in array form, on the cells of one ``GridIndex`` a hair wider than
+eps / 2. A cell's diagonal is 0.87 eps, so its points are mutual
+neighbors, and every neighbor of a point lies in the 5 x 5 x 5 cells around
+its own. Cells, not points, are counted and joined:
 
-1. a cell of ``min_pts`` points is all core, with no distance measured;
-2. so is a cell that holds ``min_pts`` together with its face, edge and
-   corner cells whose point boxes lie wholly within eps of its own box. The
-   farthest corners bound every measured d2, as rounding is monotone. Only
-   the points of the other cells are counted pair by pair;
+1. a point counts its own cell's points, and those of its face, edge and
+   corner cells whose point boxes lie wholly within eps of its cell's box,
+   with no distance measured (the farthest corners bound every measured
+   d2, as rounding is monotone). A cell whose points reach ``min_pts`` so
+   is full: all core;
+2. the points of the other cells count the rest pair by pair, in blocks
+   of bounded size, each pair measured once and counted at both ends, over
+   only the cell pairs with a cell neither full nor hopeless (one whose
+   5 x 5 x 5 block holds fewer than ``min_pts`` points);
 3. a cell's core points form one component. Cells join over pairs of core
    points within eps: first the face, edge and corner pairs wholly within
    eps, with nothing measured, then in rounds of offsets nearest first
-   (face, edge, corner, then the shell at 2), each measuring only the cell
-   pairs whose trees still differ, by min-label hooking with pointer
-   jumping (Shiloach & Vishkin 1982);
+   (face, edge, corner, then the shell at 2), each measuring only the core
+   points of the cell pairs whose trees still differ and whose boxes lie
+   within eps, by min-label hooking with pointer jumping (Shiloach &
+   Vishkin 1982);
 4. clusters are numbered by their smallest core index. DBSCAN leaves border
    ownership open; here a border point joins the smallest cluster id among
-   its own cell's core points and its measured core neighbors, as a
-   sequential DBSCAN growing clusters from seeds in ascending index order
-   does.
+   its core neighbors, as a sequential DBSCAN growing clusters from seeds
+   in ascending index order does: those of its own and its wholly-within
+   cells per cell, the others measured, non-core against core points only.
 
 Output is a deterministic function of the input ordering; fewer points than
 ``min_pts`` are all noise, with no index built, and so is a cloud in which
@@ -39,11 +44,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError
-from .neighbors import GridIndex, _ranges
+from .neighbors import GridIndex
 
 __all__ = ["ClusterAssignment", "dbscan", "largest_cluster"]
 
 NOISE = -1
+
+# cells are this much wider than eps / 2: a pair 3 cells apart on an axis is
+# then farther than eps by more than the rounding of its keys and of its
+# distance, so its computed d2 never rounds down to eps * eps
+_WIDEN = 1 + 2.0**-20
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,60 +80,77 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     noise = ClusterAssignment(cluster_id=np.full(n, NOISE, dtype=np.int64), num_clusters=0)
     if n < min_pts:  # no point can have min_pts neighbors
         return noise
-    index = GridIndex(points, cell_size=eps / 2)
-    bound = index.cell_bound
-    size = np.diff(bound)
-    c, d, dist2 = index.cell_pairs(2)
-    if (size + _around(size, c, d)).max() < min_pts:
+    index = GridIndex(points, cell_size=eps / 2 * _WIDEN)
+    size = np.diff(index.cell_bound)
+    c, d, dist2 = index.cell_pairs()
+    # a cell whose 5 x 5 x 5 block holds fewer than min_pts points has no
+    # core point
+    hopeful = size + _around(size, c, d) >= min_pts
+    if not hopeful.any():
         return noise
     cells = len(size)
-    cell = np.repeat(np.arange(cells), size)
-    xyz = np.ascontiguousarray(points[index.order].T)  # positions in cell order
-    box = (np.minimum.reduceat(xyz, bound[:-1], axis=1),  # each cell's point box
-           np.maximum.reduceat(xyz, bound[:-1], axis=1))
+    cell = np.repeat(np.arange(cells), size)  # positions in cell order
     r2 = eps * eps
 
-    # (1), (2): the full cells are all core. The points of the others are
-    # counted over their neighbor cells; the pairs of those that stay below
-    # min_pts are their core candidates as border points
-    whole = np.flatnonzero(dist2 <= 3)
-    whole = whole[_box_d2(box, c.take(whole), d.take(whole), _span) <= r2]
-    wc, wd = c.take(whole), d.take(whole)
-    full = size + _around(size, wc, wd) >= min_pts
-    from_c, from_d = ~full.take(c), ~full.take(d)
-    p, q, _ = _within(xyz, r2, bound, np.arange(n), np.concatenate((c[from_c], d[from_d])),
-                      np.concatenate((d[from_c], c[from_d])))
-    core = full.take(cell) | (size.take(cell) + np.bincount(p, minlength=n) >= min_pts)
+    # (1), (2): a point's neighbors in its own cell and in the cells wholly
+    # within eps of it are counted per cell; a cell of min_pts with those is
+    # full, all core. The rest are measured block by block, only over the
+    # cell pairs with a hopeful cell not full, and counted at both ends.
+    whole = np.zeros(len(c), dtype=bool)
+    touch = np.flatnonzero(dist2 <= 3)  # face, edge and corner pairs
+    whole[touch] = index.box_d2(c.take(touch), d.take(touch), farthest=True) <= r2
+    wc, wd = c[whole], d[whole]
+    known = size + _around(size, wc, wd)
+    count = known.take(cell)
+    full = known >= min_pts
+    counted = hopeful & ~full
+    measure = ~whole & (counted.take(c) | counted.take(d))
+    for p, q, _ in index.cell_pair_hits(c[measure], d[measure], eps):
+        np.add.at(count, p, 1)
+        np.add.at(count, q, 1)
+    core = count >= min_pts
     if not core.any():
         return noise
-    border = ~core.take(p) & core.take(q)
-    p, q = p[border], q[border]
 
     # (3): the whole pairs of core cells at once, then the near pairs of
     # core cells whose trees differ, by rings
     core_at = np.flatnonzero(core)
-    core_bound = np.searchsorted(core_at, bound)
-    has_core = core_bound[1:] > core_bound[:-1]
+    has_core = np.logical_or.reduceat(core, index.cell_bound[:-1])
     free = has_core.take(wc) & has_core.take(wd)
     label = _join(np.arange(cells), wc[free], wd[free])
     rest = has_core.take(c) & has_core.take(d) & (label.take(c) != label.take(d))
-    c, d, ring = c[rest], d[rest], np.minimum(dist2[rest], 4)
+    a, b, ring = c[rest], d[rest], np.minimum(dist2[rest], 4)
     for r in range(1, 5):  # face, edge, corner, shell
-        a, b = c[ring == r], d[ring == r]
-        keep = label.take(a) != label.take(b)
-        a, b = a[keep], b[keep]
-        keep = _box_d2(box, a, b, _gap) <= r2
-        a, b = a[keep], b[keep]
-        k = np.unique(_within(xyz, r2, core_bound, core_at, a, b)[2])
-        label = _join(label, a[k], b[k])
+        ra, rb = a[ring == r], b[ring == r]
+        keep = label.take(ra) != label.take(rb)
+        ra, rb = ra[keep], rb[keep]
+        keep = index.box_d2(ra, rb) <= r2
+        ra, rb = ra[keep], rb[keep]
+        joins = np.zeros(len(ra), dtype=bool)
+        for _, _, k in index.cell_pair_hits(ra, rb, eps, core_at, core_at):
+            joins[k] = True
+        label = _join(label, ra[joins], rb[joins])
 
     # (4): roots rank below k by their smallest core index, and ranks >= k
-    # mark noise
+    # (the cells without core points) mark noise. A core point takes its
+    # cell's cluster; a point that is not, the smallest of its own cell's,
+    # its whole partner cells' and its measured core neighbors' clusters.
     first = np.full(cells, n)
     np.minimum.at(first, label[cell[core_at]], index.order[core_at])
     k = int(np.count_nonzero(first < n))
-    cluster = np.argsort(np.argsort(first)).take(label).take(cell)
-    np.minimum.at(cluster, p, cluster.take(q))
+    own = np.argsort(np.argsort(first)).take(label)
+    best = own.copy()
+    np.minimum.at(best, wc, own.take(wd))
+    np.minimum.at(best, wd, own.take(wc))
+    cluster = np.where(core, own.take(cell), best.take(cell))
+    open_at = np.flatnonzero(~core)
+    has_open = ~np.logical_and.reduceat(core, index.cell_bound[:-1])
+    to_d = ~whole & has_open.take(c) & has_core.take(d)
+    to_c = ~whole & has_core.take(c) & has_open.take(d)
+    for p, q, _ in index.cell_pair_hits(np.concatenate((c[to_d], d[to_c])),
+                                        np.concatenate((d[to_d], c[to_c])), eps,
+                                        open_at, core_at):
+        np.minimum.at(cluster, p, cluster.take(q))
     cluster[cluster >= k] = NOISE
     cluster_id = np.empty(n, dtype=np.int64)
     cluster_id[index.order] = cluster
@@ -133,38 +160,8 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
 def _around(size, c, d):
     """Points in each cell's partner cells over the cell pairs (c, d)."""
     cells = len(size)
-    return np.bincount(c, size.take(d), cells) + np.bincount(d, size.take(c), cells)
-
-
-def _gap(lo_c, hi_c, lo_d, hi_d):
-    """Per axis, the least distance between the two boxes."""
-    return np.maximum(np.maximum(lo_d - hi_c, lo_c - hi_d), 0.0)
-
-
-def _span(lo_c, hi_c, lo_d, hi_d):
-    """Per axis, the greatest distance between the two boxes."""
-    return np.maximum(hi_d - lo_c, hi_c - lo_d)
-
-
-def _box_d2(box, c, d, corners):
-    """d2 between the point boxes of cells c and d, over their nearest
-    (``_gap``) or farthest (``_span``) corners. Each axis term bounds that
-    of every pair of their points, as rounding is monotone, so the sum
-    bounds every measured d2."""
-    lo, hi = box
-    return _d2(*(corners(lo[k].take(c), hi[k].take(c), lo[k].take(d), hi[k].take(d))
-                 for k in range(3)))
-
-
-def _within(xyz, r2, bound, at, c, d):
-    """(p, q, k) for each pair of a member p of cell c[k] and a member q of
-    cell d[k] with d2 <= r2, the members of cell c being the positions
-    at[bound[c]:bound[c + 1]]."""
-    p, k = _members(bound, c)
-    q, kk = _members(bound, d.take(k))
-    p, q, k = at.take(p.take(kk)), at.take(q), k.take(kk)
-    hit = _d2(*(w.take(p) - w.take(q) for w in xyz)) <= r2
-    return p[hit], q[hit], k[hit]
+    around = np.bincount(c, size.take(d), cells) + np.bincount(d, size.take(c), cells)
+    return around.astype(np.int64)  # whole numbers far below 2**53
 
 
 def _join(label, a, b):
@@ -185,23 +182,6 @@ def _join(label, a, b):
         keep = a != b
         a, b = a[keep], b[keep]
     return label
-
-
-def _d2(dx, dy, dz):
-    """dx * dx + dy * dy + dz * dz, summed in x, y, z order like every d2
-    here and in the brute-force reference."""
-    d2 = dx * dx
-    d2 += dy * dy
-    d2 += dz * dz
-    return d2
-
-
-def _members(bound, groups):
-    """Every member of each group g of ``groups`` (group g's members are
-    bound[g]:bound[g + 1]), and the index into ``groups`` it came from."""
-    start = bound.take(groups)
-    lens = bound.take(groups + 1) - start
-    return _ranges(start, lens), np.repeat(np.arange(len(groups)), lens)
 
 
 def largest_cluster(assign: ClusterAssignment) -> int:

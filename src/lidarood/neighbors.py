@@ -6,21 +6,27 @@ cells, the points ordered by cell (ascending index within a cell) and where
 each cell's points start and end in that order (``cell_bound``). Cells
 stacked in z have consecutive codes, so a column of them is one run of
 cells and of points, found by two lookups. A cloud whose int64 codes would
-wrap is refused with ``ContractError``.
+wrap, or whose float keys are too large to be exact to 2**-23 of a cell,
+is refused with ``ContractError``.
 
-``cell_pairs`` lists each pair of occupied cells within 1 or 2 cells on
-every axis once, with the squared length of their offset; ``cluster.dbscan``
-counts and joins over them on cells of side eps / 2. A ball query scans the
-cells around one centre. The pair enumerator, which serves only the density
-features, works per point of the cell order: for 5 of the 9 columns of
-neighbor cells (three stacked cells, one run of points in cell order) it
-looks up every cell's run at once, expands each point's runs into candidate
-pairs, in blocks of bounded size, and measures them on coordinate columns in
-cell order, filtering by exact Euclidean distance, boundary inclusive. Each
-unordered pair comes once: ``unique_pairs`` gives them as positions in cell
-order (``order`` maps them to indices), and ``ball_stats`` adds each to
-both ends. Its order contract: each point's sums take its neighbors one at
-a time in ascending cell order (by cell in lexicographic offset order, then
+``cell_pairs`` lists each pair of occupied cells within 2 cells on every
+axis once, with the squared length of their offset; ``cell_pair_hits``
+measures the point pairs of given cell pairs in blocks of bounded size,
+and ``box_d2`` bounds them per cell pair from the cells' point boxes.
+``cluster.dbscan`` counts and joins over them on cells of side eps / 2.
+A ball query scans the cells around one centre. Every squared distance is
+summed in x, y, z order (``_d2``).
+
+The pair enumerator, which serves only the density features, works per
+point of the cell order: for 5 of the 9 columns of neighbor cells (three
+stacked cells, one run of points in cell order) it looks up every cell's
+run at once, expands each point's runs into candidate pairs, in blocks of
+bounded size, and measures them on coordinate columns in cell order,
+filtering by exact Euclidean distance, boundary inclusive. Each unordered
+pair comes once: ``unique_pairs`` gives them as positions in cell order
+(``order`` maps them to indices), and ``ball_stats`` adds each to both
+ends. Its order contract: each point's sums take its neighbors one at a
+time in ascending cell order (by cell in lexicographic offset order, then
 by index), as a walk over all 9 columns from the point would, whatever the
 block size. It keeps that order by replaying each hit mirrored for the far
 point, which always comes later in cell order, ahead of that point's own
@@ -30,6 +36,7 @@ hits.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -37,26 +44,34 @@ from .core import ContractError
 
 __all__ = ["GridIndex"]
 
-# largest cell key and cell-box volume (with room for offsets of 2 cells)
-# whose int64 codes cannot wrap
-_KEY_LIMIT = 2.0**62
+# largest cell key magnitude: float64 keeps 53 bits, so a key this large is
+# within 2**-23 of a cell of its exact quotient (dbscan's cells are wider
+# than eps / 2 by more than that)
+_KEY_LIMIT = 2.0**30
 
-# candidate pairs per block of ``unique_pairs``: whole points up to about this
-# many, so the distance temporaries stay cache-sized and memory does not
-# grow with the cloud
+# largest cell-box volume (with room for offsets of 2 cells) whose int64
+# codes cannot wrap
+_CODE_LIMIT = 2.0**62
+
+# candidate pairs per block of ``unique_pairs`` and ``cell_pair_hits``: whole
+# points or cell pairs up to about this many, so the distance temporaries stay
+# cache-sized and memory does not grow with the cloud
 _CHUNK = 1 << 15
 
+# ``cell_pairs`` lists the cell pairs within this many cells on every axis
+_REACH = 2
 
-def _half_block(reach: int):
-    """(dx, dy, dz_lo) of the columns of half a block of (2 * reach + 1)**3
-    cells: the cells above in the own column and all of the columns after it
-    in lexicographic order, which give each unordered pair of cells once."""
-    span = range(-reach, reach + 1)
+
+def _half_block():
+    """(dx, dy, dz_lo) of the columns of half the 5 x 5 x 5 block of cells:
+    the cells above in the own column and all of the columns after it in
+    lexicographic order, which give each unordered pair of cells once."""
+    span = range(-_REACH, _REACH + 1)
     dx, dy = np.array([(0, 0), *((a, b) for a in span for b in span if (a, b) > (0, 0))]).T
-    return dx, dy, np.where(dx | dy, -reach, 1)
+    return dx, dy, np.where(dx | dy, -_REACH, 1)
 
 
-_HALF_BLOCK = {reach: _half_block(reach) for reach in (1, 2)}
+_HALF_DX, _HALF_DY, _HALF_DZ_LO = _half_block()
 
 # (dx, dy) columns of neighbor cells that give each unordered pair once: the
 # (0, 0) column from each point itself (the later points of its cell and all
@@ -77,12 +92,13 @@ class GridIndex:
         keys = np.ascontiguousarray(np.floor(self.points / self.cell_size).T)
         # an empty cloud gets origin 0 and dims 2
         lo, hi = (keys.min(axis=1), keys.max(axis=1)) if keys.size else (np.ones(3), np.zeros(3))
-        # the int64 keys and codes, and codes a few cells past the box, must
-        # not wrap: a wrapped code would put distant points in one cell
+        # the keys must stay precise and the int64 codes, also a few cells
+        # past the box, must not wrap: either would put distant points in
+        # one cell
         if not (-_KEY_LIMIT <= lo.min() and hi.max() <= _KEY_LIMIT
-                and np.prod(hi - lo + 5) <= _KEY_LIMIT):
+                and np.prod(hi - lo + 5) <= _CODE_LIMIT):
             raise ContractError(f"points span too many cells of size {cell_size} "
-                                "for int64 cell codes")
+                                "for exact int64 cell codes")
         # shift occupied cells into [1, dims - 2] per axis, so every cell next
         # to an occupied one has a code of its own
         self._origin = lo.astype(np.int64) - 1
@@ -116,34 +132,96 @@ class GridIndex:
         first, end = self._cell_runs(column, dz_lo, dz_hi)
         return self.cell_bound[first], self.cell_bound[end]
 
-    def cell_pairs(self, reach: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each unordered pair of distinct occupied cells at most ``reach``
-        cells apart on each axis once, as cell indices c < d (cell c holds
-        the points at positions cell_bound[c]:cell_bound[c + 1]), with the
+    def cell_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each unordered pair of distinct occupied cells at most 2 cells
+        apart on each axis once, as cell indices c < d (cell c holds the
+        points at positions cell_bound[c]:cell_bound[c + 1]), with the
         squared length of d's offset from c in cells: 1, 2 and 3 are the
         face, edge and corner neighbors.
 
-        Per cell, each (dx, dy) column of 2 * reach + 1 stacked cells is one
-        run of cells, found by two lookups: the cells above in its own
-        column and the columns after it in lexicographic order. Requires
-        reach <= 2: the one empty margin code per axis then catches every
-        offset that leaves the box of occupied cells, and a run never
-        reaches into the next column.
+        Per cell, each (dx, dy) column of 5 stacked cells is one run of
+        cells, found by two lookups: the cells above in its own column and
+        the columns after it in lexicographic order. The one empty margin
+        code per axis catches every offset that leaves the box of occupied
+        cells, and a run never reaches into the next column.
         """
-        if reach not in _HALF_BLOCK:
-            raise ValueError(f"reach must be 1 or 2, got {reach}")
-        dx, dy, dz_lo = _HALF_BLOCK[reach]
         # one row of ascending lookups per column, which searchsorted takes
         # faster than rows of mixed columns
-        first, end = self._cell_runs(self._cell_code + self._encode(dx, dy, 0)[:, None],
-                                     dz_lo[:, None], reach)
+        first, end = self._cell_runs(self._cell_code + self._encode(_HALF_DX, _HALF_DY, 0)[:, None],
+                                     _HALF_DZ_LO[:, None], _REACH)
         lens = end - first
         d = _ranges(first.ravel(), lens.ravel())
-        c = np.repeat(np.tile(np.arange(len(self._cell_code)), len(dx)), lens.ravel())
+        c = np.repeat(np.tile(np.arange(len(self._cell_code)), len(_HALF_DX)), lens.ravel())
         kz = self._cell_code % self._dims[2]
         dz = kz.take(d) - kz.take(c)
-        dist2 = np.repeat(dx * dx + dy * dy, lens.sum(axis=1)) + dz * dz
+        dist2 = np.repeat(_HALF_DX * _HALF_DX + _HALF_DY * _HALF_DY, lens.sum(axis=1)) + dz * dz
         return c, d, dist2
+
+    @cached_property
+    def _xyz(self) -> np.ndarray:
+        """The coordinates in cell order, one contiguous row per axis."""
+        return np.ascontiguousarray(self.points[self.order].T)
+
+    @cached_property
+    def _boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per axis and cell, the least and greatest coordinate of its points."""
+        start = self.cell_bound[:-1]
+        return (np.minimum.reduceat(self._xyz, start, axis=1),
+                np.maximum.reduceat(self._xyz, start, axis=1))
+
+    def box_d2(self, c: np.ndarray, d: np.ndarray, farthest: bool = False) -> np.ndarray:
+        """Squared distance between the point boxes of cells c and d, over
+        their nearest corners, or their farthest with ``farthest``. Each
+        axis term bounds that of every pair of their points, as rounding is
+        monotone, so the sum bounds every d2 ``cell_pair_hits`` measures."""
+        lo, hi = self._boxes
+        axes = []
+        for k in range(3):
+            lo_c, hi_c, lo_d, hi_d = lo[k].take(c), hi[k].take(c), lo[k].take(d), hi[k].take(d)
+            if farthest:
+                axes.append(np.maximum(hi_d - lo_c, hi_c - lo_d))
+            else:
+                axes.append(np.maximum(np.maximum(lo_d - hi_c, lo_c - hi_d), 0.0))
+        return _d2(*axes)
+
+    def cell_pair_hits(self, c: np.ndarray, d: np.ndarray, radius: float,
+                       among_c: np.ndarray | None = None, among_d: np.ndarray | None = None):
+        """Yield (p, q, k) per block of consecutive cell pairs (c[k], d[k]):
+        each point p of cell c[k] and point q of cell d[k] within radius,
+        boundary inclusive, as positions in cell order, by ascending k.
+        ``among_c`` and ``among_d``, ascending positions in cell order, limit
+        p and q to those points. A block holds whole cell pairs up to about
+        ``_CHUNK`` candidates.
+        """
+        # the members of cell e are among[bound[e]:bound[e + 1]], or the
+        # positions bound[e]:bound[e + 1] themselves
+        bound_c, bound_d = (self.cell_bound if among is None else
+                            np.searchsorted(among, self.cell_bound) for among in (among_c, among_d))
+        size_c, size_d = np.diff(bound_c), np.diff(bound_d)
+        cand = size_c.take(c)
+        cand *= size_d.take(d)
+        x, y, z = self._xyz
+        r2 = radius * radius
+        for lo, hi in _blocks(cand):
+            # a row per member p of cell c[k]: p and the run of d[k]'s members
+            cc = c[lo:hi]
+            rows = size_c.take(cc)
+            rows_p = _ranges(bound_c.take(cc), rows)
+            rows_k = np.repeat(np.arange(len(cc)), rows)
+            dd = d[lo:hi].take(rows_k)
+            start, lens = bound_d.take(dd), size_d.take(dd)
+            # whole rows, so one cell pair of more candidates is split too
+            for rlo, rhi in _blocks(lens):
+                span = lens[rlo:rhi]
+                q = _ranges(start[rlo:rhi], span)
+                p, k = rows_p[rlo:rhi].repeat(span), rows_k[rlo:rhi].repeat(span)
+                if among_c is not None:
+                    p = among_c.take(p)
+                if among_d is not None:
+                    q = among_d.take(q)
+                hit = np.flatnonzero(_d2(x.take(p) - x.take(q), y.take(p) - y.take(q),
+                                         z.take(p) - z.take(q)) <= r2)
+                yield p.take(hit), q.take(hit), k.take(hit) + lo
 
     def query_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Indices of all points with Euclidean distance <= radius of center. No
@@ -180,15 +258,13 @@ class GridIndex:
         # p and q below are positions in cell order, where a cell's points
         # are contiguous and ascend by index; a point's neighbor cells
         # z - 1, z, z + 1 of one column are one run of q, in offset order
-        x, y, z = np.ascontiguousarray(self.points[self.order].T)
+        x, y, z = self._xyz
         n = len(x)
         cell = np.repeat(np.arange(len(self._cell_code)), np.diff(self.cell_bound))
         first, end = np.stack([self._runs(self._cell_code + self._encode(dx, dy, 0), -1, 1)
                                for dx, dy in _HALF_COLUMNS], axis=1)
         # a point's candidates: its cell's runs, less the (0, 0) run before it
         per_point = (end - first).sum(axis=0)[cell] + first[0, cell] - np.arange(n)
-        cand = np.concatenate(([0], np.cumsum(per_point)))  # point -> first candidate
-        cuts = np.unique(np.searchsorted(cand, np.arange(_CHUNK, cand[-1], _CHUNK)))
 
         def block(lo, hi):
             rows = np.arange(lo, hi)
@@ -197,22 +273,13 @@ class GridIndex:
             span = end[:, cell[lo:hi]] - q_row
             q = _ranges(q_row.ravel(), span.ravel())
             p = np.repeat(np.tile(rows, len(_HALF_COLUMNS)), span.ravel())
-            # summed in x, y, z order; another order can round a pair at
-            # d == radius to the other side. The mirror pair (q, p) has the
-            # same d2: x[q] - x[p] is exactly -(x[p] - x[q]).
-            d2 = x[p]
-            d2 -= x[q]
-            d2 *= d2
-            for w in (y, z):
-                dw = w[p]
-                dw -= w[q]
-                dw *= dw
-                d2 += dw
-            hit = np.flatnonzero(d2 <= radius * radius)
+            # the mirror pair (q, p) has the same d2: x[q] - x[p] is exactly
+            # -(x[p] - x[q])
+            hit = np.flatnonzero(_d2(x[p] - x[q], y[p] - y[q], z[p] - z[q]) <= radius * radius)
             cut = np.searchsorted(hit, np.cumsum(span.sum(axis=1)))
             return p[hit], q[hit], [0, *cut]
 
-        for lo, hi in itertools.pairwise([0, *cuts, n]):
+        for lo, hi in _blocks(per_point):
             yield block(lo, hi)
 
     def _ordered_pairs(self, radius: float):
@@ -269,6 +336,27 @@ class GridIndex:
         out_counts[self.order] = counts
         out_zvar[self.order] = zvar
         return out_counts, out_zvar
+
+
+def _d2(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """dx * dx + dy * dy + dz * dz, in place in dx. Every squared distance
+    here is summed in this x, y, z order, as the brute-force references sum
+    theirs: another order can round a pair at d == radius to the other side."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dz *= dz
+    dx += dz
+    return dx
+
+
+def _blocks(counts: np.ndarray):
+    """(lo, hi) of consecutive runs of items, whole items up to about
+    ``_CHUNK`` of ``counts`` per run."""
+    cum = np.concatenate(([0], np.cumsum(counts)))
+    cuts = np.unique(np.searchsorted(cum, np.arange(_CHUNK, cum[-1], _CHUNK)))
+    return itertools.pairwise([0, *cuts, len(counts)])
+
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """arange(s, s + n) for each (s, n) of starts and lens, concatenated."""

@@ -79,6 +79,17 @@ def flagged_points(seed=5, points=20000, extent=12.0):
     return points[z > np.quantile(z, 0.79)]
 
 
+def rounding_ties(lo, hi):
+    """Three pairs, along x, y and z, 10 apart: hi - lo is a hair above 0.5
+    but rounds to exactly 0.5, so each pair are neighbors at eps 0.5, yet
+    floor(x / 0.25) puts them 3 cells of exactly eps / 2 apart."""
+    points = np.zeros((6, 3))
+    for axis in range(3):
+        points[2 * axis:2 * axis + 2, axis] = lo, hi
+        points[2 * axis:2 * axis + 2, (axis + 1) % 3] = 10.0 * (axis + 1)
+    return points
+
+
 def lattice_points():
     """45 % of a 16 x 16 x 3 lattice of spacing 0.25: at eps 0.25 every
     neighbor lies at exactly d == eps."""
@@ -149,6 +160,8 @@ class TestDbscan:
         *(pytest.param(partial(random_points, seed), id=str(seed)) for seed in range(10)),
         pytest.param(scrambled_chain, id="scrambled-chain"),
         pytest.param(scene_points, id="scene"),
+        pytest.param(partial(rounding_ties, 0.25 - 2**-55, 0.75), id="eps-tie-keys-0-and-3"),
+        pytest.param(partial(rounding_ties, 0.5 - 2**-54, 1.0), id="eps-tie-keys-1-and-4"),
     ])
     def test_matches_brute_force(self, make_points):
         """Exact partition equality (same ids) with the reference across an
@@ -323,15 +336,18 @@ class TestPinnedPartitions:
 
 
 class TestMemory:
-    @pytest.mark.parametrize("points, bound_mb", [
-        pytest.param(20000, 10.0, id="top-21%-of-20k"),    # 4.2k points, 50k pairs
-        pytest.param(100000, 40.0, id="top-21%-of-100k"),  # 21k points, 2.2M pairs
+    @pytest.mark.parametrize("points, min_pts, bound_mb", [
+        pytest.param(20000, 5, 10.0, id="top-21%-of-20k"),    # 4.2k points, 50k pairs
+        pytest.param(100000, 5, 40.0, id="top-21%-of-100k"),  # 21k points, 2.2M pairs
+        # no cell of eps / 2 holds 100 points (at most 46), so every pair of
+        # cells not wholly within eps is measured: 5.2M candidates
+        pytest.param(100000, 100, 20.0, id="top-21%-of-100k-min-pts-100"),
     ])
-    def test_peak_bounded(self, points, bound_mb):
+    def test_peak_bounded(self, points, min_pts, bound_mb):
         flagged = flagged_points(1, points)
         tracemalloc.start()
         try:
-            dbscan(flagged, eps=0.5, min_pts=5)
+            dbscan(flagged, eps=0.5, min_pts=min_pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

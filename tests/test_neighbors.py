@@ -249,43 +249,91 @@ class TestCellPairs:
     """The cell pairs ``cluster.dbscan`` counts and joins over."""
 
     @staticmethod
-    def brute_force(index, reach):
-        """(c, d, squared offset) of every cell pair c < d within reach."""
+    def brute_force(index):
+        """(c, d, squared offset) of every cell pair c < d within 2 cells."""
         points = index.points[index.order][index.cell_bound[:-1]]
         keys = np.floor(points / index.cell_size).astype(np.int64)
         offset = keys[None] - keys[:, None]
-        within = (np.abs(offset).max(axis=2) <= reach) & np.triu(np.ones(len(keys), bool), 1)
+        within = (np.abs(offset).max(axis=2) <= 2) & np.triu(np.ones(len(keys), bool), 1)
         c, d = np.nonzero(within)
         return c, d, (offset[c, d] ** 2).sum(axis=1)
 
     @pytest.mark.parametrize("make_points", [*CLOUDS, pytest.param(thin_clouds, id="thin")])
-    @pytest.mark.parametrize("reach", [1, 2])
-    def test_each_pair_within_reach_once(self, make_points, reach):
+    def test_each_pair_within_reach_once(self, make_points):
         index = GridIndex(make_points(), cell_size=0.25)
-        got = sorted(zip(*(a.tolist() for a in index.cell_pairs(reach))))
-        want = sorted(zip(*(a.tolist() for a in self.brute_force(index, reach))))
+        got = sorted(zip(*(a.tolist() for a in index.cell_pairs())))
+        want = sorted(zip(*(a.tolist() for a in self.brute_force(index))))
         assert got == want
 
     def test_single_cell_has_no_pairs(self):
-        c, d, dist2 = GridIndex(np.zeros((5, 3)), cell_size=0.25).cell_pairs(2)
+        c, d, dist2 = GridIndex(np.zeros((5, 3)), cell_size=0.25).cell_pairs()
         assert c.size == d.size == dist2.size == 0
 
-    @pytest.mark.parametrize("reach", [0, 3])
-    def test_reach_beyond_the_margin_rejected(self, reach):
-        with pytest.raises(ValueError):
-            GridIndex(np.zeros((2, 3)), cell_size=0.5).cell_pairs(reach)
+
+class TestCellPairHits:
+    """The point pairs of given cell pairs, measured block by block."""
+
+    @staticmethod
+    def hits(index, c, d, radius, *among):
+        blocks = list(index.cell_pair_hits(c, d, radius, *among))
+        p, q, k = (np.concatenate(part) for part in zip(*blocks))
+        return p, q, k, len(blocks)
+
+    @pytest.mark.parametrize("make_points", CLOUDS)
+    @pytest.mark.parametrize("chunk", [1, 64, 1 << 15])
+    def test_matches_brute_force(self, make_points, chunk, monkeypatch):
+        """Every pair of a member of c[k] and one of d[k] within radius once,
+        by ascending k, over blocks of any size; ``among`` limits each end."""
+        monkeypatch.setattr(neighbors, "_CHUNK", chunk)
+        points = make_points()
+        index = GridIndex(points, cell_size=0.25)
+        c, d, _ = index.cell_pairs()
+        size = np.diff(index.cell_bound)
+        cell = np.repeat(np.arange(len(size)), size)
+        rng = np.random.default_rng(0)
+        among = [np.flatnonzero(rng.random(len(points)) < 0.6) for _ in range(2)]
+        for limits in ([], among):
+            p, q, k, blocks = self.hits(index, c, d, 0.5, *limits)
+            assert np.all(np.diff(k) >= 0)
+            np.testing.assert_array_equal(cell[p], c[k])
+            np.testing.assert_array_equal(cell[q], d[k])
+            i, j = brute_force_pairs(points[index.order], 0.5)
+            keep = cell[i] < cell[j]
+            if limits:
+                keep &= np.isin(i, among[0]) & np.isin(j, among[1])
+            want = set(zip(i[keep].tolist(), j[keep].tolist()))
+            assert set(zip(p.tolist(), q.tolist())) == want
+            assert len(p) == len(want)
+        assert blocks > 1 or chunk == 1 << 15
+
+    def test_no_cell_pairs(self):
+        index = GridIndex(np.zeros((4, 3)), cell_size=0.25)
+        p, q, k, blocks = self.hits(index, np.zeros(0, np.int64), np.zeros(0, np.int64), 0.5)
+        assert p.size == q.size == k.size == 0 and blocks == 1
+
+    @pytest.mark.parametrize("make_points", CLOUDS)
+    def test_box_d2_bounds_every_measured_d2(self, make_points):
+        index = GridIndex(make_points(), cell_size=0.25)
+        c, d, _ = index.cell_pairs()
+        p, q, k, _ = self.hits(index, c, d, np.inf)
+        xyz = index.points[index.order]
+        d2 = ((xyz[p] - xyz[q]) ** 2).sum(axis=1)
+        assert np.all(index.box_d2(c, d)[k] <= d2)
+        assert np.all(d2 <= index.box_d2(c, d, farthest=True)[k])
 
 
 class TestCellCodeRange:
-    """Cell keys and codes are int64; a cloud whose codes would wrap is
-    refused, since a wrapped code puts distant points in one cell."""
+    """Cell keys and codes are int64; a cloud whose codes would wrap, or
+    whose float keys are too large to place every point in its own cell to
+    within 2**-23 of a cell, is refused, since either puts distant points
+    in one cell."""
 
-    @pytest.mark.parametrize("far", [1e20, -1e20])
-    def test_key_beyond_int64_rejected(self, far):
+    @pytest.mark.parametrize("far", [1e20, -1e20, 2.0**30 + 1, -2.0**30 - 1])
+    def test_key_beyond_the_precise_range_rejected(self, far):
         points = np.zeros((3, 3))
         points[1, 0] = far
         with pytest.raises(ContractError, match="cell"):
-            GridIndex(points, cell_size=0.5)
+            GridIndex(points, cell_size=1.0)
 
     def test_box_of_too_many_cells_rejected(self):
         """2**21 cells per axis: the box holds 2**63 codes."""
@@ -293,11 +341,12 @@ class TestCellCodeRange:
         with pytest.raises(ContractError, match="cell"):
             GridIndex(points, cell_size=1.0)
 
-    def test_long_row_of_cells_kept(self):
-        """2**40 cells on one axis and one on the others fit."""
-        points = np.array([[0.0, 0, 0], [2.0**40, 0, 0]])
+    @pytest.mark.parametrize("far", [2.0**30, -2.0**30])
+    def test_long_row_of_cells_kept(self, far):
+        """2**30 cells on one axis and one on the others fit."""
+        points = np.array([[0.0, 0, 0], [far, 0, 0]])
         index = GridIndex(points, cell_size=1.0)
-        np.testing.assert_array_equal(index.cell_bound, [0, 1, 2])
+        assert len(index.cell_bound) == 3
         assert index.query_ball(points[1], 0.5).tolist() == [1]
 
 
