@@ -2,9 +2,11 @@
 
 Subcommands: ``synth`` (scene generation), ``raise`` (noise-based anomaly
 augmentation), ``train``, ``score``, ``eval``, and ``export-map``. Every
-artifact gets a ``.provenance`` sidecar recording the full configuration,
-seeds, and package version (no timestamps or absolute paths, so artifacts
-are reproducible byte-for-byte from their sidecars).
+artifact gets a ``.provenance`` sidecar holding every field of the library
+config the command built, the command-level settings (synth's scene count,
+seed and anomalies; raise's r range and seed), and the package version, with
+no timestamps or absolute paths. The settings are complete; the identity of
+the input files is not recorded yet.
 
 Exit codes: 0 on success, 1 on contract/data errors, 2 on usage errors.
 """
@@ -12,9 +14,10 @@ Exit codes: 0 on success, 1 on contract/data errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import hashlib
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ import numpy as np
 from . import __version__
 from .core import (
     ContractError, FormatError, LabelMap, PointCloud, ScoreField, format_record,
-    load_labels, load_point_cloud, load_scores, parse_record,
+    load_labels, load_point_cloud, load_scores,
     save_labels, save_point_cloud, save_scores,
 )
 from .losses import LossConfig, Orientation
@@ -33,55 +36,27 @@ from .scenes import SceneConfig, default_budget, default_class_spec, generate_sc
 from .scoring import ScoreMethod, reweighted_score, static_score
 from .trainer import TrainConfig, extract_features, forward, load_checkpoint, save_checkpoint, train
 
-__all__ = ["main", "PipelineConfig"]
+__all__ = ["main"]
 
 
-# --------------------------------------------------------------------------
-# flat "section.key = value" configuration with strict key validation
-# --------------------------------------------------------------------------
-
-_KNOWN_KEYS = {
-    "scene.seed", "scene.extent", "scene.points", "scene.road_noise_sigma",
-    "scene.count", "scene.anomalies",
-    "raise.r_min", "raise.r_max", "raise.alpha", "raise.rho",
-    "raise.eps", "raise.min_pts", "raise.seed",
-    "train.lr", "train.epochs", "train.seed", "train.method", "train.prior",
-    "train.raise_per_scan", "train.hidden", "train.latent_dim",
-    "loss.beta", "loss.ood_weight", "loss.orientation",
-    "eval.gamma", "eval.gamma_from_tpr", "eval.dbscan_eps", "eval.dbscan_min_pts",
-    "score.method", "score.prior",
-    "map.resolution",
-}
+def _record(section: str, cfg) -> dict:
+    """Each field of the config ``cfg`` as ``section.field``: an enum by its
+    value, a nested config under its own field name."""
+    entries = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            entries.update(_record(f.name, value))
+        else:
+            entries[f"{section}.{f.name}"] = value.value if isinstance(value, enum.Enum) else value
+    return entries
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Validated union of per-stage settings, serialized as flat
-    ``section.key = value`` text. Unknown keys are rejected on parse."""
-
-    entries: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key in self.entries:
-            if key not in _KNOWN_KEYS:
-                raise ContractError(f"unknown config key {key!r}")
-
-    def to_text(self) -> str:
-        return format_record(self.entries)
-
-    @classmethod
-    def from_text(cls, text: str) -> "PipelineConfig":
-        return cls(entries=parse_record(text))
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
-
-
-def _write_provenance(artifact: Path, cfg: PipelineConfig, command: str) -> None:
-    side = artifact.with_name(artifact.name + ".provenance")
-    record = {"command": command, "config_digest": cfg.digest(), "version": __version__,
-              **cfg.entries}
-    side.write_text(format_record(record), encoding="utf-8")
+def _write_provenance(artifact: Path, command: str, entries: dict) -> None:
+    digest = hashlib.sha256(format_record(entries).encode()).hexdigest()[:16]
+    record = {"command": command, "config_digest": digest, "version": __version__, **entries}
+    artifact.with_name(artifact.name + ".provenance").write_text(
+        format_record(record), encoding="utf-8")
 
 
 def _scene_stems(directory: Path, suffix: str) -> list[Path]:
@@ -113,21 +88,14 @@ def _load_dataset(directory: Path, spec) -> list[tuple[PointCloud, LabelMap]]:
 def cmd_synth(args) -> int:
     if args.scenes < 1:
         raise ContractError("--scenes must be >= 1")
+    template = SceneConfig(seed=args.seed, extent=args.extent,
+                           class_budget=default_budget(args.points),
+                           road_noise_sigma=args.road_noise_sigma)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = PipelineConfig(entries={
-        "scene.seed": args.seed, "scene.extent": args.extent,
-        "scene.points": args.points, "scene.count": args.scenes,
-        "scene.anomalies": args.anomalies,
-        "scene.road_noise_sigma": args.road_noise_sigma,
-    })
     rng = np.random.default_rng(args.seed)
     for i in range(args.scenes):
-        scene_cfg = SceneConfig(
-            seed=int(rng.integers(2**63)), extent=args.extent,
-            class_budget=default_budget(args.points),
-            road_noise_sigma=args.road_noise_sigma,
-        )
+        scene_cfg = dataclasses.replace(template, seed=int(rng.integers(2**63)))
         cloud, labels = generate_scene(scene_cfg)
         if args.anomalies:
             cloud, labels = inject_eval_anomaly(
@@ -135,7 +103,9 @@ def cmd_synth(args) -> int:
                 count=args.anomalies)
         save_point_cloud(cloud, out / f"scene_{i:03d}.bin")
         save_labels(labels, out / f"scene_{i:03d}.label")
-    _write_provenance(out / "dataset", cfg, "synth")
+    _write_provenance(out / "dataset", "synth", {
+        **_record("scene", template), "scene.count": args.scenes,
+        "scene.anomalies": args.anomalies})
     print(f"synth: wrote {args.scenes} scenes to {out}")
     return 0
 
@@ -143,26 +113,25 @@ def cmd_synth(args) -> int:
 def cmd_raise(args) -> int:
     if not 0.0 < args.r_min <= args.r_max < np.inf:
         raise ContractError("need 0 < --r-min <= --r-max, both finite")
+    r_range = (args.r_min, args.r_max)
+    settings = {"alpha": args.alpha, "rho": args.rho,
+                "dbscan_eps": args.eps, "dbscan_min_pts": args.min_pts}
+    RaiseConfig(r=args.r_min, seed=args.seed, **settings)  # checks them before any file is written
     spec = default_class_spec()
     src, out = Path(args.input), Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = PipelineConfig(entries={
-        "raise.r_min": args.r_min, "raise.r_max": args.r_max,
-        "raise.alpha": args.alpha, "raise.rho": args.rho,
-        "raise.eps": args.eps, "raise.min_pts": args.min_pts,
-        "raise.seed": args.seed,
-    })
     rng = np.random.default_rng(args.seed)
     n_raised = 0
     for bin_path in _scene_stems(src, ".bin"):
         cloud, labels = _load_scene(bin_path, bin_path.with_suffix(".label"), spec)
-        rcfg = draw_raise(rng, (args.r_min, args.r_max), alpha=args.alpha, rho=args.rho,
-                          dbscan_eps=args.eps, dbscan_min_pts=args.min_pts)
+        rcfg = draw_raise(rng, r_range, **settings)
         cloud, labels, report = perlin_raise(cloud, labels, spec, rcfg)
         n_raised += report.raised_count
         save_point_cloud(cloud, out / bin_path.name)
         save_labels(labels, out / bin_path.with_suffix(".label").name)
-    _write_provenance(out / "dataset", cfg, "raise")
+    _write_provenance(out / "dataset", "raise", {
+        "raise.r_range": r_range, "raise.seed": args.seed,
+        **{f"raise.{key}": value for key, value in settings.items()}})
     print(f"raise: {n_raised} points raised across the set")
     return 0
 
@@ -183,15 +152,7 @@ def cmd_train(args) -> int:
     ckpt = Path(args.out)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, backbone, params)
-    cfg = PipelineConfig(entries={
-        "train.lr": args.lr, "train.epochs": args.epochs, "train.seed": args.seed,
-        "train.method": method.value, "train.prior": args.prior,
-        "train.raise_per_scan": args.raise_per_scan,
-        "train.hidden": args.hidden, "train.latent_dim": args.latent_dim,
-        "loss.beta": args.beta, "loss.ood_weight": args.ood_weight,
-        "loss.orientation": args.orientation,
-    })
-    _write_provenance(ckpt, cfg, "train")
+    _write_provenance(ckpt, "train", _record("train", tcfg))
     for i, ep in enumerate(train_log.epochs):
         print(f"epoch {i}: total={ep.total:.4f} ce={ep.ce:.4f} "
               f"aux={ep.aux:.4f} void={ep.void:.4f} steps={ep.steps}")
@@ -217,7 +178,6 @@ def cmd_score(args) -> int:
         raise ContractError("extended energy needs an extended checkpoint")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = PipelineConfig(entries={"score.method": method.value, "score.prior": args.prior})
     for bin_path in _scene_stems(Path(args.data), ".bin"):
         cloud = load_point_cloud(bin_path)
         logits = forward(backbone, extract_features(cloud), spec)
@@ -226,7 +186,8 @@ def cmd_score(args) -> int:
         else:
             scores = ScoreField(scores=static_score(logits, method))
         save_scores(scores, out / (bin_path.stem + ".score"))
-    _write_provenance(out / "scores", cfg, "score")
+    _write_provenance(out / "scores", "score",
+                      {"score.method": method.value, "score.prior": args.prior})
     print(f"score: wrote {method.value} scores to {out}")
     return 0
 
@@ -252,24 +213,24 @@ def cmd_eval(args) -> int:
     if args.gamma_from_tpr is not None:
         gamma = threshold_at_tpr(*pooled_points(scenes), tpr=args.gamma_from_tpr)
         gamma_source = f"tpr={args.gamma_from_tpr}"
-        threshold = {"eval.gamma_from_tpr": args.gamma_from_tpr}
+        calibration = {"eval.gamma_from_tpr": args.gamma_from_tpr}
     else:
         gamma = args.gamma
         gamma_source = "fixed"
-        threshold = {"eval.gamma": args.gamma}
+        calibration = {}
 
-    results = evaluate_scenes(
-        scenes, EvalConfig(gamma=gamma, dbscan_eps=args.eps, dbscan_min_pts=args.min_pts))
+    ecfg = EvalConfig(gamma=gamma, dbscan_eps=args.eps, dbscan_min_pts=args.min_pts)
+    results = evaluate_scenes(scenes, ecfg)
     report_cfg = {
         "gamma": gamma, "gamma_source": gamma_source,
         "dbscan_eps": args.eps, "dbscan_min_pts": args.min_pts,
         "iou_threshold": IOU_THRESHOLD, "version": __version__,
         "scenes": len(scenes),
     }
-    write_report(results, report_cfg, args.report)
-    _write_provenance(Path(args.report), PipelineConfig(entries={
-        **threshold, "eval.dbscan_eps": args.eps, "eval.dbscan_min_pts": args.min_pts,
-    }), "eval")
+    report = Path(args.report)
+    report.parent.mkdir(parents=True, exist_ok=True)
+    write_report(results, report_cfg, report)
+    _write_provenance(report, "eval", {**_record("eval", ecfg), **calibration})
     for key in sorted(results):
         print(f"{key} = {results[key]:.6f}")
     return 0
@@ -319,8 +280,7 @@ def cmd_export_map(args) -> int:
             r = int(round(255 * t_i))
             fh.write(f"{x:.6f} {y:.6f} {z:.6f} {r} 0 {255 - r}\n")
 
-    cfg = PipelineConfig(entries={"map.resolution": res})
-    _write_provenance(raster, cfg, "export-map")
+    _write_provenance(raster, "export-map", {"map.resolution": res})
     print(f"export-map: wrote {raster} and {point_file}")
     return 0
 

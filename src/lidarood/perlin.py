@@ -111,6 +111,8 @@ class RaiseConfig:
             raise ContractError("dbscan_eps must be finite and positive")
         if self.dbscan_min_pts < 1:
             raise ContractError("dbscan_min_pts must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 def draw_raise(rng: np.random.Generator, r_range: tuple[float, float], **settings) -> RaiseConfig:

@@ -82,6 +82,8 @@ class SceneConfig:
     anomaly_size_range: tuple[float, float] = (0.3, 0.8)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         # the road plane spans 2 * extent, and every coordinate (at most 1.6 *
         # extent, the building rows) is stored as float32
         if not 0.0 < self.extent <= float(np.finfo(np.float32).max) / 2.0:

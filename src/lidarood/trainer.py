@@ -225,6 +225,8 @@ class TrainConfig:
             raise ContractError("lr must be finite and >= 0")
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.raise_per_scan < 0:
             raise ContractError("raise_per_scan must be >= 0")
         if self.hidden < 1:

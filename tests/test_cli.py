@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline."""
 
+import dataclasses
+import enum
 import hashlib
 import io
 import struct
@@ -8,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidarood import __version__
-from lidarood.cli import _KNOWN_KEYS, PipelineConfig, main
-from lidarood.core import ContractError, parse_record
+from lidarood import __version__, cli
+from lidarood.cli import main
+from lidarood.core import format_record, parse_record
 from lidarood.metrics import read_report
 from lidarood.priornet import init_params, save_params
 from lidarood.scenes import IGNORE_ID
@@ -99,6 +101,14 @@ class TestScoreEval:
             assert f"metric.{name}" in entries
         assert "config.dbscan_eps" in entries
         assert "config.gamma" in entries
+
+    def test_eval_creates_report_directory(self, pipeline, tmp_path):
+        report = tmp_path / "fresh" / "nested" / "r.txt"
+        assert main(["eval", "--data", str(pipeline / "eval"),
+                     "--scores", str(pipeline / "scores"),
+                     "--gamma", "0.5", "--report", str(report)]) == 0
+        assert report.stat().st_size > 0
+        assert report.with_name("r.txt.provenance").stat().st_size > 0
 
     def test_missing_data_is_exit_1(self, tmp_path):
         code = main(["score", "--data", str(tmp_path / "nope"),
@@ -295,6 +305,9 @@ class TestBadNumericFlags:
         pytest.param(["train", "--hidden", "-1"], 1, id="train-hidden-negative"),
         pytest.param(["train", "--hidden", "0"], 1, id="train-hidden-zero"),
         pytest.param(["train", "--raise-per-scan", "-1"], 1, id="train-raise-per-scan-negative"),
+        pytest.param(["synth", "--seed", "-1"], 1, id="synth-seed-negative"),
+        pytest.param(["raise", "--seed", "-1"], 1, id="raise-seed-negative"),
+        pytest.param(["train", "--seed", "-1"], 1, id="train-seed-negative"),
         # a later --cloud/--scores overrides the pipeline pair given below
         pytest.param(["export-map", "--cloud", "{tmp}/empty.bin", "--scores", "{tmp}/empty.score"],
                      1, id="export-map-empty-pair"),
@@ -365,28 +378,6 @@ class TestExportMap:
         assert lines[1].endswith(" 255 0 0")    # max score -> 1.0 -> red
 
 
-class TestPipelineConfig:
-    def test_roundtrip(self):
-        cfg = PipelineConfig(entries={"scene.seed": 7, "train.lr": 0.001})
-        again = PipelineConfig.from_text(cfg.to_text())
-        assert again.entries == {"scene.seed": "7", "train.lr": "0.001"}
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ContractError, match="malformed config line"):
-            PipelineConfig.from_text("scene.seed = 1\nscene.points 600\n")
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ContractError):
-            PipelineConfig(entries={"scene.wheels": 4})
-        with pytest.raises(ContractError):
-            PipelineConfig.from_text("bogus.key = 1\n")
-
-    def test_digest_stable(self):
-        a = PipelineConfig(entries={"scene.seed": 1})
-        b = PipelineConfig(entries={"scene.seed": 1})
-        assert a.digest() == b.digest()
-
-
 class TestFullDeterminism:
     def test_pipeline_byte_identical_across_runs(self, tmp_path):
         """synth -> raise -> train -> score -> eval twice; every artifact
@@ -419,25 +410,27 @@ class TestFullDeterminism:
         assert digests[0] == digests[1]
 
 
-# sha256 of every file of TestFullDeterminism's pipeline (numpy 2.4). All but
-# the eval sidecar were computed before the CLI flags read their defaults
-# from the library configs, so a change to what any command writes shows here.
+# sha256 of every file of TestFullDeterminism's pipeline (numpy 2.4), so a
+# change to what any command writes shows here. The data, checkpoint, score
+# and report digests were computed before the CLI flags read their defaults
+# from the library configs; the synth, raise, train and eval sidecar digests
+# since each sidecar holds every field of the config its command built.
 PINNED_PIPELINE = {
-    "e/dataset.provenance": "63649cec7fd4642acf730666df42f74b6edc11ff90fb35ade1b6ced6cc957b80",
+    "e/dataset.provenance": "41bb6e73c37128d2490e4f458e950ced8994cb59cc461d81c75aadc9d2b4b05b",
     "e/scene_000.bin": "6dbca81540819f1fb6481095b93111f6757edafda135295cd9f55d8902385f88",
     "e/scene_000.label": "02bf2692f5842cf19ca1a29fadb11bb7c89c85f38b97cce9a4bac997b05992b3",
     "m.ckpt": "99d9677502e4d0946cd57d24dbe01e4a857b231612a318428e7557c9c53e8bb2",
-    "m.ckpt.provenance": "4ea2e83dc04541969efa3ff8fe0d91dd3a9bb3198b57254f09d4bd3981959a43",
-    "raised/dataset.provenance": "e59222ca6408c2f3dc5809bc8d966fd178dc63d0aef17015da18acd948aae878",
+    "m.ckpt.provenance": "cbdbd9f231bfa3c065fa022c23b7dd75324b4b0bcbe45218ba204716aeb1cb4d",
+    "raised/dataset.provenance": "bd4340ce57472ec3bac67c6f24e1d831c47a2e003d7dc1dd3c44303aa9842637",
     "raised/scene_000.bin": "c8769cc597492229ae6cc8dbc41d9d6916c1a74287dc6f9aa194c94fcaf0556c",
     "raised/scene_000.label": "5ebd6d73c6ca05dec221e3bf582ce3f676be5b358b2d9275bff5ceac5d57d6d7",
     "raised/scene_001.bin": "500a6143fa02c4ce1e9900ea9f68ebe61cb06cdffccc51000fd9a478cc6f08db",
     "raised/scene_001.label": "215bcffd548eb7a8353b4966950a62517eab54cedaf7a4522415f1d6ce735f77",
     "report.txt": "e0252c2e630e24ecd8455f51aa5a08228c2ce9dce8c2415d97ff3b9ff7bb5710",
-    "report.txt.provenance": "d3fd51aa9795cb363294b4b62da27dd9668d2f8831fed636b2e0f9e4b5e20933",
+    "report.txt.provenance": "ad2c186598c24d982a8241a530aae0a699918c66d91dc98bde827f72c880fd35",
     "s/scene_000.score": "a85e32e35851c05e70d102a3d1c8ef9463f68b71d13b3166d61e1a7650fc1e1b",
     "s/scores.provenance": "bd0efbcf85149aa1397fb24f00f31a370ab9deebc7f5b67384ad0eb056dd1823",
-    "t/dataset.provenance": "3fe830f0d490d12f341b652e323627e53eaa00741bc5a34afad9714971659a14",
+    "t/dataset.provenance": "b54d87268f16e47217beb506e308cb8030bb8ef159da0adf5bcf408b7f968a49",
     "t/scene_000.bin": "9772c761389bfaf2e60660ffaed7db422b86045cf08d544a3292d5df11266fdf",
     "t/scene_000.label": "47887ba5b2c9c028d4ba3cc69ca5cdb47b8b8568ddf66f367f1454a7b128ccb3",
     "t/scene_001.bin": "5a688bb22706932ee8092c96f18ec6307784cb19fad540811254714ba7610291",
@@ -449,55 +442,108 @@ PINNED_PIPELINE = {
 def full_run(tmp_path_factory):
     """TestFullDeterminism's synth -> raise -> synth -> train -> score -> eval
     chain (criterion 10's, with other seeds) in ``pipe``, then an ``eval
-    --gamma`` and an ``export-map`` in ``more``, so every subcommand runs."""
+    --gamma`` and an ``export-map`` in ``more``, so every subcommand runs.
+    Returns the root and, per library function, the last positional
+    argument of each call the commands made to it, in call order."""
     root = tmp_path_factory.mktemp("full")
     pipe, more = root / "pipe", root / "more"
     train_dir, eval_dir, scores = pipe / "t", pipe / "e", pipe / "s"
-    assert main(["synth", "--out", str(train_dir), "--scenes", "2",
-                 "--seed", "21", "--points", "2500", "--extent", "5"]) == 0
-    assert main(["raise", "--in", str(train_dir), "--out", str(pipe / "raised"),
-                 "--seed", "4"]) == 0
-    assert main(["synth", "--out", str(eval_dir), "--scenes", "1",
-                 "--seed", "22", "--points", "2500", "--extent", "5",
-                 "--anomalies", "1"]) == 0
-    assert main(["train", "--data", str(train_dir), "--out", str(pipe / "m.ckpt"),
-                 "--epochs", "1", "--lr", "1e-3", "--seed", "2"]) == 0
-    assert main(["score", "--data", str(eval_dir), "--ckpt", str(pipe / "m.ckpt"),
-                 "--out", str(scores)]) == 0
-    assert main(["eval", "--data", str(eval_dir), "--scores", str(scores),
-                 "--gamma-from-tpr", "0.95", "--report", str(pipe / "report.txt")]) == 0
-    more.mkdir()
-    assert main(["eval", "--data", str(eval_dir), "--scores", str(scores),
-                 "--gamma", "0.5", "--report", str(more / "report.txt")]) == 0
-    assert main(["export-map", "--cloud", str(eval_dir / "scene_000.bin"),
-                 "--scores", str(scores / "scene_000.score"), "--out", str(more / "map")]) == 0
-    return root
+    handed = {name: [] for name in ("generate_scene", "draw_raise", "train", "evaluate_scenes")}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in handed:
+            def spy(*args, _real=getattr(cli, name), _calls=handed[name], **kwargs):
+                _calls.append((args[-1], kwargs))
+                return _real(*args, **kwargs)
+            mp.setattr(cli, name, spy)
+        assert main(["synth", "--out", str(train_dir), "--scenes", "2",
+                     "--seed", "21", "--points", "2500", "--extent", "5"]) == 0
+        assert main(["raise", "--in", str(train_dir), "--out", str(pipe / "raised"),
+                     "--seed", "4"]) == 0
+        assert main(["synth", "--out", str(eval_dir), "--scenes", "1",
+                     "--seed", "22", "--points", "2500", "--extent", "5",
+                     "--anomalies", "1"]) == 0
+        assert main(["train", "--data", str(train_dir), "--out", str(pipe / "m.ckpt"),
+                     "--epochs", "1", "--lr", "1e-3", "--seed", "2"]) == 0
+        assert main(["score", "--data", str(eval_dir), "--ckpt", str(pipe / "m.ckpt"),
+                     "--out", str(scores)]) == 0
+        assert main(["eval", "--data", str(eval_dir), "--scores", str(scores),
+                     "--gamma-from-tpr", "0.95", "--report", str(pipe / "report.txt")]) == 0
+        more.mkdir()
+        assert main(["eval", "--data", str(eval_dir), "--scores", str(scores),
+                     "--gamma", "0.5", "--report", str(more / "report.txt")]) == 0
+        assert main(["export-map", "--cloud", str(eval_dir / "scene_000.bin"),
+                     "--scores", str(scores / "scene_000.score"), "--out", str(more / "map")]) == 0
+    return root, handed
+
+
+def config_as_text(section: str, cfg) -> dict[str, str]:
+    """Each field of ``cfg`` as ``section.field = f"{value}"``, an enum by its
+    value and a nested config under its own field name."""
+    entries = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            entries.update(config_as_text(f.name, value))
+        else:
+            entries[f"{section}.{f.name}"] = f"{value.value if isinstance(value, enum.Enum) else value}"
+    return entries
+
+
+def sidecar_settings(path: Path) -> dict[str, str]:
+    entries = parse_record(path.read_text(encoding="utf-8"))
+    for key in ("command", "config_digest", "version"):
+        entries.pop(key)
+    return entries
 
 
 class TestPinnedPipeline:
     def test_artifact_and_sidecar_bytes_pinned(self, full_run):
-        pipe = full_run / "pipe"
+        pipe = full_run[0] / "pipe"
         digest = {str(p.relative_to(pipe)): hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in sorted(pipe.rglob("*")) if p.is_file()}
         assert digest == PINNED_PIPELINE
 
-    def test_sidecar_keys_known_and_all_written(self, full_run):
-        """Every config key of a sidecar is a known key, and every known key
-        is written by some subcommand."""
-        written = set()
-        for side in full_run.rglob("*.provenance"):
-            written.update(parse_record(side.read_text(encoding="utf-8")))
-        written -= {"command", "config_digest", "version"}
-        assert written <= _KNOWN_KEYS
-        assert _KNOWN_KEYS <= written, sorted(_KNOWN_KEYS - written)
+    def test_sidecar_holds_every_field_handed_to_the_library(self, full_run):
+        """Each sidecar holds exactly the fields of the configs its command
+        handed to the library, plus the command-level settings."""
+        root, handed = full_run
+        pipe, more = root / "pipe", root / "more"
+        scenes = [cfg for cfg, _ in handed["generate_scene"]]
+        assert len(scenes) == 3
+        for directory, seed, anomalies, made in ((pipe / "t", 21, 0, scenes[:2]),
+                                                 (pipe / "e", 22, 1, scenes[2:])):
+            side = sidecar_settings(directory / "dataset.provenance")
+            for cfg in made:
+                assert side == {**config_as_text("scene", dataclasses.replace(cfg, seed=seed)),
+                                "scene.count": f"{len(made)}", "scene.anomalies": f"{anomalies}"}
+
+        r_range, settings = handed["draw_raise"][0]
+        assert all(call == (r_range, settings) for call in handed["draw_raise"])
+        assert sidecar_settings(pipe / "raised" / "dataset.provenance") == {
+            "raise.r_range": f"{r_range}", "raise.seed": "4",
+            **{f"raise.{key}": f"{value}" for key, value in settings.items()}}
+
+        [(tcfg, _)] = handed["train"]
+        side = sidecar_settings(pipe / "m.ckpt.provenance")
+        assert side == config_as_text("train", tcfg)
+        assert side["train.head_init_scale"] == f"{tcfg.head_init_scale}"
+        assert side["train.raise_eps"] == f"{tcfg.raise_eps}"
+        assert side["loss.orientation"] == "id_low"
+
+        (calibrated, _), (fixed, _) = handed["evaluate_scenes"]
+        assert sidecar_settings(pipe / "report.txt.provenance") == {
+            **config_as_text("eval", calibrated), "eval.gamma_from_tpr": "0.95"}
+        assert sidecar_settings(more / "report.txt.provenance") == config_as_text("eval", fixed)
+        assert fixed.gamma == 0.5
 
     def test_sidecars_read_back(self, full_run):
         """Each sidecar parses to its command, the package version and the
         digest of its config entries."""
         commands = []
-        for side in sorted(full_run.rglob("*.provenance")):
+        for side in sorted(full_run[0].rglob("*.provenance")):
             rest = parse_record(side.read_text(encoding="utf-8"))
             commands.append(rest.pop("command"))
             assert rest.pop("version") == __version__
-            assert rest.pop("config_digest") == PipelineConfig(entries=rest).digest(), side
+            digest = rest.pop("config_digest")
+            assert digest == hashlib.sha256(format_record(rest).encode()).hexdigest()[:16], side
         assert sorted(set(commands)) == ["eval", "export-map", "raise", "score", "synth", "train"]

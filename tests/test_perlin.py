@@ -62,6 +62,8 @@ class TestRaiseConfig:
             RaiseConfig(rho=0.0)
         with pytest.raises(ContractError):
             RaiseConfig(alpha=-0.1)
+        with pytest.raises(ContractError):
+            RaiseConfig(seed=-1)
 
     @pytest.mark.parametrize("kw", [
         dict(dbscan_eps=-1.0), dict(dbscan_eps=0.0), dict(dbscan_eps=float("nan")),

@@ -63,6 +63,8 @@ class TestGenerateScene:
             SceneConfig(seed=0, class_budget={ROAD: 0})
         with pytest.raises(ContractError):
             SceneConfig(seed=0, eval_anomaly_kinds=("pyramid",))
+        with pytest.raises(ContractError):
+            SceneConfig(seed=-1)
 
     # 1e308: finite, but the sampled span 2 * extent overflows
     @pytest.mark.parametrize("extent", [0.0, -3.0, float("nan"), float("inf"), 1e308])

@@ -231,11 +231,11 @@ class TestTrain:
         dict(raise_r_range=(float("nan"), 1.0)), dict(raise_r_range=(1.0, float("nan"))),
         dict(raise_eps=-1.0), dict(raise_eps=float("nan")), dict(raise_min_pts=0),
         dict(raise_alpha=-0.1), dict(raise_rho=0.0), dict(raise_rho=1.5),
-        dict(latent_dim=0), dict(latent_dim=-1),
+        dict(latent_dim=0), dict(latent_dim=-1), dict(seed=-1),
     ], ids=["r-range-reversed", "r-range-zero", "r-range-negative", "r-range-inf",
             "r-range-nan-lo", "r-range-nan-hi", "eps-negative", "eps-nan", "min-pts-zero",
             "alpha-negative", "rho-zero", "rho-above-1", "latent-dim-zero",
-            "latent-dim-negative"])
+            "latent-dim-negative", "seed-negative"])
     def test_config_rejects_bad_raise_and_prior_settings(self, kw):
         """At construction, before ``train`` extracts any feature."""
         with pytest.raises(ContractError):
