@@ -88,6 +88,10 @@ def _load_dataset(directory: Path, spec) -> list[tuple[PointCloud, LabelMap]]:
 def cmd_synth(args) -> int:
     if args.scenes < 1:
         raise ContractError("--scenes must be >= 1")
+    # below 200 the pole class gets no point; generation takes ~120 bytes a
+    # point, 1.2 GB at 10**7
+    if not 200 <= args.points <= 10**7:
+        raise ContractError(f"--points must be in [200, 10000000], got {args.points}")
     template = SceneConfig(seed=args.seed, extent=args.extent,
                            class_budget=default_budget(args.points),
                            road_noise_sigma=args.road_noise_sigma)

@@ -17,20 +17,20 @@ and ``box_d2`` bounds them per cell pair from the cells' point boxes.
 A ball query scans the cells around one centre. Every squared distance is
 summed in x, y, z order (``_d2``).
 
-The pair enumerator, which serves only the density features, works per
-point of the cell order: for 5 of the 9 columns of neighbor cells (three
-stacked cells, one run of points in cell order) it looks up every cell's
-run at once, expands each point's runs into candidate pairs, in blocks of
-bounded size, and measures them on coordinate columns in cell order,
-filtering by exact Euclidean distance, boundary inclusive. Each unordered
-pair comes once: ``unique_pairs`` gives them as positions in cell order
-(``order`` maps them to indices), and ``ball_stats`` adds each to both
-ends. Its order contract: each point's sums take its neighbors one at a
-time in ascending cell order (by cell in lexicographic offset order, then
-by index), as a walk over all 9 columns from the point would, whatever the
-block size. It keeps that order by replaying each hit mirrored for the far
-point, which always comes later in cell order, ahead of that point's own
-hits.
+The pair enumerator, which serves only the density features, walks the
+points in cell order, each over its 5 columns of ``_half_block(1)``, the
+stencil ``cell_pairs`` takes at reach 2 (three stacked cells, one run of
+points in cell order). It expands each point's runs into candidate pairs,
+in blocks of bounded size, and measures them on coordinate columns in cell
+order, filtering by exact Euclidean distance, boundary inclusive. Each
+unordered pair comes once, as positions in cell order (``order`` maps them
+to indices), by ascending first, then second position (``unique_pairs``),
+and ``ball_stats`` adds each to both ends. Its order contract: each
+point's sums take its neighbors one at a time in ascending cell order (by
+cell in lexicographic offset order, then by index), as a walk over all 9
+columns from the point would, whatever the block size. The point-major
+walk keeps that order: a point's earlier neighbors reach it mirrored from
+their own rows, which come before its own row of later ones.
 """
 
 from __future__ import annotations
@@ -62,22 +62,14 @@ _CHUNK = 1 << 15
 _REACH = 2
 
 
-def _half_block():
-    """(dx, dy, dz_lo) of the columns of half the 5 x 5 x 5 block of cells:
-    the cells above in the own column and all of the columns after it in
-    lexicographic order, which give each unordered pair of cells once."""
-    span = range(-_REACH, _REACH + 1)
+def _half_block(reach: int):
+    """(dx, dy, dz_lo) of the columns of half the block of cells within
+    reach on every axis: the cells above in the own column and all of the
+    columns after it in lexicographic order, which give each unordered pair
+    of cells once."""
+    span = range(-reach, reach + 1)
     dx, dy = np.array([(0, 0), *((a, b) for a in span for b in span if (a, b) > (0, 0))]).T
-    return dx, dy, np.where(dx | dy, -_REACH, 1)
-
-
-_HALF_DX, _HALF_DY, _HALF_DZ_LO = _half_block()
-
-# (dx, dy) columns of neighbor cells that give each unordered pair once: the
-# (0, 0) column from each point itself (the later points of its cell and all
-# of the cell above) plus the four columns after it in lexicographic order.
-# Column (dx, dy) seen from its far end is column (-dx, -dy).
-_HALF_COLUMNS = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
+    return dx, dy, np.where(dx | dy, -reach, 1)
 
 
 class GridIndex:
@@ -126,11 +118,15 @@ class GridIndex:
         end = np.searchsorted(self._cell_code, column + dz_hi, side="right")
         return first, end
 
-    def _runs(self, column: np.ndarray, dz_lo, dz_hi) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end, in cell order, of the points in cells dz_lo..dz_hi
-        above each column code: a run of cells holds one run of points."""
-        first, end = self._cell_runs(column, dz_lo, dz_hi)
-        return self.cell_bound[first], self.cell_bound[end]
+    def _column_runs(self, reach: int) -> tuple[np.ndarray, np.ndarray]:
+        """First and end cell index, per column of ``_half_block(reach)``
+        (rows, in its order) and cell, of the column's run of occupied cells
+        dz_lo..reach above the cell."""
+        dx, dy, dz_lo = _half_block(reach)
+        # one row of ascending lookups per column, which searchsorted takes
+        # faster than rows of mixed columns
+        return self._cell_runs(self._cell_code + self._encode(dx, dy, 0)[:, None],
+                               dz_lo[:, None], reach)
 
     def cell_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each unordered pair of distinct occupied cells at most 2 cells
@@ -145,16 +141,14 @@ class GridIndex:
         code per axis catches every offset that leaves the box of occupied
         cells, and a run never reaches into the next column.
         """
-        # one row of ascending lookups per column, which searchsorted takes
-        # faster than rows of mixed columns
-        first, end = self._cell_runs(self._cell_code + self._encode(_HALF_DX, _HALF_DY, 0)[:, None],
-                                     _HALF_DZ_LO[:, None], _REACH)
+        dx, dy, _ = _half_block(_REACH)
+        first, end = self._column_runs(_REACH)
         lens = end - first
         d = _ranges(first.ravel(), lens.ravel())
-        c = np.repeat(np.tile(np.arange(len(self._cell_code)), len(_HALF_DX)), lens.ravel())
+        c = np.repeat(np.tile(np.arange(len(self._cell_code)), len(dx)), lens.ravel())
         kz = self._cell_code % self._dims[2]
         dz = kz.take(d) - kz.take(c)
-        dist2 = np.repeat(_HALF_DX * _HALF_DX + _HALF_DY * _HALF_DY, lens.sum(axis=1)) + dz * dz
+        dist2 = np.repeat(dx * dx + dy * dy, lens.sum(axis=1)) + dz * dz
         return c, d, dist2
 
     @cached_property
@@ -235,7 +229,8 @@ class GridIndex:
             return np.empty(0, dtype=np.int64)
         kx, ky = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
                              indexing="ij")
-        first, end = self._runs(self._encode(kx.ravel(), ky.ravel(), 0), lo[2], hi[2])
+        runs = self._cell_runs(self._encode(kx.ravel(), ky.ravel(), 0), lo[2], hi[2])
+        first, end = (self.cell_bound[run] for run in runs)
         idx = self.order[_ranges(first, end - first)]
         d2 = np.sum((self.points[idx] - center) ** 2, axis=1)
         hits = idx[d2 <= radius * radius]
@@ -243,41 +238,38 @@ class GridIndex:
         return hits
 
     def unique_pairs(self, radius: float):
-        """Yield (p, q, cut) per block of consecutive points p in cell order:
-        the pairs within radius of each point p with the points q of its rows,
-        as cell-order positions, q > p except self pairs, each pair once.
+        """Yield (p, q) per block of consecutive points p in cell order: the
+        pairs within radius of each point p with the points q of its row, as
+        cell-order positions, q > p except self pairs, each pair once.
 
-        A row is one point and one column of ``_HALF_COLUMNS``: the point's
-        cells z - 1..z + 1 of that column, one run of q in cell order, in
-        the (0, 0) column from p itself. Hits cut[k]:cut[k + 1] are those
-        of column k, by ascending p, then ascending q. A block holds whole
-        points up to about ``_CHUNK`` candidates. Requires radius <= cell_size.
+        A point's row is its 5 columns of ``_half_block(1)`` in lexicographic
+        order: per column, its cells z - 1..z + 1, one run of q in cell
+        order; in the (0, 0) column, from p itself through cell z + 1.
+        Codes ascend with the column offsets, so over all blocks the hits
+        come by ascending p, then ascending q. A block holds whole points up
+        to about ``_CHUNK`` candidates. Requires radius <= cell_size.
         """
         if radius > self.cell_size:
             raise ValueError("pairs need radius <= cell_size")
-        # p and q below are positions in cell order, where a cell's points
-        # are contiguous and ascend by index; a point's neighbor cells
-        # z - 1, z, z + 1 of one column are one run of q, in offset order
         x, y, z = self._xyz
         n = len(x)
         cell = np.repeat(np.arange(len(self._cell_code)), np.diff(self.cell_bound))
-        first, end = np.stack([self._runs(self._cell_code + self._encode(dx, dy, 0), -1, 1)
-                               for dx, dy in _HALF_COLUMNS], axis=1)
+        # per cell and column, the start and end of the column's run of points
+        first, end = (self.cell_bound[run.T] for run in self._column_runs(1))
         # a point's candidates: its cell's runs, less the (0, 0) run before it
-        per_point = (end - first).sum(axis=0)[cell] + first[0, cell] - np.arange(n)
+        per_point = (end - first).sum(axis=1)[cell] + first[cell, 0] - np.arange(n)
 
+        # a function, so a block's candidates are freed before its hits are used
         def block(lo, hi):
             rows = np.arange(lo, hi)
-            q_row = first[:, cell[lo:hi]]
-            q_row[0] = rows
-            span = end[:, cell[lo:hi]] - q_row
-            q = _ranges(q_row.ravel(), span.ravel())
-            p = np.repeat(np.tile(rows, len(_HALF_COLUMNS)), span.ravel())
+            q_row = first[cell[lo:hi]]
+            q_row[:, 0] = rows
+            q = _ranges(q_row.ravel(), (end[cell[lo:hi]] - q_row).ravel())
+            p = np.repeat(rows, per_point[lo:hi])
             # the mirror pair (q, p) has the same d2: x[q] - x[p] is exactly
             # -(x[p] - x[q])
             hit = np.flatnonzero(_d2(x[p] - x[q], y[p] - y[q], z[p] - z[q]) <= radius * radius)
-            cut = np.searchsorted(hit, np.cumsum(span.sum(axis=1)))
-            return p[hit], q[hit], [0, *cut]
+            return p[hit], q[hit]
 
         for lo, hi in _blocks(per_point):
             yield block(lo, hi)
@@ -291,21 +283,16 @@ class GridIndex:
         order of a walk over all 9 columns from the target, whatever the
         block size.
 
-        Each unordered pair is measured once (``unique_pairs``) and given to
-        both ends: p gets q directly, and q gets p mirrored, as a neighbor in
-        column (-dx, -dy), or for (0, 0) ahead of q's own row. A point's
-        mirrored neighbors all precede it in cell order and come before its
-        direct ones; within a block, the columns in reverse order, each by
-        ascending p, give them in that order. So each block's mirrored hits,
-        then its direct ones, keep every target's order within and across
-        blocks. Requires radius <= cell_size.
+        Each unordered pair (p, q), p < q, is measured once, in p's row, and
+        given to both ends: q gets p mirrored, p gets q directly. A point's
+        mirrored sources are earlier points, met in their own rows in this
+        or an earlier block, and its direct ones follow in its own row. So
+        each block's mirrored hits, then its direct ones, keep every
+        target's order within and across blocks. Requires radius <= cell_size.
         """
-        for p, q, cut in self.unique_pairs(radius):
-            col = [slice(cut[k], cut[k + 1]) for k in range(len(_HALF_COLUMNS))]
-            col[0] = np.flatnonzero(p[col[0]] != q[col[0]])  # self pairs only direct
-            t = np.concatenate([*(q[c] for c in col[::-1]), p])
-            s = np.concatenate([*(p[c] for c in col[::-1]), q])
-            yield t, s
+        for p, q in self.unique_pairs(radius):
+            mirror = p != q                                 # self pairs only direct
+            yield np.concatenate([q[mirror], p]), np.concatenate([p[mirror], q])
 
     def ball_stats(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-point neighbor count and population variance of neighbor z
@@ -314,8 +301,10 @@ class GridIndex:
         Each point's sums add its neighbors one float add at a time in
         ascending cell order (by neighbor cell in lexicographic offset
         order, then by ascending index), the order in which
-        ``_ordered_pairs`` gives them, so the bytes do not depend on the
-        blocks. Each unordered pair is measured once and added to both ends.
+        ``_ordered_pairs`` gives them: the earlier ones mirrored from their
+        own rows, then the point's own row. So the bytes do not depend on
+        the blocks. Each unordered pair is measured once and added to both
+        ends.
 
         Requires radius <= cell_size.
         """

@@ -28,6 +28,9 @@ def _fade(t):
 # unit gradients give |value| <= sqrt(2)/2 in 2D; rescale into [-1, 1]
 _RANGE_SCALE = np.sqrt(2.0)
 
+# largest |u|, |v| in noise cells whose lattice indices fit int64
+_LATTICE_LIMIT = 2.0**62
+
 
 @dataclass(frozen=True)
 class PerlinField:
@@ -61,10 +64,13 @@ def perlin2d(field: PerlinField, u, v) -> np.ndarray:
 
     Accepts scalars or same-shape arrays.
     """
-    u = (np.asarray(u, dtype=np.float64) - field.origin[0]) / field.cell_size
-    v = (np.asarray(v, dtype=np.float64) - field.origin[1]) / field.cell_size
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ContractError("query coordinates must be finite")
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        u = (np.asarray(u, dtype=np.float64) - field.origin[0]) / field.cell_size
+        v = (np.asarray(v, dtype=np.float64) - field.origin[1]) / field.cell_size
+    # the int64 lattice indices (and the next node) must not wrap; NaN fails too
+    if not (np.all(np.abs(u) < _LATTICE_LIMIT) and np.all(np.abs(v) < _LATTICE_LIMIT)):
+        raise ContractError("query coordinates must be finite and within 2**62 noise "
+                            f"cells of size {field.cell_size} of the field origin")
 
     x0 = np.floor(u).astype(np.int64)
     y0 = np.floor(v).astype(np.int64)

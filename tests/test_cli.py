@@ -285,8 +285,12 @@ class TestBadNumericFlags:
         pytest.param(["synth", "--extent", "nan"], 1, id="synth-extent-nan"),
         pytest.param(["synth", "--extent", "0"], 1, id="synth-extent-zero"),
         pytest.param(["synth", "--scenes", "0"], 1, id="synth-no-scenes"),
+        pytest.param(["synth", "--points", "100"], 1, id="synth-points-too-few"),
+        pytest.param(["synth", "--points", "100000000000"], 1, id="synth-points-too-many"),
         pytest.param(["raise", "--r-min", "nan"], 1, id="raise-r-min-nan"),
         pytest.param(["raise", "--r-min", "2", "--r-max", "1"], 1, id="raise-r-range"),
+        # noise cells of 5e-301 m: the lattice indices would pass int64
+        pytest.param(["raise", "--r-min", "1e-300", "--r-max", "1e-300"], 1, id="raise-r-tiny"),
         pytest.param(["raise", "--alpha", "nan"], 1, id="raise-alpha-nan"),
         pytest.param(["raise", "--eps", "nan"], 1, id="raise-eps-nan"),
         pytest.param(["raise", "--alpha", "1e39", "--eps", "1.0", "--min-pts", "2",
@@ -333,6 +337,13 @@ class TestBadNumericFlags:
         assert err.startswith("error: " if code == 1 else "usage error: "), err
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("points", ["100", "100000000000"])
+    def test_synth_points_range_named(self, tmp_path, capsys, points):
+        """The message names the flag and its range, and nothing is written."""
+        assert main(["synth", "--out", str(tmp_path / "s"), "--points", points]) == 1
+        assert "--points must be in [200, 10000000]" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestExportMap:

@@ -177,7 +177,7 @@ class TestUniquePairs:
     @staticmethod
     def chunks(points, radius, cell_size):
         index = GridIndex(points, cell_size=cell_size)
-        return [(index.order[p], index.order[q]) for p, q, _ in index.unique_pairs(radius)]
+        return [(index.order[p], index.order[q]) for p, q in index.unique_pairs(radius)]
 
     @staticmethod
     def unordered(chunks, n):
@@ -201,9 +201,19 @@ class TestUniquePairs:
         """q > p, except the self pairs, one per point."""
         points = make_points()
         index = GridIndex(points, cell_size=0.5)
-        p, q = map(np.concatenate, zip(*((p, q) for p, q, _ in index.unique_pairs(0.5))))
+        p, q = map(np.concatenate, zip(*((p, q) for p, q in index.unique_pairs(0.5))))
         assert np.all(q >= p)
         np.testing.assert_array_equal(np.sort(p[p == q]), np.arange(len(points)))
+
+    @pytest.mark.parametrize("make_points", CLOUDS)
+    @pytest.mark.parametrize("chunk", [1 << 15, 64])
+    def test_stream_ascends_by_p_then_q(self, make_points, chunk, monkeypatch):
+        """Over all blocks, (p, q) ascends lexicographically: a point's row
+        is whole in one block, its columns in lexicographic offset order."""
+        monkeypatch.setattr(neighbors, "_CHUNK", chunk)
+        points = make_points()
+        p, q = map(np.concatenate, zip(*GridIndex(points, cell_size=0.5).unique_pairs(0.5)))
+        assert np.all(np.diff(p * len(points) + q) > 0)
 
     def test_order_is_a_permutation_by_cell(self):
         points = scene_cloud()
@@ -370,6 +380,7 @@ class TestBallStats:
         # blocks of a few points: many mirrored hits reach their point in a
         # later block than the one that measured them
         *(pytest.param(*cloud.values, 64, id=f"{cloud.id}-small-blocks") for cloud in CLOUDS),
+        *(pytest.param(*cloud.values, 1, id=f"{cloud.id}-one-point-blocks") for cloud in CLOUDS),
     ])
     def test_bytes_match_order_explicit_reference(self, make_points, chunk, monkeypatch):
         points = make_points()

@@ -53,6 +53,24 @@ class TestPerlinField:
         with pytest.raises(ContractError):
             PerlinField(cell_size=0.0, seed=0)
 
+    @pytest.mark.parametrize("u, cell_size", [
+        pytest.param(2.0**62, 1.0, id="at-2**62-cells"),
+        pytest.param(-(2.0**62), 1.0, id="at-minus-2**62-cells"),
+        pytest.param(10.0, 1e-300, id="tiny-cells"),
+        pytest.param(10.0, 5e-324, id="cells-overflow-to-inf"),
+        pytest.param(np.nan, 1.0, id="nan"),
+        pytest.param(np.inf, 1.0, id="inf"),
+    ])
+    def test_lattice_beyond_int64_rejected(self, u, cell_size):
+        """Every |u| and |v| must be below 2**62 noise cells, so the int64
+        lattice indices cannot wrap and no NaN noise comes out."""
+        field = PerlinField(cell_size=cell_size, seed=0)
+        with np.errstate(all="raise"):
+            with pytest.raises(ContractError, match="noise"):
+                perlin2d(field, np.array([0.0, u]), np.zeros(2))
+            with pytest.raises(ContractError, match="noise"):
+                perlin2d(field, np.zeros(2), np.array([0.0, u]))
+
 
 class TestRaiseConfig:
     def test_validation(self):
