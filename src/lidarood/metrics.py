@@ -3,15 +3,16 @@ UQ) evaluation.
 
 Point-level metrics are threshold-free ranking statistics over per-point
 anomaly scores, with ignore-masked points excluded. AUROC, FPR@95, AP and
-the TPR-calibrated threshold all read one ranked sweep (``_ranked``): a
-single descending sort per call, then the OOD and ID counts strictly above
-each distinct score.
+the TPR-calibrated threshold all read a ranked sweep (``_ranked``): one
+descending sort, then the OOD and ID counts strictly above each distinct
+score. Each public function makes its own sweep; ``evaluate_scenes`` makes
+one for the pooled scenes and reads all three metrics from it.
 
 Object-level metrics binarize scores at a decision threshold gamma, cluster
 the flagged points with DBSCAN, and match predicted clusters to
 ground-truth anomaly instances by point-set IoU (a match requires IoU
-strictly greater than 0.5). Predictions lying wholly inside ignore regions
-are not penalized.
+strictly greater than 0.5), with every intersection counted in one pass.
+Predictions lying wholly inside ignore regions are not penalized.
 """
 
 from __future__ import annotations
@@ -100,10 +101,8 @@ def _ranked(scores: ScoreField, is_ood, ignore):
             n_pos, s.size - n_pos)
 
 
-def auroc(scores: ScoreField, is_ood, ignore=None) -> float:
-    """Probability that an OOD point outscores an ID point, ties counting
-    half (Mann-Whitney U statistic)."""
-    _, tp_above, fp_above, n_pos, n_neg = _ranked(scores, is_ood, ignore)
+def _auroc(sweep) -> float:
+    _, tp_above, fp_above, n_pos, n_neg = sweep
     if n_pos == 0 or n_neg == 0:
         raise ContractError("AUROC undefined: need at least one OOD and one ID point")
     # each tie block's OOD points beat the ID points below the block and tie
@@ -115,6 +114,29 @@ def auroc(scores: ScoreField, is_ood, ignore=None) -> float:
     return float(u / (n_pos * n_neg))
 
 
+def _fpr_at_tpr(sweep, tpr: float) -> float:
+    _, tp_above, fp_above, n_pos, n_neg = sweep
+    if n_pos == 0 or n_neg == 0:
+        raise ContractError("FPR@TPR undefined: need at least one OOD and one ID point")
+    hit = np.flatnonzero(tp_above / n_pos >= tpr)[0]
+    return float(fp_above[hit] / n_neg)
+
+
+def _average_precision(sweep) -> float:
+    _, tp_above, fp_above, n_pos, _ = sweep
+    if n_pos == 0:
+        raise ContractError("AP undefined: need at least one OOD point")
+    # a block's end is what lies strictly above the next candidate
+    precision = tp_above[1:] / (tp_above[1:] + fp_above[1:])
+    return float(np.sum(np.diff(tp_above / n_pos) * precision))
+
+
+def auroc(scores: ScoreField, is_ood, ignore=None) -> float:
+    """Probability that an OOD point outscores an ID point, ties counting
+    half (Mann-Whitney U statistic)."""
+    return _auroc(_ranked(scores, is_ood, ignore))
+
+
 def fpr_at_95_tpr(scores: ScoreField, is_ood, ignore=None, tpr: float = 0.95) -> float:
     """False-positive rate at the largest threshold reaching the target TPR.
 
@@ -122,11 +144,7 @@ def fpr_at_95_tpr(scores: ScoreField, is_ood, ignore=None, tpr: float = 0.95) ->
     plus -inf; a point is flagged when its score strictly exceeds the
     threshold."""
     _check_tpr(tpr)
-    _, tp_above, fp_above, n_pos, n_neg = _ranked(scores, is_ood, ignore)
-    if n_pos == 0 or n_neg == 0:
-        raise ContractError("FPR@TPR undefined: need at least one OOD and one ID point")
-    hit = np.flatnonzero(tp_above / n_pos >= tpr)[0]
-    return float(fp_above[hit] / n_neg)
+    return _fpr_at_tpr(_ranked(scores, is_ood, ignore), tpr)
 
 
 def _check_tpr(tpr: float) -> None:
@@ -140,12 +158,7 @@ def average_precision(scores: ScoreField, is_ood, ignore=None) -> float:
 
     Thresholds sweep the unique score values descending; tied scores are
     processed as one block."""
-    _, tp_above, fp_above, n_pos, _ = _ranked(scores, is_ood, ignore)
-    if n_pos == 0:
-        raise ContractError("AP undefined: need at least one OOD point")
-    # a block's end is what lies strictly above the next candidate
-    precision = tp_above[1:] / (tp_above[1:] + fp_above[1:])
-    return float(np.sum(np.diff(tp_above / n_pos) * precision))
+    return _average_precision(_ranked(scores, is_ood, ignore))
 
 
 def threshold_at_tpr(scores: ScoreField, is_ood, ignore=None, tpr: float = 0.95) -> float:
@@ -163,69 +176,72 @@ def cluster_predictions(
     scores: ScoreField, cloud: PointCloud, cfg: EvalConfig
 ) -> list[np.ndarray]:
     """Binarize at cfg.gamma, DBSCAN the flagged points, and return one
-    original-index array per non-noise cluster. Noise points are discarded."""
+    original-index array per non-noise cluster, ascending, in cluster id
+    order. Noise points are discarded."""
     flagged = np.flatnonzero(classify(scores, cfg.gamma))
     if flagged.size == 0:
         return []
     assign = dbscan(cloud.points[flagged], eps=cfg.dbscan_eps, min_pts=cfg.dbscan_min_pts)
-    return [flagged[assign.cluster_id == cid] for cid in range(assign.num_clusters)]
-
-
-def _gt_instances(gt: LabelMap) -> dict[int, np.ndarray]:
-    ood = np.isin(gt.role, OOD_ROLES)
-    out: dict[int, np.ndarray] = {}
-    for inst in np.unique(gt.instance[ood]):
-        out[int(inst)] = np.flatnonzero(ood & (gt.instance == inst))
-    return out
+    if assign.num_clusters == 0:
+        return []
+    cluster = assign.cluster_id
+    kept = cluster >= 0
+    # a stable sort keeps each cluster's points in index order
+    members = flagged[kept][np.argsort(cluster[kept], kind="stable")]
+    return np.split(members, np.cumsum(assign.sizes())[:-1])
 
 
 def match_instances(
     pred_instances: list[np.ndarray], gt: LabelMap, ignore=None
 ) -> MatchResult:
-    """Greedy one-to-one matching of predicted clusters to gt anomaly
-    instances in descending IoU order (ties by ascending gt then pred id);
-    pairs with IoU > 0.5 become true positives.
+    """Greedy one-to-one matching of predicted clusters (arrays of distinct
+    point indices) to gt anomaly instances in descending IoU order (ties by
+    ascending gt then pred id); pairs with IoU > 0.5 become true positives.
 
     Ignore-masked points are removed from both sides before IoU. Unmatched
     predictions lying wholly inside the ignore mask are dropped; other
     unmatched predictions are false positives, and unmatched gt instances
-    are false negatives."""
+    are false negatives.
+
+    Every (prediction, instance) intersection is counted in one pass over
+    the predictions' points; IoU divides the integer counts, which gives the
+    correctly rounded quotient."""
     if ignore is None:
         ignore = gt.role == Role.IGNORE
     ignore = np.asarray(ignore, dtype=bool)
 
-    preds = [np.asarray(p)[~ignore[np.asarray(p)]] for p in pred_instances]
-    gt_sets = {g: idx[~ignore[idx]] for g, idx in _gt_instances(gt).items()}
-    gt_sets = {g: idx for g, idx in gt_sets.items() if idx.size}
+    counted = np.isin(gt.role, OOD_ROLES) & ~ignore
+    gt_ids, gt_of = np.unique(gt.instance[counted], return_inverse=True)
+    gt_size = np.bincount(gt_of, minlength=gt_ids.size)
+    gt_index = np.full(gt.count, -1)  # per point: its gt instance's position in gt_ids
+    gt_index[counted] = gt_of
 
-    pairs = []
-    for pi, p in enumerate(preds):
-        if p.size == 0:
-            continue
-        pset = set(p.tolist())
-        for g, gidx in gt_sets.items():
-            inter = len(pset.intersection(gidx.tolist()))
-            if inter == 0:
-                continue
-            union = p.size + gidx.size - inter
-            pairs.append((inter / union, g, pi))
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+    preds = [np.asarray(p, dtype=np.intp) for p in pred_instances]
+    points = np.concatenate([np.empty(0, np.intp), *preds])
+    owner = np.repeat(np.arange(len(preds)), [p.size for p in preds])
+    seen = ~ignore[points]
+    points, owner = points[seen], owner[seen]
+    pred_size = np.bincount(owner, minlength=len(preds))
+
+    point_gt = gt_index[points]
+    hit = point_gt >= 0
+    pair, inter = np.unique(owner[hit] * gt_ids.size + point_gt[hit], return_counts=True)
+    pi, gi = np.divmod(pair, gt_ids.size)
+    iou = inter / (pred_size[pi] + gt_size[gi] - inter)
+    order = np.lexsort((pi, gi, -iou))
+    order = order[iou[order] > IOU_THRESHOLD]
 
     tp = []
-    used_pred: set[int] = set()
-    used_gt: set[int] = set()
-    for iou, g, pi in pairs:
-        if iou <= IOU_THRESHOLD:
-            break
-        if pi in used_pred or g in used_gt:
-            continue
-        tp.append((pi, g, float(iou)))
-        used_pred.add(pi)
-        used_gt.add(g)
+    pred_free = pred_size > 0
+    gt_free = np.ones(gt_ids.size, dtype=bool)
+    ids = gt_ids.tolist()
+    for p, g, v in zip(pi[order].tolist(), gi[order].tolist(), iou[order].tolist()):
+        if pred_free[p] and gt_free[g]:
+            tp.append((p, ids[g], v))
+            pred_free[p] = gt_free[g] = False
 
-    fp = tuple(pi for pi, p in enumerate(preds) if pi not in used_pred and p.size > 0)
-    fn = tuple(g for g in gt_sets if g not in used_gt)
-    return MatchResult(tp=tuple(tp), fp=fp, fn=fn)
+    return MatchResult(tp=tuple(tp), fp=tuple(np.flatnonzero(pred_free).tolist()),
+                       fn=tuple(gt_ids[gt_free].tolist()))
 
 
 def panoptic_scores(match: MatchResult) -> dict[str, float]:
@@ -260,13 +276,13 @@ def evaluate_scenes(
         n_fp += len(match.fp)
         n_fn += len(match.fn)
 
-    pooled, pos, ignore = pooled_points(scenes)
+    sweep = _ranked(*pooled_points(scenes))
     merged = MatchResult(tp=tuple(tp), fp=tuple(range(n_fp)), fn=tuple(range(n_fn)))
 
     out = {
-        "AUROC": auroc(pooled, pos, ignore),
-        "FPR@95": fpr_at_95_tpr(pooled, pos, ignore),
-        "AP": average_precision(pooled, pos, ignore),
+        "AUROC": _auroc(sweep),
+        "FPR@95": _fpr_at_tpr(sweep, 0.95),
+        "AP": _average_precision(sweep),
     }
     out.update(panoptic_scores(merged))
     return out

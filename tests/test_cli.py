@@ -308,6 +308,8 @@ class TestBadNumericFlags:
         pytest.param(["synth", "--anomalies", "-1"], 1, id="synth-anomalies-negative"),
         pytest.param(["train", "--hidden", "-1"], 1, id="train-hidden-negative"),
         pytest.param(["train", "--hidden", "0"], 1, id="train-hidden-zero"),
+        pytest.param(["train", "--hidden", "1000000000000"], 1, id="train-hidden-huge"),
+        pytest.param(["train", "--latent-dim", "1000000000000"], 1, id="train-latent-dim-huge"),
         pytest.param(["train", "--raise-per-scan", "-1"], 1, id="train-raise-per-scan-negative"),
         pytest.param(["synth", "--seed", "-1"], 1, id="synth-seed-negative"),
         pytest.param(["raise", "--seed", "-1"], 1, id="raise-seed-negative"),
@@ -337,6 +339,7 @@ class TestBadNumericFlags:
         assert err.startswith("error: " if code == 1 else "usage error: "), err
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert not (tmp_path / "r.txt").exists()
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("points", ["100", "100000000000"])
     def test_synth_points_range_named(self, tmp_path, capsys, points):

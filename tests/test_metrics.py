@@ -1,18 +1,22 @@
 """Evaluation metrics against brute-force oracles and hand computations."""
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarood.cluster import dbscan
 from lidarood.core import ContractError, LabelMap, PointCloud, Role, ScoreField
 from lidarood.metrics import (
-    EvalConfig, MatchResult, auroc, average_precision, cluster_predictions,
-    evaluate_scenes, fpr_at_95_tpr, match_instances, panoptic_scores,
-    read_report, threshold_at_tpr, write_report,
+    IOU_THRESHOLD, OOD_ROLES, EvalConfig, MatchResult, auroc, average_precision,
+    cluster_predictions, evaluate_scenes, fpr_at_95_tpr, match_instances, panoptic_scores,
+    pooled_points, read_report, threshold_at_tpr, write_report,
 )
 from lidarood.scoring import classify
+from test_cluster import flagged_points, lattice_points, scene_points
 
 
 def brute_force_auroc(scores, pos):
@@ -179,6 +183,34 @@ class TestClusterPredictions:
         assert len(preds) == 1
         np.testing.assert_array_equal(np.sort(preds[0]), np.arange(20))
 
+    @pytest.mark.parametrize("make_points, eps, min_pts", [
+        pytest.param(partial(flagged_points, 1), 0.5, 5, id="top-21%-of-20k"),
+        pytest.param(partial(flagged_points, 1, 100000), 0.5, 5, id="top-21%-of-100k"),
+        pytest.param(partial(scene_points, 1, 20000, 12.0), 0.5, 5, id="whole-20k"),
+        pytest.param(partial(flagged_points, 1, 3400, 8.0), 0.5, 5, id="top-21%-of-3.4k"),
+        pytest.param(lattice_points, 0.25, 3, id="lattice-ties"),
+    ])
+    def test_equals_per_id_masks_on_pinned_partitions(self, make_points, eps, min_pts):
+        """test_cluster's pinned DBSCAN inputs, flagged at the even indices
+        of a cloud whose odd points score below gamma: one array per
+        cluster id, each the flagged indices of that id in ascending order."""
+        points = make_points()
+        cloud = PointCloud(points=np.repeat(points, 2, axis=0))
+        scores = ScoreField(scores=np.tile([1.0, -1.0], len(points)))
+        preds = cluster_predictions(scores, cloud, EvalConfig(gamma=0.0, dbscan_eps=eps,
+                                                              dbscan_min_pts=min_pts))
+        flagged = np.arange(0, cloud.count, 2)
+        assign = dbscan(points, eps=eps, min_pts=min_pts)
+        want = [flagged[assign.cluster_id == c] for c in range(assign.num_clusters)]
+        assert len(preds) == len(want) > 1
+        for got, ref in zip(preds, want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_all_noise_gives_no_prediction(self):
+        cloud = PointCloud(points=np.arange(12.0).reshape(4, 3) * 10)
+        scores = ScoreField(scores=np.ones(4))
+        assert cluster_predictions(scores, cloud, EvalConfig(dbscan_min_pts=2)) == []
+
     def test_equivalent_to_manual_pipeline(self):
         rng = np.random.default_rng(2)
         cloud = PointCloud(points=rng.uniform(-3, 3, size=(200, 3)))
@@ -205,6 +237,82 @@ def labeled_instances(n, groups, ignore_idx=()):
         role[idx] = Role.REAL_OOD
     role[list(ignore_idx)] = Role.IGNORE
     return LabelMap(semantic=sem, instance=inst, role=role)
+
+
+def set_match_instances(pred_instances, gt, ignore=None):
+    """Reference matching: one Python set intersection per (prediction,
+    instance) pair, then the greedy walk in (-IoU, gt id, pred id) order."""
+    if ignore is None:
+        ignore = gt.role == Role.IGNORE
+    ignore = np.asarray(ignore, dtype=bool)
+    ood = np.isin(gt.role, OOD_ROLES)
+    preds = [np.asarray(p)[~ignore[np.asarray(p)]] for p in pred_instances]
+    gt_sets = {int(g): np.flatnonzero(ood & (gt.instance == g) & ~ignore)
+               for g in np.unique(gt.instance[ood])}
+    gt_sets = {g: idx for g, idx in gt_sets.items() if idx.size}
+
+    pairs = []
+    for pi, p in enumerate(preds):
+        if p.size == 0:
+            continue
+        pset = set(p.tolist())
+        for g, gidx in gt_sets.items():
+            inter = len(pset.intersection(gidx.tolist()))
+            if inter:
+                pairs.append((inter / (p.size + gidx.size - inter), g, pi))
+    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+
+    tp, used_pred, used_gt = [], set(), set()
+    for iou, g, pi in pairs:
+        if iou <= IOU_THRESHOLD:
+            break
+        if pi not in used_pred and g not in used_gt:
+            tp.append((pi, g, float(iou)))
+            used_pred.add(pi)
+            used_gt.add(g)
+    fp = tuple(pi for pi, p in enumerate(preds) if pi not in used_pred and p.size > 0)
+    fn = tuple(g for g in gt_sets if g not in used_gt)
+    return MatchResult(tp=tuple(tp), fp=fp, fn=fn)
+
+
+@st.composite
+def match_cases(draw):
+    """Small label maps (instance ids 0-3, every role) and predictions of
+    distinct indices. Each case also holds a copy of the first prediction
+    (overlap and an exact IoU tie), an empty prediction and one of every
+    ignored point; the ignore mask is the IGNORE role or an explicit one."""
+    n = draw(st.integers(1, 30))
+    role = draw(st.lists(st.sampled_from(
+        [Role.INLIER, Role.REAL_OOD, Role.AUX_OOD, Role.IGNORE]), min_size=n, max_size=n))
+    instance = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    gt = LabelMap(semantic=np.zeros(n, dtype=np.int64), instance=instance, role=role)
+    ignore = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
+    preds = draw(st.lists(st.lists(st.integers(0, n - 1), unique=True), max_size=6))
+    ignored = gt.role == Role.IGNORE if ignore is None else ignore
+    preds += preds[:1] + [[], np.flatnonzero(ignored)]
+    return [np.asarray(p, dtype=np.int64) for p in preds], gt, ignore
+
+
+class TestCountedMatching:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(match_cases())
+    def test_equals_set_reference(self, case):
+        """The same tp triples, of Python int, int and float, and the same
+        fp and fn tuples, in the same order."""
+        preds, gt, ignore = case
+        got, want = match_instances(preds, gt, ignore), set_match_instances(preds, gt, ignore)
+        for field in ("tp", "fp", "fn"):
+            assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+
+    def test_iou_ties_broken_by_gt_then_pred(self):
+        """Instances 2 (points 0-2) and 5 (points 3-5): every candidate pair
+        has IoU 3/5, so the walk takes them by ascending gt id, then
+        prediction index, and prediction 2 loses instance 2 to prediction 1."""
+        gt = labeled_instances(12, {2: np.arange(3), 5: np.arange(3, 6)})
+        preds = [np.array([3, 4, 5, 6, 7]), np.array([0, 1, 2, 8, 9]),
+                 np.array([0, 1, 2, 10, 11])]
+        match = match_instances(preds, gt)
+        assert match.tp == ((1, 2, 0.6), (0, 5, 0.6)) and match.fp == (2,) and match.fn == ()
 
 
 class TestMatchInstances:
@@ -325,6 +433,46 @@ class TestEvaluateScenes:
         m2 = match_instances(with_extra, labels2)
         assert len(m2.tp) == len(base.tp)
         assert len(m2.fp) == len(base.fp)
+
+
+class TestSharedSweep:
+    """evaluate_scenes reads the point metrics from one sweep of the pooled
+    scenes; each equals its public function on the pooled points."""
+
+    def _scenes(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        out = []
+        for n in (40, 1, 75):
+            role = rng.choice([Role.INLIER, Role.REAL_OOD, Role.AUX_OOD, Role.IGNORE],
+                              size=n, p=[0.6, 0.15, 0.1, 0.15])
+            labels = LabelMap(semantic=np.zeros(n, dtype=np.int64),
+                              instance=rng.integers(0, 3, size=n), role=role)
+            scores = rng.integers(-4, 5, size=n) / 2.0  # heavy ties, both zeros
+            scores[rng.random(n) < 0.1] = -0.0
+            out.append((PointCloud(points=rng.uniform(-2, 2, size=(n, 3))), labels,
+                        ScoreField(scores=scores)))
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_for_bit_with_the_public_functions(self, seed):
+        scenes = self._scenes(seed)
+        result = evaluate_scenes(scenes, EvalConfig(gamma=0.5, dbscan_min_pts=2))
+        pooled = pooled_points(scenes)
+        assert pooled[2].any()
+        for key, metric in (("AUROC", auroc), ("FPR@95", fpr_at_95_tpr),
+                            ("AP", average_precision)):
+            want = metric(*pooled)
+            assert np.float64(result[key]).tobytes() == np.float64(want).tobytes(), key
+        assert list(result)[:3] == ["AUROC", "FPR@95", "AP"]
+
+    def test_no_ood_point_is_contract_error(self):
+        scenes = self._scenes(0)
+        scenes = [(cloud, LabelMap(semantic=labels.semantic, instance=labels.instance,
+                                   role=np.where(np.isin(labels.role, OOD_ROLES),
+                                                 Role.INLIER, labels.role)), scores)
+                  for cloud, labels, scores in scenes]
+        with pytest.raises(ContractError):
+            evaluate_scenes(scenes, EvalConfig(gamma=0.5))
 
 
 class TestThresholdCalibration:
