@@ -187,7 +187,6 @@ def cmd_score(args) -> int:
     if method.requires_extended and not spec.extended:
         raise ContractError("extended energy needs an extended checkpoint")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for bin_path in _scene_stems(Path(args.data), ".bin"):
         cloud = load_point_cloud(bin_path)
         logits = forward(backbone, extract_features(cloud), spec)
@@ -195,6 +194,7 @@ def cmd_score(args) -> int:
             scores = reweighted_score(logits, method, params)
         else:
             scores = ScoreField(scores=static_score(logits, method))
+        out.mkdir(parents=True, exist_ok=True)  # here, so a refused first scan leaves no --out
         save_scores(scores, out / (bin_path.stem + ".score"))
     _write_provenance(out / "scores", "score",
                       {"score.method": method.value, "score.prior": args.prior})

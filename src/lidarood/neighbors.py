@@ -14,8 +14,10 @@ axis once, with the squared length of their offset; ``cell_pair_hits``
 measures the point pairs of given cell pairs in blocks of bounded size,
 and ``box_d2`` bounds them per cell pair from the cells' point boxes.
 ``cluster.dbscan`` counts and joins over them on cells of side eps / 2.
-A ball query scans the cells around one centre. Every squared distance is
-summed in x, y, z order (``_d2``).
+``ball`` is a single centre's query, by a direct distance pass;
+``columns_near`` finds the points within one and two xy columns of given
+points (the feature refresh). Every squared distance is summed in x, y, z
+order (``_d2``), and every cell key is floor(coordinate / cell_size).
 
 The pair enumerator, which serves only the density features, walks the
 points in cell order, each over its 5 columns of ``_half_block(1)``, the
@@ -42,7 +44,7 @@ import numpy as np
 
 from .core import ContractError
 
-__all__ = ["GridIndex"]
+__all__ = ["GridIndex", "ball", "columns_near"]
 
 # largest cell key magnitude: float64 keeps 53 bits, so a key this large is
 # within 2**-23 of a cell of its exact quotient (dbscan's cells are wider
@@ -93,9 +95,9 @@ class GridIndex:
                                 "for exact int64 cell codes")
         # shift occupied cells into [1, dims - 2] per axis, so every cell next
         # to an occupied one has a code of its own
-        self._origin = lo.astype(np.int64) - 1
+        origin = lo.astype(np.int64) - 1
         self._dims = (hi - lo).astype(np.int64) + 3
-        code = self._encode(*(keys.astype(np.int64) - self._origin[:, None]))
+        code = self._encode(*(keys.astype(np.int64) - origin[:, None]))
         self.order = np.argsort(code, kind="stable")
         code = code[self.order]
         new = np.empty(len(code), dtype=bool)
@@ -110,23 +112,18 @@ class GridIndex:
     def _encode(self, kx, ky, kz):
         return (kx * self._dims[1] + ky) * self._dims[2] + kz
 
-    def _cell_runs(self, column: np.ndarray, dz_lo, dz_hi) -> tuple[np.ndarray, np.ndarray]:
-        """First and end cell index of the occupied cells dz_lo..dz_hi above
-        each code of ``column``. Cells stacked in z have consecutive codes,
-        so they form one run of cells."""
-        first = np.searchsorted(self._cell_code, column + dz_lo)
-        end = np.searchsorted(self._cell_code, column + dz_hi, side="right")
-        return first, end
-
     def _column_runs(self, reach: int) -> tuple[np.ndarray, np.ndarray]:
         """First and end cell index, per column of ``_half_block(reach)``
         (rows, in its order) and cell, of the column's run of occupied cells
-        dz_lo..reach above the cell."""
+        dz_lo..reach above the cell. Cells stacked in z have consecutive
+        codes, so they form one run of cells."""
         dx, dy, dz_lo = _half_block(reach)
         # one row of ascending lookups per column, which searchsorted takes
         # faster than rows of mixed columns
-        return self._cell_runs(self._cell_code + self._encode(dx, dy, 0)[:, None],
-                               dz_lo[:, None], reach)
+        column = self._cell_code + self._encode(dx, dy, 0)[:, None]
+        first = np.searchsorted(self._cell_code, column + dz_lo[:, None])
+        end = np.searchsorted(self._cell_code, column + reach, side="right")
+        return first, end
 
     def cell_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each unordered pair of distinct occupied cells at most 2 cells
@@ -218,24 +215,9 @@ class GridIndex:
                 yield p.take(hit), q.take(hit), k.take(hit) + lo
 
     def query_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of all points with Euclidean distance <= radius of center. No
-        product code calls it: it stays for ``bench/tracing.py``'s wrap table."""
-        center = np.asarray(center, dtype=np.float64)
-        reach = int(np.ceil(radius / self.cell_size))
-        base = np.floor(center / self.cell_size).astype(np.int64) - self._origin
-        lo = np.maximum(base - reach, 1)                 # clipped to the occupied box
-        hi = np.minimum(base + reach, self._dims - 2)
-        if np.any(lo > hi):
-            return np.empty(0, dtype=np.int64)
-        kx, ky = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
-                             indexing="ij")
-        runs = self._cell_runs(self._encode(kx.ravel(), ky.ravel(), 0), lo[2], hi[2])
-        first, end = (self.cell_bound[run] for run in runs)
-        idx = self.order[_ranges(first, end - first)]
-        d2 = np.sum((self.points[idx] - center) ** 2, axis=1)
-        hits = idx[d2 <= radius * radius]
-        hits.sort()
-        return hits
+        """``ball(self.points, center, radius)``. No product code calls it: it
+        stays for ``bench/tracing.py``'s wrap table."""
+        return ball(self.points, center, radius)
 
     def unique_pairs(self, radius: float):
         """Yield (p, q) per block of consecutive points p in cell order: the
@@ -325,6 +307,45 @@ class GridIndex:
         out_counts[self.order] = counts
         out_zvar[self.order] = zvar
         return out_counts, out_zvar
+
+
+def ball(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Ascending indices of the (M, 3) ``points`` within ``radius`` of
+    ``center``, boundary inclusive: one direct distance pass in float64,
+    cheaper than building an index for a single query."""
+    diff = np.asarray(points).reshape(-1, 3) - np.asarray(center, dtype=np.float64)
+    return np.flatnonzero(_d2(*diff.T) <= radius * radius)
+
+
+def columns_near(points: np.ndarray, moved: np.ndarray,
+                 cell_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sub, redo): the ascending indices of the points within two xy
+    columns of a ``moved`` point (one or more row indices, in any order),
+    and which of them lie within one. Columns are those of ``GridIndex``,
+    keyed in float64; two are k apart when their keys differ by at most k
+    on each axis. The box of columns around the moved ones is cut first,
+    so the temporaries scale with the moved region, not with the cloud."""
+    xy = np.asarray(points)[:, :2]
+
+    def keys(rows):
+        return np.floor(np.asarray(xy[rows], dtype=np.float64) / cell_size).astype(np.int64)
+
+    moved_cols = keys(moved)
+    # the box of columns within 3 of a moved one: the two and one more on
+    # each side, so rounding in the cut drops no point
+    lo = moved_cols.min(axis=0) - 3
+    hi = moved_cols.max(axis=0) + 4
+    box = np.flatnonzero(np.all((xy >= lo * cell_size) & (xy < hi * cell_size), axis=1))
+    # per column of the box: 1 or 2 if within that many columns of a moved
+    # one, else 3, as on the box's border
+    gap = np.full(hi - lo, 3, dtype=np.int8)
+    for k in (2, 1):
+        dx, dy = np.mgrid[-k:k + 1, -k:k + 1].reshape(2, -1)
+        gap[moved_cols[:, :1] - lo[0] + dx, moved_cols[:, 1:] - lo[1] + dy] = k
+    # a key that rounding put past the box lies past its border
+    gap = gap[tuple(np.clip(keys(box) - lo, 0, hi - lo - 1).T)]
+    near = gap <= 2
+    return box[near], gap[near] <= 1
 
 
 def _d2(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ The augmentation synthesizes training anomalies directly from a scan: it
 samples a road patch, evaluates a fresh gradient-noise field over the patch,
 selects the top-noise fraction of points, and lifts the largest density
 cluster of the selection by a noise-proportional height gain. Raised points
-are relabeled as synthetic anomalies. The patch is one ball query, answered
-by a direct distance pass over the road points (boundary inclusive).
+are relabeled as synthetic anomalies. The patch is the road points of one
+``neighbors.ball``: a direct distance pass, boundary inclusive.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 from .cluster import dbscan, largest_cluster
 from .core import ClassSpec, ContractError, LabelMap, PointCloud, Role
+from .neighbors import ball
 from .scenes import ROAD
 
 __all__ = ["PerlinField", "perlin2d", "RaiseConfig", "RaiseReport", "draw_raise", "perlin_raise"]
@@ -170,11 +171,7 @@ def perlin_raise(
     center_index = int(road_idx[rng.integers(road_idx.size)])
     center = cloud.points[center_index].astype(np.float64)
 
-    # one ball around one centre: a direct distance pass is cheaper than
-    # building an index for a single query
-    road_points = cloud.points[road_idx].astype(np.float64)
-    d2 = np.sum((road_points - center) ** 2, axis=1)
-    neighborhood = road_idx[d2 <= cfg.r * cfg.r]  # road points within r of c, ascending
+    neighborhood = road_idx[ball(cloud.points[road_idx], center, cfg.r)]  # ascending
 
     cell = cfg.r / 2.0
     field_seed = int(rng.integers(2**63))

@@ -14,7 +14,6 @@ order, and every augmentation draw derive from seeded generators.
 from __future__ import annotations
 
 import io
-import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, W
                    read_float32, read_header, row_chunks, to_float32, work_array,
                    write_header)
 from .losses import LossConfig, total_loss
-from .neighbors import GridIndex
+from .neighbors import GridIndex, columns_near
 from .perlin import RaiseConfig, draw_raise, perlin_raise
 from .priornet import PriorParams, glorot, init_params, load_params, prior_weight, save_params
 from .scenes import ROAD
@@ -63,40 +62,17 @@ def _refresh_features(features: np.ndarray, cloud: PointCloud, moved: np.ndarray
     """Bitwise ``extract_features(cloud)``, given ``features`` of a cloud that
     differs from ``cloud`` only in the z of the ``moved`` rows.
 
-    Only the points within one xy column (cell of side ``_FEATURE_RADIUS``,
-    the grid of ``GridIndex``) of a moved point can change. They are
-    extracted again on the sub-cloud of the points within two columns, in
-    index order, which holds all their neighbors: ``GridIndex`` on it keeps
-    each point's cell (its origin shifts by whole cells) and so the order in
-    which ``ball_stats`` adds the neighbors.
+    Only the points within one xy column (of the ``GridIndex`` grid of side
+    ``_FEATURE_RADIUS``) of a moved point can change. They are extracted
+    again on the sub-cloud of the points within two columns, in index
+    order, which holds all their neighbors (``columns_near``): ``GridIndex``
+    on it keeps each point's cell (its origin shifts by whole cells) and so
+    the order in which ``ball_stats`` adds the neighbors.
     """
-    xy = cloud.points[:, :2]
-    moved_col = np.floor(xy[moved] / _FEATURE_RADIUS).astype(np.int64)
-    lo = moved_col.min(axis=0) - 2
-    hi = moved_col.max(axis=0) + 3
-    # cut the box of columns before any per-point array, so the float and
-    # int temporaries scale with the moved region, not with the cloud
-    box = np.flatnonzero(np.all((xy >= lo * _FEATURE_RADIUS) & (xy < hi * _FEATURE_RADIUS),
-                                axis=1))
-    kx, ky = (np.floor(xy[box] / _FEATURE_RADIUS).astype(np.int64) - lo).T
-    near = np.zeros(hi - lo, dtype=bool)
-    near[tuple((moved_col - lo).T)] = True
-    near = _grow(near)
-    in_sub = _grow(near)[kx, ky]
-    sub = box[in_sub]
-    redo = near[kx, ky][in_sub]
+    sub, redo = columns_near(cloud.points, moved, _FEATURE_RADIUS)
     fresh = extract_features(PointCloud(points=cloud.points[sub]))
     out = features.copy()
     out[sub[redo]] = fresh[redo]
-    return out
-
-
-def _grow(mask: np.ndarray) -> np.ndarray:
-    """``mask`` dilated by one cell in x, y and both diagonals."""
-    padded = np.pad(mask, 1)
-    out = np.zeros_like(mask)
-    for dx, dy in itertools.product(range(3), repeat=2):
-        out |= padded[dx:dx + mask.shape[0], dy:dy + mask.shape[1]]
     return out
 
 
@@ -326,7 +302,7 @@ def train(
     reused at every step whose raises moved no point. A step whose raises
     moved points patches a copy of them: it extracts again only the points
     within one 0.5 m xy cell column of a moved point, on the sub-cloud
-    within two columns, with the same bytes as a full extraction.
+    within two columns (``columns_near``), with a full extraction's bytes.
 
     The call owns one ``Workspace``, sized to its largest scan, and drops it
     on return. The prior-head probe and every step fill their large (M, .)

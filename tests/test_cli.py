@@ -229,6 +229,19 @@ class TestBadInput:
         self.assert_one_line_error(capsys)
         assert not list(out.glob("*.score"))
 
+    def test_truncated_point_file_leaves_no_out(self, pipeline, tmp_path, capsys):
+        """A 20-byte point file is refused before any score is written, and
+        the --out directory is never made."""
+        data = tmp_path / "cut"
+        data.mkdir()
+        (data / "scene_000.bin").write_bytes((pipeline / "eval" / "scene_000.bin").read_bytes()[:20])
+        out = tmp_path / "s"
+        capsys.readouterr()
+        assert main(["score", "--data", str(data), "--ckpt", str(pipeline / "model.ckpt"),
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_point_beyond_int64_cells(self, pipeline, tmp_path, capsys):
         """A finite x of 1e20 has no int64 cell key: score refuses the cloud."""
         data = tmp_path / "data"

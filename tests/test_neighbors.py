@@ -4,11 +4,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lidarood import neighbors
+from lidarood import neighbors, perlin
 from lidarood.core import ContractError
-from lidarood.neighbors import GridIndex
-from lidarood.scenes import SceneConfig, default_budget, generate_scene
+from lidarood.neighbors import GridIndex, ball, columns_near
+from lidarood.perlin import RaiseConfig, perlin_raise
+from lidarood.scenes import SceneConfig, default_budget, default_class_spec, generate_scene
 
 OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
 
@@ -113,6 +116,121 @@ class TestQueryBall:
     def test_non_finite_or_negative_cell_size(self, cell_size):
         with pytest.raises(ValueError):
             GridIndex(np.zeros((1, 3)), cell_size=cell_size)
+
+
+def brute_force_ball(points, center, radius):
+    """Indices within radius, each squared distance summed in x, y, z order
+    one float at a time."""
+    cx, cy, cz = np.asarray(center, dtype=np.float64).tolist()
+    hits = []
+    for k, (x, y, z) in enumerate(np.asarray(points, dtype=np.float64).tolist()):
+        dx, dy, dz = x - cx, y - cy, z - cz
+        if dx * dx + dy * dy + dz * dz <= radius * radius:
+            hits.append(k)
+    return hits
+
+
+def inline_ball(points, center, radius):
+    """The patch expression ``perlin_raise`` used before ``ball``: the
+    squared offsets of each row summed by ``np.sum``."""
+    d2 = np.sum((np.asarray(points, dtype=np.float64) - center) ** 2, axis=1)
+    return np.flatnonzero(d2 <= radius * radius)
+
+
+class TestBall:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-4, 4, size=(300, 3)).astype(dtype)
+        for _ in range(10):
+            center = rng.uniform(-5, 5, size=3)
+            radius = float(rng.uniform(0.1, 4.0))
+            assert ball(points, center, radius).tolist() == brute_force_ball(points, center, radius)
+
+    def test_boundary_inclusive(self):
+        points = np.array([[2.0, 3, 6], [0, 0, -7], [np.nextafter(7.0, 8.0), 0, 0],
+                           [-6, -2, 3], [0, 0, 0]])
+        assert ball(points, np.zeros(3), 7.0).tolist() == [0, 1, 3, 4]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_radius_on_a_point_agrees_with_row_sums(self, seed):
+        """With r at a point's own distance, the order of the sum decides
+        that point: x, y, z order is the order of ``np.sum`` along a row."""
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-3, 3, size=(500, 3)).astype(np.float32)
+        center = points[0].astype(np.float64)
+        for r in np.sqrt(np.sum((points[1:21] - center) ** 2, axis=1)):
+            got = ball(points, center, r).tolist()
+            assert got == inline_ball(points, center, r).tolist()
+            assert got == brute_force_ball(points, center, r)
+
+    def test_empty_cloud(self):
+        assert ball(np.empty((0, 3)), np.zeros(3), 1.0).size == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perlin_patch_equals_inline_expression(self, seed, monkeypatch):
+        """A seeded raise takes the same patch and raises the same points as
+        with its former inline distance pass."""
+        cloud, labels = generate_scene(SceneConfig(seed=seed, extent=8.0,
+                                                   class_budget=default_budget(3000)))
+        spec = default_class_spec()
+        cfg = RaiseConfig(r=1.2, dbscan_eps=1.0, dbscan_min_pts=2, seed=seed)
+        got = perlin_raise(cloud, labels, spec, cfg)
+        monkeypatch.setattr(perlin, "ball", inline_ball)
+        want = perlin_raise(cloud, labels, spec, cfg)
+        assert got[2].neighborhood_size == want[2].neighborhood_size > 0
+        assert got[2].raised_count > 0
+        np.testing.assert_array_equal(got[2].raised_indices, want[2].raised_indices)
+        assert got[0].points.tobytes() == want[0].points.tobytes()
+
+
+def brute_force_columns(points, moved, cell_size):
+    """(sub, redo) of ``columns_near`` from the Chebyshev distance of every
+    point's column key to every moved point's."""
+    keys = np.floor(np.asarray(points, dtype=np.float64)[:, :2] / cell_size)
+    gap = np.abs(keys[:, None] - keys[moved]).max(axis=2).min(axis=1)
+    sub = np.flatnonzero(gap <= 2)
+    return sub.tolist(), (gap[sub] <= 1).tolist()
+
+
+# multiples of a quarter and of 0.3 sit on the column edges of the cell sizes below
+coord = st.one_of(st.integers(-20, 20).map(lambda k: k / 4),
+                  st.integers(-20, 20).map(lambda k: k * 0.3),
+                  st.floats(-5, 5, width=32))
+
+
+class TestColumnsNear:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=60),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           cell_size=st.sampled_from([0.5, 0.3, 1.0]), data=st.data())
+    def test_matches_brute_force(self, rows, dtype, cell_size, data):
+        points = np.array(rows, dtype=dtype)
+        n = len(points)
+        moved = data.draw(st.one_of(
+            st.integers(0, n - 1).map(lambda k: [k]),                    # a single point
+            st.just(list(range(n))),                                      # every point
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=12),    # repeated, unsorted
+        ))
+        sub, redo = columns_near(points, np.array(moved), cell_size)
+        want_sub, want_redo = brute_force_columns(points, moved, cell_size)
+        assert sub.tolist() == want_sub
+        assert redo.tolist() == want_redo
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_column_edges(self, dtype):
+        """Coordinates on the edges of 0.3 m columns and one float64 step
+        to either side, each point moved alone. A float32 quotient puts
+        some float32 ones in the next column, the float64 one of
+        ``GridIndex`` does not; some float64 ones have the key of the other
+        side of the edge the box cut compares them with."""
+        edges = np.arange(-30, 31) * 0.3
+        x = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        points = np.c_[x, x[::-1], np.zeros(len(x))].astype(dtype)
+        for k in range(len(points)):
+            sub, redo = columns_near(points, np.array([k]), 0.3)
+            assert (sub.tolist(), redo.tolist()) == brute_force_columns(points, [k], 0.3)
 
 
 class TestPairs:

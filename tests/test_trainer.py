@@ -10,6 +10,7 @@ import pytest
 from lidarood import trainer
 from lidarood.core import ContractError, FormatError, LabelMap, PointCloud
 from lidarood.losses import total_loss
+from lidarood.perlin import draw_raise, perlin_raise
 from lidarood.priornet import init_params
 from lidarood.scenes import SceneConfig, default_budget, default_class_spec, generate_scene
 from lidarood.trainer import (
@@ -341,6 +342,26 @@ class TestFeatureRefresh:
         got = trainer._refresh_features(extract_features(PointCloud(points=points)), cloud,
                                         moved)
         assert got.tobytes() == extract_features(cloud).tobytes()
+
+    @pytest.mark.parametrize("total, extent", [(3000, 8.0), (20000, 12.0)], ids=["3k", "20k"])
+    def test_bytes_equal_fresh_extraction_after_real_raises(self, total, extent):
+        """Raises of a scene with a density filter loose enough (eps 1.0,
+        min_pts 2) that each moves points, two per step as training chains
+        them."""
+        spec = default_class_spec(extended=True)
+        scene, scene_labels = generate_scene(SceneConfig(seed=7, extent=extent,
+                                                         class_budget=default_budget(total)))
+        base = extract_features(scene)
+        rng = np.random.default_rng(total)
+        for _ in range(3):
+            cloud, labels, moved = scene, scene_labels, []
+            for _ in range(2):
+                rcfg = draw_raise(rng, (0.75, 1.5), dbscan_eps=1.0, dbscan_min_pts=2)
+                cloud, labels, report = perlin_raise(cloud, labels, spec, rcfg)
+                assert report.raised_count > 0
+                moved.append(report.raised_indices)
+            got = trainer._refresh_features(base, cloud, np.concatenate(moved))
+            assert got.tobytes() == extract_features(cloud).tobytes()
 
 
 class TestFeatureCache:
