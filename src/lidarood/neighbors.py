@@ -24,20 +24,21 @@ points in cell order, each over its 5 columns of ``_half_block(1)``, the
 stencil ``cell_pairs`` takes at reach 2 (three stacked cells, one run of
 points in cell order). It expands each point's runs into candidate pairs,
 in blocks of bounded size, and measures them on coordinate columns in cell
-order, filtering by exact Euclidean distance, boundary inclusive. Each
-unordered pair comes once, as positions in cell order (``order`` maps them
-to indices), by ascending first, then second position (``unique_pairs``),
-and ``ball_stats`` adds each to both ends. Its order contract: each
-point's sums take its neighbors one at a time in ascending cell order (by
-cell in lexicographic offset order, then by index), as a walk over all 9
-columns from the point would, whatever the block size. The point-major
-walk keeps that order: a point's earlier neighbors reach it mirrored from
-their own rows, which come before its own row of later ones.
+order, in x and y first and in z only those within radius there, by exact
+Euclidean distance, boundary inclusive. Each pair of distinct points comes
+once, as positions in cell order (``order`` maps them to indices), by
+ascending first, then second position (``unique_pairs``). ``ball_stats``
+adds each to both ends, per block the mirrored hits, the points
+themselves, then the direct hits, so each point's sums take its neighbors
+one at a time in ascending cell order (by cell in lexicographic offset
+order, then by index), as a walk over all 9 columns from the point would,
+whatever the block size.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import cached_property
 
 import numpy as np
@@ -220,61 +221,53 @@ class GridIndex:
         return ball(self.points, center, radius)
 
     def unique_pairs(self, radius: float):
-        """Yield (p, q) per block of consecutive points p in cell order: the
-        pairs within radius of each point p with the points q of its row, as
-        cell-order positions, q > p except self pairs, each pair once.
+        """Yield (rows, p, q) per block of consecutive cell-order positions
+        ``rows``: the pairs within radius of each point p of rows with the
+        points q > p of its row, as cell-order positions, each pair once.
 
         A point's row is its 5 columns of ``_half_block(1)`` in lexicographic
         order: per column, its cells z - 1..z + 1, one run of q in cell
-        order; in the (0, 0) column, from p itself through cell z + 1.
-        Codes ascend with the column offsets, so over all blocks the hits
-        come by ascending p, then ascending q. A block holds whole points up
-        to about ``_CHUNK`` candidates. Requires radius <= cell_size.
+        order; in the (0, 0) column, from the point after p through cell
+        z + 1. Codes ascend with the column offsets, so over all blocks the
+        hits come by ascending p, then ascending q. A block holds whole
+        points up to about ``_CHUNK`` candidates, measured in x and y, and
+        those within radius there in z too: rounding is monotone, so
+        fl(a + dz * dz) >= a, and a pair beyond radius in x and y is beyond
+        it in x, y and z. Requires radius <= cell_size.
         """
         if radius > self.cell_size:
             raise ValueError("pairs need radius <= cell_size")
         x, y, z = self._xyz
         n = len(x)
+        r2 = radius * radius
         cell = np.repeat(np.arange(len(self._cell_code)), np.diff(self.cell_bound))
         # per cell and column, the start and end of the column's run of points
         first, end = (self.cell_bound[run.T] for run in self._column_runs(1))
-        # a point's candidates: its cell's runs, less the (0, 0) run before it
-        per_point = (end - first).sum(axis=1)[cell] + first[cell, 0] - np.arange(n)
+        # a point's candidates: its cell's runs, less the (0, 0) run through it
+        per_point = (end - first).sum(axis=1)[cell] + first[cell, 0] - np.arange(1, n + 1)
 
         # a function, so a block's candidates are freed before its hits are used
         def block(lo, hi):
             rows = np.arange(lo, hi)
             q_row = first[cell[lo:hi]]
-            q_row[:, 0] = rows
+            q_row[:, 0] = rows + 1
             q = _ranges(q_row.ravel(), (end[cell[lo:hi]] - q_row).ravel())
-            p = np.repeat(rows, per_point[lo:hi])
-            # the mirror pair (q, p) has the same d2: x[q] - x[p] is exactly
-            # -(x[p] - x[q])
-            hit = np.flatnonzero(_d2(x[p] - x[q], y[p] - y[q], z[p] - z[q]) <= radius * radius)
-            return p[hit], q[hit]
+            span = per_point[lo:hi]
+            # p's coordinates repeated along its row; the mirror pair (q, p)
+            # has the same d2: x[q] - x[p] is exactly -(x[p] - x[q])
+            dx, dy = x[lo:hi].repeat(span), y[lo:hi].repeat(span)
+            dx -= x.take(q)
+            dy -= y.take(q)
+            near = np.flatnonzero(_d2(dx, dy) <= r2)
+            p, q = rows.repeat(span).take(near), q.take(near)
+            dz = z.take(p)
+            dz -= z.take(q)
+            # IEEE addition commutes: this is (dx * dx + dy * dy) + dz * dz
+            hit = np.flatnonzero(_d2(dz) + dx.take(near) <= r2)
+            return rows, p.take(hit), q.take(hit)
 
         for lo, hi in _blocks(per_point):
             yield block(lo, hi)
-
-    def _ordered_pairs(self, radius: float):
-        """Yield (t, s) per block of ``unique_pairs``: every ordered pair with
-        distance <= radius once over all blocks, self pairs included, as
-        positions in cell order, target t and source s. Over the blocks in
-        order, each target's sources come one at a time in ascending cell
-        order (by cell in lexicographic offset order, then by index), the
-        order of a walk over all 9 columns from the target, whatever the
-        block size.
-
-        Each unordered pair (p, q), p < q, is measured once, in p's row, and
-        given to both ends: q gets p mirrored, p gets q directly. A point's
-        mirrored sources are earlier points, met in their own rows in this
-        or an earlier block, and its direct ones follow in its own row. So
-        each block's mirrored hits, then its direct ones, keep every
-        target's order within and across blocks. Requires radius <= cell_size.
-        """
-        for p, q in self.unique_pairs(radius):
-            mirror = p != q                                 # self pairs only direct
-            yield np.concatenate([q[mirror], p]), np.concatenate([p[mirror], q])
 
     def ball_stats(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-point neighbor count and population variance of neighbor z
@@ -282,25 +275,25 @@ class GridIndex:
 
         Each point's sums add its neighbors one float add at a time in
         ascending cell order (by neighbor cell in lexicographic offset
-        order, then by ascending index), the order in which
-        ``_ordered_pairs`` gives them: the earlier ones mirrored from their
-        own rows, then the point's own row. So the bytes do not depend on
-        the blocks. Each unordered pair is measured once and added to both
-        ends.
-
-        Requires radius <= cell_size.
+        order, then by ascending index), whatever the block size. Each pair
+        (p, q) of ``unique_pairs`` is added to both ends: q gets p
+        mirrored, p gets q directly. A point's mirrored sources are earlier
+        points, met in their own rows in this or an earlier block, and its
+        direct ones follow in its own row; so each block adds its mirrored
+        hits, then its points themselves, then its direct hits. Requires
+        radius <= cell_size.
         """
         n = len(self.points)
-        z = self.points[self.order, 2]
+        z = self._xyz[2]
         counts = np.zeros(n, dtype=np.int64)
         s1 = np.zeros(n)
         s2 = np.zeros(n)
-        for t, s in self._ordered_pairs(radius):
-            # np.add.at adds in array order, onto what earlier blocks added
-            zs = z[s]
-            np.add.at(counts, t, 1)
-            np.add.at(s1, t, zs)
-            np.add.at(s2, t, zs * zs)
+        for rows, p, q in self.unique_pairs(radius):
+            # np.add.at adds in array order, onto what was added before
+            for t, zs in ((q, z.take(p)), (rows, z.take(rows)), (p, z.take(q))):
+                np.add.at(counts, t, 1)
+                np.add.at(s1, t, zs)
+                np.add.at(s2, t, zs * zs)
         mean = s1 / counts
         zvar = np.maximum(s2 / counts - mean * mean, 0.0)
         out_counts, out_zvar = np.empty_like(counts), np.empty_like(zvar)
@@ -317,46 +310,51 @@ def ball(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     return np.flatnonzero(_d2(*diff.T) <= radius * radius)
 
 
-def columns_near(points: np.ndarray, moved: np.ndarray,
+def columns_near(points: np.ndarray, moved: Sequence[np.ndarray],
                  cell_size: float) -> tuple[np.ndarray, np.ndarray]:
     """(sub, redo): the ascending indices of the points within two xy
-    columns of a ``moved`` point (one or more row indices, in any order),
-    and which of them lie within one. Columns are those of ``GridIndex``,
-    keyed in float64; two are k apart when their keys differ by at most k
-    on each axis. The box of columns around the moved ones is cut first,
-    so the temporaries scale with the moved region, not with the cloud."""
+    columns of a moved point, and which of them lie within one. ``moved``
+    holds groups of row indices, each in any order (one per raise). Columns
+    are those of ``GridIndex``, keyed in float64; two are k apart when their
+    keys differ by at most k on each axis. A box of columns is cut around
+    each group: temporaries scale with the groups' regions, not the cloud."""
     xy = np.asarray(points)[:, :2]
 
     def keys(rows):
         return np.floor(np.asarray(xy[rows], dtype=np.float64) / cell_size).astype(np.int64)
 
-    moved_cols = keys(moved)
-    # the box of columns within 3 of a moved one: the two and one more on
-    # each side, so rounding in the cut drops no point
-    lo = moved_cols.min(axis=0) - 3
-    hi = moved_cols.max(axis=0) + 4
-    box = np.flatnonzero(np.all((xy >= lo * cell_size) & (xy < hi * cell_size), axis=1))
-    # per column of the box: 1 or 2 if within that many columns of a moved
-    # one, else 3, as on the box's border
-    gap = np.full(hi - lo, 3, dtype=np.int8)
-    for k in (2, 1):
-        dx, dy = np.mgrid[-k:k + 1, -k:k + 1].reshape(2, -1)
-        gap[moved_cols[:, :1] - lo[0] + dx, moved_cols[:, 1:] - lo[1] + dy] = k
-    # a key that rounding put past the box lies past its border
-    gap = gap[tuple(np.clip(keys(box) - lo, 0, hi - lo - 1).T)]
+    # per group, the box of columns within 3 of a moved one: the two and
+    # one more on each side, so rounding in the cut drops no point; in it,
+    # per column, 1 or 2 if within that many columns of a moved one, else 3,
+    # as on the box's border
+    boxes, inside = [], np.zeros(len(xy), dtype=bool)
+    for rows in moved:
+        moved_cols = keys(rows)
+        lo, hi = moved_cols.min(axis=0) - 3, moved_cols.max(axis=0) + 4
+        (x_lo, y_lo), (x_hi, y_hi) = lo * cell_size, hi * cell_size
+        inside |= (xy[:, 0] >= x_lo) & (xy[:, 0] < x_hi) & (xy[:, 1] >= y_lo) & (xy[:, 1] < y_hi)
+        gap = np.full(hi - lo, 3, dtype=np.int8)
+        for k in (2, 1):
+            dx, dy = np.mgrid[-k:k + 1, -k:k + 1].reshape(2, -1)
+            gap[moved_cols[:, :1] - lo[0] + dx, moved_cols[:, 1:] - lo[1] + dy] = k
+        boxes.append((lo, hi, gap))
+    box = np.flatnonzero(inside)
+    # a key past a box, by rounding or in another group's box, reads its border
+    cols = keys(box)
+    gap = np.min([gap[tuple(np.clip(cols - lo, 0, hi - lo - 1).T)] for lo, hi, gap in boxes], 0)
     near = gap <= 2
     return box[near], gap[near] <= 1
 
 
-def _d2(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """dx * dx + dy * dy + dz * dz, in place in dx. Every squared distance
-    here is summed in this x, y, z order, as the brute-force references sum
-    theirs: another order can round a pair at d == radius to the other side."""
+def _d2(dx: np.ndarray, *axes: np.ndarray) -> np.ndarray:
+    """dx * dx + dy * dy + dz * dz (or the squares of the axes given), in
+    place in them. Every squared distance here is summed in this x, y, z
+    order, as the brute-force references sum theirs: another order can
+    round a pair at d == radius to the other side."""
     dx *= dx
-    dy *= dy
-    dx += dy
-    dz *= dz
-    dx += dz
+    for a in axes:
+        a *= a
+        dx += a
     return dx
 
 

@@ -58,9 +58,10 @@ def extract_features(cloud: PointCloud) -> np.ndarray:
     return np.c_[pts[:, 2], radial, density, zvar]
 
 
-def _refresh_features(features: np.ndarray, cloud: PointCloud, moved: np.ndarray) -> np.ndarray:
+def _refresh_features(features: np.ndarray, cloud: PointCloud, *moved: np.ndarray) -> np.ndarray:
     """Bitwise ``extract_features(cloud)``, given ``features`` of a cloud that
-    differs from ``cloud`` only in the z of the ``moved`` rows.
+    differs from ``cloud`` only in the z of the ``moved`` rows (one or more
+    groups of them, such as one per raise).
 
     Only the points within one xy column (of the ``GridIndex`` grid of side
     ``_FEATURE_RADIUS``) of a moved point can change. They are extracted
@@ -376,7 +377,7 @@ def train(
 
             features = base_features(int(scan_idx))
             if moved:
-                features = _refresh_features(features, cloud, np.concatenate(moved))
+                features = _refresh_features(features, cloud, *moved)
             logits = forward(backbone, features, spec, work=work)
             result = total_loss(logits, labels, spec, cfg.method, params,
                                 cfg.loss, use_prior=cfg.use_prior, work=work)

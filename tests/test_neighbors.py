@@ -75,8 +75,7 @@ def reference_ball_stats(points, radius):
 class TestQueryBall:
     @pytest.mark.parametrize("seed, center_span, max_radius", [
         *(pytest.param(seed, 4.0, 2.5, id=str(seed)) for seed in range(5)),
-        # centres mostly outside the indexed box, radii up to 12 cells: the
-        # scanned cells are clipped to the occupied box
+        # centres mostly outside the points' box, radii up to 12 cells
         pytest.param(5, 16.0, 10.0, id="far-centres-wide-radii"),
     ])
     def test_matches_brute_force(self, seed, center_span, max_radius):
@@ -187,9 +186,11 @@ class TestBall:
 
 def brute_force_columns(points, moved, cell_size):
     """(sub, redo) of ``columns_near`` from the Chebyshev distance of every
-    point's column key to every moved point's."""
+    point's column key to every moved point's (one group or all groups
+    together)."""
     keys = np.floor(np.asarray(points, dtype=np.float64)[:, :2] / cell_size)
-    gap = np.abs(keys[:, None] - keys[moved]).max(axis=2).min(axis=1)
+    moved_cols = np.unique(keys[np.asarray(moved)], axis=0)
+    gap = np.abs(keys[:, None] - moved_cols).max(axis=2).min(axis=1)
     sub = np.flatnonzero(gap <= 2)
     return sub.tolist(), (gap[sub] <= 1).tolist()
 
@@ -213,7 +214,7 @@ class TestColumnsNear:
             st.just(list(range(n))),                                      # every point
             st.lists(st.integers(0, n - 1), min_size=1, max_size=12),    # repeated, unsorted
         ))
-        sub, redo = columns_near(points, np.array(moved), cell_size)
+        sub, redo = columns_near(points, [np.array(moved)], cell_size)
         want_sub, want_redo = brute_force_columns(points, moved, cell_size)
         assert sub.tolist() == want_sub
         assert redo.tolist() == want_redo
@@ -229,61 +230,34 @@ class TestColumnsNear:
         x = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
         points = np.c_[x, x[::-1], np.zeros(len(x))].astype(dtype)
         for k in range(len(points)):
-            sub, redo = columns_near(points, np.array([k]), 0.3)
+            sub, redo = columns_near(points, [np.array([k])], 0.3)
             assert (sub.tolist(), redo.tolist()) == brute_force_columns(points, [k], 0.3)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=60),
+           cell_size=st.sampled_from([0.5, 0.3]), data=st.data())
+    def test_groups_match_brute_force_of_their_union(self, rows, cell_size, data):
+        """One box per group, near, overlapping or repeating each other."""
+        points = np.array(rows)
+        groups = data.draw(st.lists(st.lists(st.integers(0, len(points) - 1), min_size=1,
+                                             max_size=8), min_size=2, max_size=4))
+        sub, redo = columns_near(points, [np.array(g) for g in groups], cell_size)
+        want = brute_force_columns(points, [k for g in groups for k in g], cell_size)
+        assert (sub.tolist(), redo.tolist()) == want
 
-class TestPairs:
-    """The ordered pairs ``ball_stats`` adds, in the order it adds them."""
-
-    @staticmethod
-    def chunks(points, radius, cell_size):
-        index = GridIndex(points, cell_size=cell_size)
-        return [(index.order[t], index.order[s]) for t, s in index._ordered_pairs(radius)]
-
-    @pytest.mark.parametrize("make_points", CLOUDS)
-    @pytest.mark.parametrize("radius", [0.3, 0.5])
-    def test_union_matches_brute_force_once_each(self, make_points, radius):
-        points = make_points()
-        i, j = map(np.concatenate, zip(*self.chunks(points, radius, cell_size=0.5)))
-        got = i * len(points) + j
-        want_i, want_j = brute_force_pairs(points, radius)
-        assert len(np.unique(got)) == len(got)          # no pair twice
-        np.testing.assert_array_equal(np.sort(got), want_i * len(points) + want_j)
-
-    @pytest.mark.parametrize("make_points", CLOUDS)
-    def test_order_per_point_is_cell_offset_then_j(self, make_points):
-        """Over the chunks in order, each point's pairs come by neighbor
-        cell in lexicographic offset order, then by ascending j."""
-        points = make_points()
-        i, j = map(np.concatenate, zip(*self.chunks(points, 0.5, cell_size=0.5)))
-        by_i = np.argsort(i, kind="stable")
-        i, j = i[by_i], j[by_i]
-        cell = np.floor(points[j] / 0.5).astype(np.int64)   # offset = cell - cell of i
-        want = np.lexsort((j, cell[:, 2], cell[:, 1], cell[:, 0], i))
-        np.testing.assert_array_equal(want, np.arange(len(i)))
-
-    def test_dense_cloud_spans_several_chunks(self):
-        chunks = self.chunks(dense_cloud(), 0.5, cell_size=0.5)
-        assert len(chunks) > 9
-
-    def test_boundary_inclusive_across_cells(self):
-        points = np.array([[0.25, 0, 0], [0.75, 0, 0], [-0.25 - 1e-9, 0, 0]])
-        i, j = map(np.concatenate, zip(*self.chunks(points, 0.5, cell_size=0.5)))
-        got = sorted(zip(i.tolist(), j.tolist()))
-        assert got == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
-
-    def test_empty_cloud(self):
-        chunks = self.chunks(np.empty((0, 3)), 0.5, cell_size=0.5)
-        assert chunks and all(i.size == 0 and j.size == 0 for i, j in chunks)
-
-    def test_single_point(self):
-        i, j = map(np.concatenate, zip(*self.chunks(np.ones((1, 3)), 0.5, cell_size=0.5)))
-        assert i.tolist() == [0] and j.tolist() == [0]
-
-    def test_radius_larger_than_cell_rejected(self):
-        with pytest.raises(ValueError):
-            next(GridIndex(np.zeros((2, 3)), cell_size=0.5)._ordered_pairs(0.6))
+    def test_far_apart_groups(self):
+        """Two patches at opposite corners of a CLI-default 20k-point scene,
+        as two raises of one step move them: the union of two small boxes,
+        not the box around both."""
+        cloud, _ = generate_scene(SceneConfig(seed=1, extent=12.0,
+                                              class_budget=default_budget(20000)))
+        xy = cloud.points[:, :2].astype(np.float64)
+        groups = [np.flatnonzero(np.hypot(*(xy - corner).T) < 1.5) for corner in (-8, 8)]
+        assert all(len(g) > 50 for g in groups)
+        sub, redo = columns_near(cloud.points, groups, 0.5)
+        assert (sub.tolist(), redo.tolist()) == \
+            brute_force_columns(cloud.points, np.concatenate(groups), 0.5)
+        assert len(sub) < len(xy) // 10
 
 
 class TestUniquePairs:
@@ -295,7 +269,7 @@ class TestUniquePairs:
     @staticmethod
     def chunks(points, radius, cell_size):
         index = GridIndex(points, cell_size=cell_size)
-        return [(index.order[p], index.order[q]) for p, q in index.unique_pairs(radius)]
+        return [(index.order[p], index.order[q]) for _, p, q in index.unique_pairs(radius)]
 
     @staticmethod
     def unordered(chunks, n):
@@ -310,18 +284,20 @@ class TestUniquePairs:
         n = len(points)
         got = self.unordered(self.chunks(points, radius, cell_size=0.5), n)
         want_i, want_j = brute_force_pairs(points, radius)
-        upper = want_i <= want_j                        # self pairs once
+        upper = want_i < want_j                         # no self pairs
         assert len(np.unique(got)) == len(got)          # no pair twice
         np.testing.assert_array_equal(np.sort(got), want_i[upper] * n + want_j[upper])
 
     @pytest.mark.parametrize("make_points", CLOUDS)
     def test_positions_ascend_within_each_pair(self, make_points):
-        """q > p, except the self pairs, one per point."""
+        """q > p, and p among its block's rows, which are all the positions
+        once, in order, over the blocks."""
         points = make_points()
-        index = GridIndex(points, cell_size=0.5)
-        p, q = map(np.concatenate, zip(*((p, q) for p, q in index.unique_pairs(0.5))))
-        assert np.all(q >= p)
-        np.testing.assert_array_equal(np.sort(p[p == q]), np.arange(len(points)))
+        blocks = list(GridIndex(points, cell_size=0.5).unique_pairs(0.5))
+        for rows, p, q in blocks:
+            assert np.all(q > p) and np.all(np.isin(p, rows))
+        rows = np.concatenate([rows for rows, _, _ in blocks])
+        np.testing.assert_array_equal(rows, np.arange(len(points)))
 
     @pytest.mark.parametrize("make_points", CLOUDS)
     @pytest.mark.parametrize("chunk", [1 << 15, 64])
@@ -330,7 +306,7 @@ class TestUniquePairs:
         is whole in one block, its columns in lexicographic offset order."""
         monkeypatch.setattr(neighbors, "_CHUNK", chunk)
         points = make_points()
-        p, q = map(np.concatenate, zip(*GridIndex(points, cell_size=0.5).unique_pairs(0.5)))
+        _, p, q = map(np.concatenate, zip(*GridIndex(points, cell_size=0.5).unique_pairs(0.5)))
         assert np.all(np.diff(p * len(points) + q) > 0)
 
     def test_order_is_a_permutation_by_cell(self):
@@ -349,16 +325,15 @@ class TestUniquePairs:
         and in z (the cell above, in the point's own column)."""
         points = np.array([[0.25, 0, 0], [0.75, 0, 0], [-0.25 - 1e-9, 0, 0], [0.25, 0, 0.5]])
         got = self.unordered(self.chunks(points, 0.5, cell_size=0.5), len(points))
-        assert sorted(divmod(k, 4) for k in got.tolist()) == \
-            [(0, 0), (0, 1), (0, 3), (1, 1), (2, 2), (3, 3)]
+        assert sorted(divmod(k, 4) for k in got.tolist()) == [(0, 1), (0, 3)]
 
     def test_empty_cloud(self):
         chunks = self.chunks(np.empty((0, 3)), 0.5, cell_size=0.5)
         assert chunks and all(i.size == 0 and j.size == 0 for i, j in chunks)
 
     def test_single_point(self):
-        i, j = map(np.concatenate, zip(*self.chunks(np.ones((1, 3)), 0.5, cell_size=0.5)))
-        assert i.tolist() == [0] and j.tolist() == [0]
+        (rows, p, q), = GridIndex(np.ones((1, 3)), cell_size=0.5).unique_pairs(0.5)
+        assert rows.tolist() == [0] and p.size == q.size == 0
 
     def test_radius_larger_than_cell_rejected(self):
         with pytest.raises(ValueError):
@@ -508,6 +483,31 @@ class TestBallStats:
             assert sum(1 for _ in index.unique_pairs(0.5)) >= 10
         counts, zvar = index.ball_stats(0.5)
         want_counts, want_zvar = reference_ball_stats(points, 0.5)
+        assert counts.tobytes() == want_counts.tobytes()
+        assert zvar.tobytes() == want_zvar.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 64, None])
+    @pytest.mark.parametrize("points, density", [
+        # 3, 4, 5 in eighths: r = 0.625, r * r = 0.390625, all exact
+        pytest.param([[0, 0, 0], [0.375, 0.5, 0]], [2, 2], id="xy-at-r-dz-zero-kept"),
+        pytest.param([[0, 0, 0], [0.375, 0.5, 1e-8]], [1, 1], id="xy-at-r-tiny-dz-dropped"),
+        # dy * dy is 0.25 + 2**-53, so the xy sum is one step above r * r
+        pytest.param([[0, 0, 0], [0.375, np.nextafter(0.5, 1), 0]], [1, 1],
+                     id="xy-just-over-r-dropped"),
+        # 0.375 in x, 0.5 in z, across a z cell
+        pytest.param([[0, 0, 0.25], [0.375, 0, 0.75]], [2, 2], id="r-split-xy-z-kept"),
+        pytest.param([[0, 0, -0.0], [-0.25, 0, -0.5], [0, 0.25, 0.0], [0.5, 0.5, -1.0],
+                      [-0.25, -0.25, -0.0]], [4, 4, 4, 1, 4], id="negative-and-minus-zero-z"),
+    ])
+    def test_pairs_at_the_radius_match_reference(self, points, density, chunk, monkeypatch):
+        """Pairs at or one rounding step past r, which the x and y test
+        keeps or drops before z is measured."""
+        if chunk is not None:
+            monkeypatch.setattr(neighbors, "_CHUNK", chunk)
+        points = np.array(points, dtype=np.float64)
+        counts, zvar = GridIndex(points, cell_size=0.625).ball_stats(0.625)
+        want_counts, want_zvar = reference_ball_stats(points, 0.625)
+        assert counts.tolist() == density
         assert counts.tobytes() == want_counts.tobytes()
         assert zvar.tobytes() == want_zvar.tobytes()
 

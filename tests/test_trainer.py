@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -75,6 +76,27 @@ class TestExtractFeatures:
                                               class_budget=default_budget(20000)))
         digest = hashlib.sha256(extract_features(cloud).tobytes()).hexdigest()
         assert digest == "64ef8d5c9e17fcdba31cbef317f278dc18549be206ac4938a878816efba065c0"
+
+    @pytest.mark.parametrize("total, extent, before_mb", [
+        pytest.param(3400, 5.0, 2.613, id="3.4k"),
+        pytest.param(20000, 12.0, 5.003, id="20k"),
+        pytest.param(100000, 12.0, 13.518, id="100k"),
+    ])
+    def test_peak_bounded(self, total, extent, before_mb):
+        """The tracemalloc peak of one extraction on a seed-1 scene, index and
+        pair blocks included, is at most ``before_mb``, the peak of the walk
+        that concatenated each block's mirrored and direct hits, plus 0.1 MB.
+        A first small call keeps one-time set-up out of the peak."""
+        extract_features(PointCloud(points=np.random.default_rng(0).uniform(0, 1, (50, 3))))
+        cloud, _ = generate_scene(SceneConfig(seed=1, extent=extent,
+                                              class_budget=default_budget(total)))
+        tracemalloc.start()
+        try:
+            extract_features(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (before_mb + 0.1) * 2**20
 
 
 class TestBackbone:
