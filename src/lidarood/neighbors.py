@@ -15,24 +15,25 @@ measures the point pairs of given cell pairs in blocks of bounded size,
 and ``box_d2`` bounds them per cell pair from the cells' point boxes.
 ``cluster.dbscan`` counts and joins over them on cells of side eps / 2.
 ``ball`` is a single centre's query, by a direct distance pass;
-``columns_near`` finds the points within one and two xy columns of given
-points (the feature refresh). Every squared distance is summed in x, y, z
-order (``_d2``), and every cell key is floor(coordinate / cell_size).
+``near_boxes`` finds the points within one and two radii on x and on y of
+boxes of given points (the feature refresh), from the radius alone. Every
+squared distance is summed in x, y, z order (``_d2``), and every cell key
+is floor(coordinate / cell_size).
 
-The pair enumerator, which serves only the density features, walks the
-points in cell order, each over its 5 columns of ``_half_block(1)``, the
-stencil ``cell_pairs`` takes at reach 2 (three stacked cells, one run of
-points in cell order). It expands each point's runs into candidate pairs,
-in blocks of bounded size, and measures them on coordinate columns in cell
-order, in x and y first and in z only those within radius there, by exact
-Euclidean distance, boundary inclusive. Each pair of distinct points comes
-once, as positions in cell order (``order`` maps them to indices), by
-ascending first, then second position (``unique_pairs``). ``ball_stats``
-adds each to both ends, per block the mirrored hits, the points
-themselves, then the direct hits, so each point's sums take its neighbors
-one at a time in ascending cell order (by cell in lexicographic offset
-order, then by index), as a walk over all 9 columns from the point would,
-whatever the block size.
+The pair enumerator, which serves only the density features, finds the
+pairs within ``cell_size``. It walks the points in cell order, each over
+its 5 columns of ``_half_block(1)``, the stencil ``cell_pairs`` takes at
+reach 2 (three stacked cells, one run of points in cell order). It expands
+each point's runs into candidate pairs, in blocks of bounded size, and
+measures them on coordinate columns in cell order, in x and y first and in
+z only those within the radius there, by exact Euclidean distance,
+boundary inclusive. Each pair of distinct points comes once, as positions
+in cell order (``order`` maps them to indices), by ascending first, then
+second position (``unique_pairs``). ``ball_stats`` adds each to both
+ends, per block the mirrored hits, the points themselves, then the direct
+hits, so each point's sums take its neighbors one at a time in ascending
+cell order (by cell in lexicographic offset order, then by index), as a
+walk over all 9 columns from the point would, whatever the block size.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .core import ContractError
 
-__all__ = ["GridIndex", "ball", "columns_near"]
+__all__ = ["GridIndex", "ball", "near_boxes"]
 
 # largest cell key magnitude: float64 keeps 53 bits, so a key this large is
 # within 2**-23 of a cell of its exact quotient (dbscan's cells are wider
@@ -220,10 +221,11 @@ class GridIndex:
         stays for ``bench/tracing.py``'s wrap table."""
         return ball(self.points, center, radius)
 
-    def unique_pairs(self, radius: float):
+    def unique_pairs(self):
         """Yield (rows, p, q) per block of consecutive cell-order positions
-        ``rows``: the pairs within radius of each point p of rows with the
-        points q > p of its row, as cell-order positions, each pair once.
+        ``rows``: the pairs within ``cell_size`` (the radius) of each point
+        p of rows with the points q > p of its row, as cell-order
+        positions, each pair once.
 
         A point's row is its 5 columns of ``_half_block(1)`` in lexicographic
         order: per column, its cells z - 1..z + 1, one run of q in cell
@@ -233,13 +235,11 @@ class GridIndex:
         points up to about ``_CHUNK`` candidates, measured in x and y, and
         those within radius there in z too: rounding is monotone, so
         fl(a + dz * dz) >= a, and a pair beyond radius in x and y is beyond
-        it in x, y and z. Requires radius <= cell_size.
+        it in x, y and z.
         """
-        if radius > self.cell_size:
-            raise ValueError("pairs need radius <= cell_size")
         x, y, z = self._xyz
         n = len(x)
-        r2 = radius * radius
+        r2 = self.cell_size * self.cell_size
         cell = np.repeat(np.arange(len(self._cell_code)), np.diff(self.cell_bound))
         # per cell and column, the start and end of the column's run of points
         first, end = (self.cell_bound[run.T] for run in self._column_runs(1))
@@ -269,9 +269,9 @@ class GridIndex:
         for lo, hi in _blocks(per_point):
             yield block(lo, hi)
 
-    def ball_stats(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    def ball_stats(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-point neighbor count and population variance of neighbor z
-        values within radius (self inclusive), fully vectorized.
+        values within ``cell_size`` (self inclusive), fully vectorized.
 
         Each point's sums add its neighbors one float add at a time in
         ascending cell order (by neighbor cell in lexicographic offset
@@ -280,15 +280,14 @@ class GridIndex:
         mirrored, p gets q directly. A point's mirrored sources are earlier
         points, met in their own rows in this or an earlier block, and its
         direct ones follow in its own row; so each block adds its mirrored
-        hits, then its points themselves, then its direct hits. Requires
-        radius <= cell_size.
+        hits, then its points themselves, then its direct hits.
         """
         n = len(self.points)
         z = self._xyz[2]
         counts = np.zeros(n, dtype=np.int64)
         s1 = np.zeros(n)
         s2 = np.zeros(n)
-        for rows, p, q in self.unique_pairs(radius):
+        for rows, p, q in self.unique_pairs():
             # np.add.at adds in array order, onto what was added before
             for t, zs in ((q, z.take(p)), (rows, z.take(rows)), (p, z.take(q))):
                 np.add.at(counts, t, 1)
@@ -310,40 +309,31 @@ def ball(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     return np.flatnonzero(_d2(*diff.T) <= radius * radius)
 
 
-def columns_near(points: np.ndarray, moved: Sequence[np.ndarray],
-                 cell_size: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sub, redo): the ascending indices of the points within two xy
-    columns of a moved point, and which of them lie within one. ``moved``
-    holds groups of row indices, each in any order (one per raise). Columns
-    are those of ``GridIndex``, keyed in float64; two are k apart when their
-    keys differ by at most k on each axis. A box of columns is cut around
-    each group: temporaries scale with the groups' regions, not the cloud."""
-    xy = np.asarray(points)[:, :2]
+def near_boxes(points: np.ndarray, moved: Sequence[np.ndarray],
+               radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sub, redo): the ascending indices of the points within 2 * reach on
+    x and on y of the xy box of a group of ``moved`` rows, and which of
+    them lie within reach, with reach ``radius * (1 + 2**-20)``. ``moved``
+    holds groups of row indices, each in any order (one per raise); an
+    empty group has no box. A pair within radius (``_d2``) is within it on
+    x and on y, up to rounding far below 2**-20 of the radius for
+    coordinates whose cell keys ``GridIndex`` accepts: so ``redo`` holds
+    every point within radius of a moved one, and ``sub`` each of their
+    neighbors. The cut is scalar compares on the coordinate columns."""
+    x, y = np.asarray(points)[:, 0], np.asarray(points)[:, 1]
+    reach = radius * (1 + 2.0**-20)
+    # float64 bounds, so float32 columns are compared in float64
+    boxes = [[np.float64(f(c[rows], initial=i)) for c in (x, y) for f, i in
+              ((np.min, np.inf), (np.max, -np.inf))] for rows in moved]
 
-    def keys(rows):
-        return np.floor(np.asarray(xy[rows], dtype=np.float64) / cell_size).astype(np.int64)
+    def within(xs, ys, d):
+        hit = np.zeros(len(xs), dtype=bool)
+        for x_lo, x_hi, y_lo, y_hi in boxes:
+            hit |= (xs >= x_lo - d) & (xs <= x_hi + d) & (ys >= y_lo - d) & (ys <= y_hi + d)
+        return hit
 
-    # per group, the box of columns within 3 of a moved one: the two and
-    # one more on each side, so rounding in the cut drops no point; in it,
-    # per column, 1 or 2 if within that many columns of a moved one, else 3,
-    # as on the box's border
-    boxes, inside = [], np.zeros(len(xy), dtype=bool)
-    for rows in moved:
-        moved_cols = keys(rows)
-        lo, hi = moved_cols.min(axis=0) - 3, moved_cols.max(axis=0) + 4
-        (x_lo, y_lo), (x_hi, y_hi) = lo * cell_size, hi * cell_size
-        inside |= (xy[:, 0] >= x_lo) & (xy[:, 0] < x_hi) & (xy[:, 1] >= y_lo) & (xy[:, 1] < y_hi)
-        gap = np.full(hi - lo, 3, dtype=np.int8)
-        for k in (2, 1):
-            dx, dy = np.mgrid[-k:k + 1, -k:k + 1].reshape(2, -1)
-            gap[moved_cols[:, :1] - lo[0] + dx, moved_cols[:, 1:] - lo[1] + dy] = k
-        boxes.append((lo, hi, gap))
-    box = np.flatnonzero(inside)
-    # a key past a box, by rounding or in another group's box, reads its border
-    cols = keys(box)
-    gap = np.min([gap[tuple(np.clip(cols - lo, 0, hi - lo - 1).T)] for lo, hi, gap in boxes], 0)
-    near = gap <= 2
-    return box[near], gap[near] <= 1
+    sub = np.flatnonzero(within(x, y, 2 * reach))
+    return sub, within(x[sub], y[sub], reach)
 
 
 def _d2(dx: np.ndarray, *axes: np.ndarray) -> np.ndarray:

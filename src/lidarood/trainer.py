@@ -24,7 +24,7 @@ from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, W
                    read_float32, read_header, row_chunks, to_float32, work_array,
                    write_header)
 from .losses import LossConfig, total_loss
-from .neighbors import GridIndex, columns_near
+from .neighbors import GridIndex, near_boxes
 from .perlin import RaiseConfig, draw_raise, perlin_raise
 from .priornet import PriorParams, glorot, init_params, load_params, prior_weight, save_params
 from .scenes import ROAD
@@ -53,7 +53,7 @@ def extract_features(cloud: PointCloud) -> np.ndarray:
         raise ContractError("cannot extract features from an empty cloud")
     pts = cloud.points.astype(np.float64)
     index = GridIndex(pts, cell_size=_FEATURE_RADIUS)
-    density, zvar = index.ball_stats(_FEATURE_RADIUS)
+    density, zvar = index.ball_stats()
     radial = np.sqrt((pts**2).sum(axis=1))
     return np.c_[pts[:, 2], radial, density, zvar]
 
@@ -63,14 +63,17 @@ def _refresh_features(features: np.ndarray, cloud: PointCloud, *moved: np.ndarra
     differs from ``cloud`` only in the z of the ``moved`` rows (one or more
     groups of them, such as one per raise).
 
-    Only the points within one xy column (of the ``GridIndex`` grid of side
-    ``_FEATURE_RADIUS``) of a moved point can change. They are extracted
-    again on the sub-cloud of the points within two columns, in index
-    order, which holds all their neighbors (``columns_near``): ``GridIndex``
-    on it keeps each point's cell (its origin shifts by whole cells) and so
-    the order in which ``ball_stats`` adds the neighbors.
+    Only the points within the feature radius of a moved point can change,
+    and they lie within it on x and on y. They are extracted again on the
+    sub-cloud of the points within twice that of the moved ones, in index
+    order, which holds all their neighbors (``near_boxes``): each point
+    keeps its cell, as keys are per point, and so the order in which
+    ``ball_stats`` adds its neighbors.
     """
-    sub, redo = columns_near(cloud.points, moved, _FEATURE_RADIUS)
+    sub, redo = near_boxes(cloud.points, moved, _FEATURE_RADIUS)
+    if not sub.size:
+        return features.copy()
+    # extracted before the copy is made, so their peaks do not add up
     fresh = extract_features(PointCloud(points=cloud.points[sub]))
     out = features.copy()
     out[sub[redo]] = fresh[redo]
@@ -302,8 +305,9 @@ def train(
     Each scan's features are computed once per call, on first use, and
     reused at every step whose raises moved no point. A step whose raises
     moved points patches a copy of them: it extracts again only the points
-    within one 0.5 m xy cell column of a moved point, on the sub-cloud
-    within two columns (``columns_near``), with a full extraction's bytes.
+    within the 0.5 m feature radius of a raise's patch on x and on y, on the
+    sub-cloud within twice that (``near_boxes``), with a full extraction's
+    bytes.
 
     The call owns one ``Workspace``, sized to its largest scan, and drops it
     on return. The prior-head probe and every step fill their large (M, .)

@@ -4,12 +4,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lidarood import neighbors, perlin
 from lidarood.core import ContractError
-from lidarood.neighbors import GridIndex, ball, columns_near
+from lidarood.neighbors import GridIndex, ball, near_boxes
 from lidarood.perlin import RaiseConfig, perlin_raise
 from lidarood.scenes import SceneConfig, default_budget, default_class_spec, generate_scene
 
@@ -184,80 +182,43 @@ class TestBall:
         assert got[0].points.tobytes() == want[0].points.tobytes()
 
 
-def brute_force_columns(points, moved, cell_size):
-    """(sub, redo) of ``columns_near`` from the Chebyshev distance of every
-    point's column key to every moved point's (one group or all groups
-    together)."""
-    keys = np.floor(np.asarray(points, dtype=np.float64)[:, :2] / cell_size)
-    moved_cols = np.unique(keys[np.asarray(moved)], axis=0)
-    gap = np.abs(keys[:, None] - moved_cols).max(axis=2).min(axis=1)
-    sub = np.flatnonzero(gap <= 2)
-    return sub.tolist(), (gap[sub] <= 1).tolist()
+def xy_near(points, rows, radius):
+    """Whether each point lies within radius in x and y (``_d2``) of one of
+    ``rows``: all that a point within radius in x, y and z can be."""
+    xy = np.asarray(points, dtype=np.float64)[:, :2]
+    near = np.zeros(len(xy), dtype=bool)
+    for k in rows:
+        near |= neighbors._d2(*(xy - xy[k]).T) <= radius * radius
+    return near
 
 
-# multiples of a quarter and of 0.3 sit on the column edges of the cell sizes below
-coord = st.one_of(st.integers(-20, 20).map(lambda k: k / 4),
-                  st.integers(-20, 20).map(lambda k: k * 0.3),
-                  st.floats(-5, 5, width=32))
-
-
-class TestColumnsNear:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(rows=st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=60),
-           dtype=st.sampled_from([np.float32, np.float64]),
-           cell_size=st.sampled_from([0.5, 0.3, 1.0]), data=st.data())
-    def test_matches_brute_force(self, rows, dtype, cell_size, data):
-        points = np.array(rows, dtype=dtype)
-        n = len(points)
-        moved = data.draw(st.one_of(
-            st.integers(0, n - 1).map(lambda k: [k]),                    # a single point
-            st.just(list(range(n))),                                      # every point
-            st.lists(st.integers(0, n - 1), min_size=1, max_size=12),    # repeated, unsorted
-        ))
-        sub, redo = columns_near(points, [np.array(moved)], cell_size)
-        want_sub, want_redo = brute_force_columns(points, moved, cell_size)
-        assert sub.tolist() == want_sub
-        assert redo.tolist() == want_redo
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_column_edges(self, dtype):
-        """Coordinates on the edges of 0.3 m columns and one float64 step
-        to either side, each point moved alone. A float32 quotient puts
-        some float32 ones in the next column, the float64 one of
-        ``GridIndex`` does not; some float64 ones have the key of the other
-        side of the edge the box cut compares them with."""
-        edges = np.arange(-30, 31) * 0.3
-        x = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
-        points = np.c_[x, x[::-1], np.zeros(len(x))].astype(dtype)
-        for k in range(len(points)):
-            sub, redo = columns_near(points, [np.array([k])], 0.3)
-            assert (sub.tolist(), redo.tolist()) == brute_force_columns(points, [k], 0.3)
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(rows=st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=60),
-           cell_size=st.sampled_from([0.5, 0.3]), data=st.data())
-    def test_groups_match_brute_force_of_their_union(self, rows, cell_size, data):
-        """One box per group, near, overlapping or repeating each other."""
-        points = np.array(rows)
-        groups = data.draw(st.lists(st.lists(st.integers(0, len(points) - 1), min_size=1,
-                                             max_size=8), min_size=2, max_size=4))
-        sub, redo = columns_near(points, [np.array(g) for g in groups], cell_size)
-        want = brute_force_columns(points, [k for g in groups for k in g], cell_size)
-        assert (sub.tolist(), redo.tolist()) == want
-
+class TestNearBoxes:
     def test_far_apart_groups(self):
         """Two patches at opposite corners of a CLI-default 20k-point scene,
-        as two raises of one step move them: the union of two small boxes,
-        not the box around both."""
+        as two raises of one step move them: two small boxes, not the box
+        around both. Every point near a moved one is redone, and every
+        point near a redone one is in the sub-cloud."""
         cloud, _ = generate_scene(SceneConfig(seed=1, extent=12.0,
                                               class_budget=default_budget(20000)))
         xy = cloud.points[:, :2].astype(np.float64)
         groups = [np.flatnonzero(np.hypot(*(xy - corner).T) < 1.5) for corner in (-8, 8)]
         assert all(len(g) > 50 for g in groups)
-        sub, redo = columns_near(cloud.points, groups, 0.5)
-        assert (sub.tolist(), redo.tolist()) == \
-            brute_force_columns(cloud.points, np.concatenate(groups), 0.5)
+        sub, redo = near_boxes(cloud.points, groups, 0.5)
+        assert np.all(np.diff(sub) > 0)
+        assert np.isin(np.flatnonzero(xy_near(cloud.points, np.concatenate(groups), 0.5)),
+                       sub[redo]).all()
+        assert np.isin(np.flatnonzero(xy_near(cloud.points, sub[redo], 0.5)), sub).all()
         assert len(sub) < len(xy) // 10
+
+    def test_empty_group_has_no_box(self):
+        points = scene_cloud()
+        sub, redo = near_boxes(points, [np.array([], dtype=int)], 0.5)
+        assert sub.size == redo.size == 0
+        moved = [np.array([40, 3, 40])]
+        got = near_boxes(points, [np.array([], dtype=int), *moved], 0.5)
+        want = near_boxes(points, moved, 0.5)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert want[0].size
 
 
 class TestUniquePairs:
@@ -267,9 +228,9 @@ class TestUniquePairs:
     ``GridIndex.order``."""
 
     @staticmethod
-    def chunks(points, radius, cell_size):
+    def chunks(points, cell_size):
         index = GridIndex(points, cell_size=cell_size)
-        return [(index.order[p], index.order[q]) for _, p, q in index.unique_pairs(radius)]
+        return [(index.order[p], index.order[q]) for _, p, q in index.unique_pairs()]
 
     @staticmethod
     def unordered(chunks, n):
@@ -278,11 +239,11 @@ class TestUniquePairs:
         return np.minimum(i, j) * n + np.maximum(i, j)
 
     @pytest.mark.parametrize("make_points", CLOUDS)
-    @pytest.mark.parametrize("radius", [0.3, 0.5])
+    @pytest.mark.parametrize("radius", [0.5])
     def test_each_unordered_pair_once(self, make_points, radius):
         points = make_points()
         n = len(points)
-        got = self.unordered(self.chunks(points, radius, cell_size=0.5), n)
+        got = self.unordered(self.chunks(points, cell_size=radius), n)
         want_i, want_j = brute_force_pairs(points, radius)
         upper = want_i < want_j                         # no self pairs
         assert len(np.unique(got)) == len(got)          # no pair twice
@@ -293,7 +254,7 @@ class TestUniquePairs:
         """q > p, and p among its block's rows, which are all the positions
         once, in order, over the blocks."""
         points = make_points()
-        blocks = list(GridIndex(points, cell_size=0.5).unique_pairs(0.5))
+        blocks = list(GridIndex(points, cell_size=0.5).unique_pairs())
         for rows, p, q in blocks:
             assert np.all(q > p) and np.all(np.isin(p, rows))
         rows = np.concatenate([rows for rows, _, _ in blocks])
@@ -306,7 +267,7 @@ class TestUniquePairs:
         is whole in one block, its columns in lexicographic offset order."""
         monkeypatch.setattr(neighbors, "_CHUNK", chunk)
         points = make_points()
-        _, p, q = map(np.concatenate, zip(*GridIndex(points, cell_size=0.5).unique_pairs(0.5)))
+        _, p, q = map(np.concatenate, zip(*GridIndex(points, cell_size=0.5).unique_pairs()))
         assert np.all(np.diff(p * len(points) + q) > 0)
 
     def test_order_is_a_permutation_by_cell(self):
@@ -317,27 +278,23 @@ class TestUniquePairs:
         np.testing.assert_array_equal(np.lexsort((order, *cell.T[::-1])), np.arange(len(order)))
 
     def test_dense_cloud_spans_several_chunks(self):
-        chunks = self.chunks(dense_cloud(), 0.5, cell_size=0.5)
+        chunks = self.chunks(dense_cloud(), cell_size=0.5)
         assert len(chunks) > 5
 
     def test_boundary_inclusive_across_cells(self):
         """d == radius counts across a cell boundary in x (another column)
         and in z (the cell above, in the point's own column)."""
         points = np.array([[0.25, 0, 0], [0.75, 0, 0], [-0.25 - 1e-9, 0, 0], [0.25, 0, 0.5]])
-        got = self.unordered(self.chunks(points, 0.5, cell_size=0.5), len(points))
+        got = self.unordered(self.chunks(points, cell_size=0.5), len(points))
         assert sorted(divmod(k, 4) for k in got.tolist()) == [(0, 1), (0, 3)]
 
     def test_empty_cloud(self):
-        chunks = self.chunks(np.empty((0, 3)), 0.5, cell_size=0.5)
+        chunks = self.chunks(np.empty((0, 3)), cell_size=0.5)
         assert chunks and all(i.size == 0 and j.size == 0 for i, j in chunks)
 
     def test_single_point(self):
-        (rows, p, q), = GridIndex(np.ones((1, 3)), cell_size=0.5).unique_pairs(0.5)
+        (rows, p, q), = GridIndex(np.ones((1, 3)), cell_size=0.5).unique_pairs()
         assert rows.tolist() == [0] and p.size == q.size == 0
-
-    def test_radius_larger_than_cell_rejected(self):
-        with pytest.raises(ValueError):
-            next(GridIndex(np.zeros((2, 3)), cell_size=0.5).unique_pairs(0.6))
 
 
 def thin_clouds():
@@ -460,7 +417,7 @@ class TestBallStats:
         points = rng.uniform(-2, 2, size=(250, 3))
         radius = 0.5
         index = GridIndex(points, cell_size=radius)
-        counts, zvar = index.ball_stats(radius)
+        counts, zvar = index.ball_stats()
         d2 = ((points[:, None] - points[None]) ** 2).sum(axis=2)
         within = d2 <= radius * radius
         np.testing.assert_array_equal(counts, within.sum(axis=1))
@@ -480,8 +437,8 @@ class TestBallStats:
         index = GridIndex(points, cell_size=0.5)
         if chunk is not None:
             monkeypatch.setattr(neighbors, "_CHUNK", chunk)
-            assert sum(1 for _ in index.unique_pairs(0.5)) >= 10
-        counts, zvar = index.ball_stats(0.5)
+            assert sum(1 for _ in index.unique_pairs()) >= 10
+        counts, zvar = index.ball_stats()
         want_counts, want_zvar = reference_ball_stats(points, 0.5)
         assert counts.tobytes() == want_counts.tobytes()
         assert zvar.tobytes() == want_zvar.tobytes()
@@ -505,13 +462,8 @@ class TestBallStats:
         if chunk is not None:
             monkeypatch.setattr(neighbors, "_CHUNK", chunk)
         points = np.array(points, dtype=np.float64)
-        counts, zvar = GridIndex(points, cell_size=0.625).ball_stats(0.625)
+        counts, zvar = GridIndex(points, cell_size=0.625).ball_stats()
         want_counts, want_zvar = reference_ball_stats(points, 0.625)
         assert counts.tolist() == density
         assert counts.tobytes() == want_counts.tobytes()
         assert zvar.tobytes() == want_zvar.tobytes()
-
-    def test_radius_larger_than_cell_rejected(self):
-        index = GridIndex(np.zeros((2, 3)), cell_size=0.5)
-        with pytest.raises(ValueError):
-            index.ball_stats(0.6)

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarood import trainer
 from lidarood.core import ContractError, FormatError, LabelMap, PointCloud
@@ -319,6 +321,18 @@ class TestTrain:
         assert np.float64(params.b).tobytes() == np.float64(want_params.b).tobytes()
 
 
+# x and y on quarter metres over two radii, z over one: dense enough that
+# moved points have neighbours, pairs at exactly the radius and on cell
+# edges among them, and those neighbours have neighbours on every side
+_QUARTERS = np.arange(-4, 5) / 4
+EDGE_SITES = np.array(np.meshgrid(_QUARTERS, _QUARTERS, [0.0, 0.25, 0.5], indexing="ij"),
+                      dtype=np.float32).reshape(3, -1).T
+# a coordinate's float32 neighbours (those of 0 are the least denormals,
+# +-2**-149), -0.0 for 0, and the denormals +-2**-130
+EDGE_EDITS = [lambda v: np.nextafter(v, np.float32(-1)), lambda v: np.nextafter(v, np.float32(1)),
+              lambda v: -v if v == 0 else v, lambda v: 2.0**-130, lambda v: -2.0**-130]
+
+
 class TestFeatureRefresh:
     """``_refresh_features`` against a fresh extraction of the moved cloud
     on a lattice: x and y on multiples of 0.5 m, so neighbors sit exactly at
@@ -363,6 +377,48 @@ class TestFeatureRefresh:
         cloud = PointCloud(points=raised)
         got = trainer._refresh_features(extract_features(PointCloud(points=points)), cloud,
                                         moved)
+        assert got.tobytes() == extract_features(cloud).tobytes()
+
+    def test_neighbour_at_the_rounded_radius(self):
+        """A neighbour 0.5 + 2**-60 from the moved point in x, whose d2
+        rounds onto r * r: just past the radius on x, and so redone only by
+        a reach wider than the radius."""
+        points = np.array([[-0.5, 0.0, 0.0], [2.0**-60, 0.0, 0.0]])
+        raised = points.copy()
+        raised[0, 2] += 0.25
+        cloud = PointCloud(points=raised)
+        base = extract_features(PointCloud(points=points))
+        assert base[1, 2] == 2
+        got = trainer._refresh_features(base, cloud, np.array([0]))
+        assert got.tobytes() == extract_features(cloud).tobytes()
+
+    def test_no_moved_rows(self):
+        cloud = PointCloud(points=self.lattice())
+        base = extract_features(cloud)
+        got = trainer._refresh_features(base, cloud, np.array([], dtype=int))
+        assert got.tobytes() == base.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(),
+           sites=st.lists(st.integers(0, len(EDGE_SITES) - 1), min_size=10, max_size=60))
+    def test_bytes_equal_fresh_extraction_on_edge_coordinates(self, data, sites):
+        """Lattice points, some coordinates moved to a float32 neighbour,
+        a signed zero or a denormal, raised by 1-3 groups of rows
+        (repeated, unsorted)."""
+        points = EDGE_SITES[sites]
+        n = len(points)
+        for k, axis, edit in data.draw(st.lists(st.tuples(
+                st.integers(0, n - 1), st.integers(0, 2), st.sampled_from(EDGE_EDITS)),
+                max_size=10)):
+            points[k, axis] = edit(points[k, axis])
+        groups = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=8),
+                                    min_size=1, max_size=3))
+        raised = points.copy()
+        for g in groups:
+            raised[g, 2] += data.draw(st.sampled_from([0.5, -0.5, 0.25, 1e-7]))
+        cloud = PointCloud(points=raised)
+        base = extract_features(PointCloud(points=points))
+        got = trainer._refresh_features(base, cloud, *map(np.array, groups))
         assert got.tobytes() == extract_features(cloud).tobytes()
 
     @pytest.mark.parametrize("total, extent", [(3000, 8.0), (20000, 12.0)], ids=["3k", "20k"])
