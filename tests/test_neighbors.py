@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarood import neighbors, perlin
 from lidarood.core import ContractError
@@ -192,7 +194,99 @@ def xy_near(points, rows, radius):
     return near
 
 
+def brute_force_boxes(points, groups, radius):
+    """(sub, redo) of ``near_boxes`` one point and one group at a time in
+    Python floats: within 2 * reach, then reach, on x and on y of a
+    nonempty group's xy bounds."""
+    reach = radius * (1 + 2.0**-20)
+    xy = np.asarray(points, dtype=np.float64)[:, :2].tolist()
+    boxes = [[(min(xy[k][a] for k in g), max(xy[k][a] for k in g)) for a in (0, 1)]
+             for g in map(list, groups) if g]
+
+    def within(p, d):
+        return any(all(lo - d <= p[a] <= hi + d for a, (lo, hi) in enumerate(box))
+                   for box in boxes)
+
+    sub = [k for k, p in enumerate(xy) if within(p, 2 * reach)]
+    return sub, [within(xy[k], reach) for k in sub]
+
+
+def assert_covers(points, groups, radius, sub, redo):
+    """Every point near a moved one is redone, and every point near a
+    redone one is in the sub-cloud."""
+    moved = np.concatenate([np.asarray(g, dtype=int) for g in groups])
+    assert np.isin(np.flatnonzero(xy_near(points, moved, radius)), sub[redo]).all()
+    assert np.isin(np.flatnonzero(xy_near(points, sub[redo], radius)), sub).all()
+
+
+# multiples of a quarter and of 0.3 sit on the cell edges of the radii below
+coord = st.one_of(st.integers(-20, 20).map(lambda k: k / 4),
+                  st.integers(-20, 20).map(lambda k: k * 0.3),
+                  st.floats(-5, 5, width=32))
+
+
 class TestNearBoxes:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=60),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           radius=st.sampled_from([0.5, 0.3, 1.0]), data=st.data())
+    def test_matches_brute_force(self, rows, dtype, radius, data):
+        points = np.array(rows, dtype=dtype)
+        n = len(points)
+        moved = data.draw(st.one_of(
+            st.integers(0, n - 1).map(lambda k: [k]),                    # a single point
+            st.just(list(range(n))),                                      # every point
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=12),    # repeated, unsorted
+        ))
+        sub, redo = near_boxes(points, [np.array(moved)], radius)
+        assert (sub.tolist(), redo.tolist()) == brute_force_boxes(points, [moved], radius)
+        assert_covers(points, [moved], radius, sub, redo)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edges(self, dtype):
+        """Coordinates on the edges of 0.3 m cells and one float64 step to
+        either side, each point moved alone. The bounds stay float64, so a
+        float32 column is not compared with bounds rounded to float32."""
+        edges = np.arange(-30, 31) * 0.3
+        x = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        points = np.c_[x, x[::-1], np.zeros(len(x))].astype(dtype)
+        for k in range(len(points)):
+            sub, redo = near_boxes(points, [np.array([k])], 0.3)
+            assert (sub.tolist(), redo.tolist()) == brute_force_boxes(points, [[k]], 0.3)
+            assert_covers(points, [[k]], 0.3, sub, redo)
+
+    def test_float32_cloud_cut_by_float64_bounds(self):
+        """The float32 values on either side of x -+ reach and x -+ 2 reach
+        of a moved point x are cut as in float64, not against bounds
+        rounded to float32."""
+        reach = 0.5 * (1 + 2.0**-20)
+        for x in np.random.default_rng(5).uniform(-50, 50, size=40).astype(np.float32):
+            bounds = float(x) + np.array([-2, -1, 1, 2]) * reach
+            at = bounds.astype(np.float32)
+            below = np.where(at > bounds, np.nextafter(at, np.float32(-np.inf)), at)
+            above = np.where(at < bounds, np.nextafter(at, np.float32(np.inf)), at)
+            xs = np.r_[x, below, above].astype(np.float32)
+            points = np.c_[xs, np.zeros((len(xs), 2))].astype(np.float32)
+            sub, redo = near_boxes(points, [np.array([0])], 0.5)
+            assert (sub.tolist(), redo.tolist()) == brute_force_boxes(points, [[0]], 0.5)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=60),
+           radius=st.sampled_from([0.5, 0.3]), data=st.data())
+    def test_groups_match_union_of_single_groups(self, rows, radius, data):
+        """One box per group, near, overlapping or repeating each other:
+        the points of several groups are those of each group alone."""
+        points = np.array(rows)
+        groups = data.draw(st.lists(st.lists(st.integers(0, len(points) - 1), min_size=1,
+                                             max_size=8), min_size=2, max_size=4))
+        sub, redo = near_boxes(points, [np.array(g) for g in groups], radius)
+        alone = [near_boxes(points, [np.array(g)], radius) for g in groups]
+        assert sub.tolist() == np.unique(np.concatenate([s for s, _ in alone])).tolist()
+        assert sub[redo].tolist() == \
+            np.unique(np.concatenate([s[r] for s, r in alone])).tolist()
+        assert (sub.tolist(), redo.tolist()) == brute_force_boxes(points, groups, radius)
+        assert_covers(points, groups, radius, sub, redo)
+
     def test_far_apart_groups(self):
         """Two patches at opposite corners of a CLI-default 20k-point scene,
         as two raises of one step move them: two small boxes, not the box
@@ -239,7 +333,7 @@ class TestUniquePairs:
         return np.minimum(i, j) * n + np.maximum(i, j)
 
     @pytest.mark.parametrize("make_points", CLOUDS)
-    @pytest.mark.parametrize("radius", [0.5])
+    @pytest.mark.parametrize("radius", [0.3, 0.5])
     def test_each_unordered_pair_once(self, make_points, radius):
         points = make_points()
         n = len(points)
