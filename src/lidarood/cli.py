@@ -141,8 +141,9 @@ def cmd_raise(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # a step holds (M, H) float64 and bool arrays and five (M, d) float64
-    # arrays: at both caps, 0.37 + 0.41 GB for a CLI-default 20k-point scan
+    # a step holds an (M, max(H, 2d)) and an (M, d) float64 workspace
+    # buffer and an (M, H) bool array: at both caps, 0.33 + 0.08 + 0.04 GB
+    # for a CLI-default 20k-point scan (a 1-epoch train() peak of 0.49 GB)
     for flag, width, cap in (("--hidden", args.hidden, 2048),
                              ("--latent-dim", args.latent_dim, 512)):
         if not 1 <= width <= cap:

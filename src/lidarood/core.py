@@ -170,35 +170,68 @@ class LabelMap:
 
 
 class Workspace:
-    """Float64 buffers that the training step functions fill in place.
+    """Float64 buffers that the training step functions fill in place,
+    shared by the arrays whose lifetimes do not overlap.
 
     One ``trainer.train`` call owns one workspace and drops it on return.
-    Each named buffer is made on first use with ``rows`` rows (the call's
-    largest scan) and handed out as a row-prefix view, so later steps fill
-    the same memory instead of allocating, and page-faulting, their (M, .)
-    arrays again. A view holds its values only until the next call that
-    fills the same buffer. ``fills`` counts the ``prior_weight`` calls that
-    filled the prior tape's buffers, so a tape whose buffers were refilled
-    is refused.
+    Each named slot is one flat buffer, made on first use for ``rows``
+    rows (the call's largest scan), and a take hands out C-contiguous
+    (rows, cols) blocks from its start, so later steps fill the same memory
+    instead of allocating, and page-faulting, their (M, .) arrays again. A
+    view holds its values only until the next take of its slot that
+    overwrites them. The step functions share five slots, at widths H
+    (hidden), d (latent) and C (logits):
+
+    * ``x`` (4): the scaled features of ``forward`` and
+      ``backbone_backward``;
+    * ``a`` (max(H, 2d)): the hidden layer and its gradient; in the prior
+      network ``e`` and ``q`` side by side, then ``de`` in ``q``'s half
+      and ``dq @ w_q.T`` in ``e``'s;
+    * ``b`` (max(d, C)): ``z``, then ``dz``, the softmax-backward product
+      and ``dq``;
+    * ``att`` (C): the attention rows;
+    * ``datt`` (C): the attention's channel-major copy, the static score
+      gradient, ``datt`` and the prior network's logit gradient.
+
+    A take that needs more than its slot holds makes the slot again,
+    larger; the step functions take so only while the slot's earlier
+    contents are spent. The workspace counts the takes of each slot
+    (``stamp``), so a prior tape can tell that a later call refilled its
+    buffers.
     """
 
     def __init__(self, rows: int):
         self.rows = rows
-        self.fills = 0
-        self._buffers: dict[str, np.ndarray] = {}
+        self._fills: dict[str, int] = {}
+        self._slots: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, rows: int, cols: int) -> np.ndarray:
-        """The first ``rows`` rows of buffer ``name``, uninitialized."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape[1] != cols or buf.shape[0] < rows:
-            buf = self._buffers[name] = np.empty((max(rows, self.rows), cols))
-        return buf[:rows]
+    def take(self, slot: str, rows: int, cols: int, part: int = 0,
+             parts: int = 1) -> np.ndarray:
+        """Block ``part`` of ``parts`` uninitialized (rows, cols) blocks laid
+        end to end at the start of slot ``slot``. A slot that holds fewer
+        than ``parts`` such blocks is made again for ``parts`` blocks of
+        max(rows, self.rows) rows, so a take of the same shape with another
+        ``part`` keeps the other blocks."""
+        size = rows * cols
+        buf = self._slots.get(slot)
+        if buf is None or buf.size < size * parts:
+            buf = self._slots[slot] = np.empty(max(rows, self.rows) * cols * parts)
+        self._fills[slot] = self._fills.get(slot, 0) + 1
+        return buf[part * size:(part + 1) * size].reshape(rows, cols)
+
+    def stamp(self, *slots: str) -> tuple[int, ...]:
+        """The fill counts of ``slots``: a view of them is stale once this
+        changes."""
+        return tuple(self._fills.get(slot, 0) for slot in slots)
 
 
-def work_array(work: Workspace | None, name: str, rows: int, cols: int) -> np.ndarray:
-    """An uninitialized (rows, cols) float64 array: buffer ``name`` of
-    ``work``, or a fresh array without a workspace."""
-    return np.empty((rows, cols)) if work is None else work.take(name, rows, cols)
+def work_array(work: Workspace | None, slot: str, rows: int, cols: int, part: int = 0,
+               parts: int = 1) -> np.ndarray:
+    """An uninitialized (rows, cols) float64 array: ``work.take(slot, rows,
+    cols, part, parts)``, or a fresh array without a workspace."""
+    if work is None:
+        return np.empty((rows, cols))
+    return work.take(slot, rows, cols, part, parts)
 
 
 _CHUNK_ROWS = 4096
@@ -231,7 +264,7 @@ class RowSoftmax:
     arrays. ``lse``, ``logp()`` and ``p()`` are rebuilt from them on each
     call (an add, or a subtraction and an exp) and not kept, so a field
     holds no extra (M, c) array; ``logp()`` and ``p()`` build their result
-    in one fresh array that the caller owns.
+    in one array that the caller owns: ``out``, or a fresh one.
     """
 
     def __init__(self, values: np.ndarray):
@@ -243,8 +276,8 @@ class RowSoftmax:
         # and a max is exact in any order
         return _readonly(np.ascontiguousarray(self._values.T).max(axis=0))
 
-    def _shifted(self) -> np.ndarray:
-        return self._values - self.max[:, None]
+    def _shifted(self, out: np.ndarray | None = None) -> np.ndarray:
+        return np.subtract(self._values, self.max[:, None], out=out)
 
     @cached_property
     def _log_sum(self) -> np.ndarray:
@@ -255,15 +288,16 @@ class RowSoftmax:
     def lse(self) -> np.ndarray:
         return self.max + self._log_sum
 
-    def logp(self) -> np.ndarray:
-        """A fresh writable (M, c) array."""
-        out = self._shifted()
-        out -= self._log_sum[:, None]
+    def logp(self, out: np.ndarray | None = None) -> np.ndarray:
+        """In ``out``, or a fresh writable (M, c) array."""
+        log_sum = self._log_sum  # first: its (M, c) temporary is freed before out is made
+        out = self._shifted(out)
+        out -= log_sum[:, None]
         return out
 
-    def p(self) -> np.ndarray:
-        """A fresh writable (M, c) array."""
-        out = self.logp()
+    def p(self, out: np.ndarray | None = None) -> np.ndarray:
+        """In ``out``, or a fresh writable (M, c) array."""
+        out = self.logp(out)
         return np.exp(out, out=out)
 
     @cached_property

@@ -198,13 +198,13 @@ def total_loss(
     ``params`` always supplies the trainable bias b; its attention tensors
     participate only when ``use_prior`` is set. The gradients are those of
     ``params`` as they were at the call: the prior network's tape keeps its
-    own copy. ``work`` is passed on to the prior network's forward pass, and
-    its tape carries it to the backward pass.
+    own copy. ``work`` is passed on to the prior network's forward pass,
+    whose tape carries it to the backward pass, and to the static score
+    gradient.
     """
     ce, dlogits = ce_loss(field, labels, spec)
 
     base = static_score(field, method)
-    base_grad = static_score_grad(field, method)
     if use_prior:
         weights, tape = prior_weight(field, params, work=work)
         scores = base * weights
@@ -230,10 +230,14 @@ def total_loss(
     g_scores[void_mask] = g_void
 
     # chain rule through scores = base * w, accumulated into the
-    # cross-entropy gradient (w == 1 without the prior, a product that is exact)
+    # cross-entropy gradient (w == 1 without the prior, a product that is
+    # exact); the score gradient is made here, after the prior network's
+    # forward pass is done with the workspace buffer it fills, and spent
+    # before prior_backward fills it again
+    base_grad = static_score_grad(field, method, work=work)
     base_grad *= (g_scores * weights if use_prior else g_scores)[:, None]
     dlogits += base_grad
-    del base_grad  # spent: prior_backward's arrays reuse its memory
+    del base_grad
     if use_prior:
         prior_grads, dlogits_prior = prior_backward(tape, g_scores * base)
         dlogits += dlogits_prior

@@ -31,6 +31,8 @@ __all__ = ["PriorParams", "PriorTape", "init_params", "prior_weight", "prior_bac
            "save_params", "load_params", "zeros_like_params"]
 
 _MAGIC = b"PRW1"
+# the workspace slots that hold a tape's (M, .) arrays
+_TAPE_SLOTS = ("a", "b", "att")
 
 
 def _check_dims(c: int, d: int) -> None:
@@ -94,8 +96,8 @@ class PriorTape:
     ``params`` is the tape's own copy of the tensors and b, and ``logits``
     a copy of a raw-array input (a ``LogitField``'s values are read-only),
     so the backward pass reads nothing that its caller can change. A tape
-    built in a workspace holds views of its buffers and records the
-    workspace's fill count; it must not outlive them.
+    built in a workspace holds views of its buffers and records their fill
+    counts; it must not outlive them.
     """
 
     params: PriorParams
@@ -108,7 +110,7 @@ class PriorTape:
     z: np.ndarray       # (M, d)
     pre: np.ndarray     # (M,) head pre-activation
     work: Workspace | None = None
-    fill: int = 0       # work.fills when the tape was made
+    fill: tuple = ()    # the fill counts of its slots when the tape was made
 
 
 def glorot(rng, shape):
@@ -151,8 +153,10 @@ def prior_weight(field_or_values, params: PriorParams, *,
 
     Accepts a LogitField or a raw (M, C) array of finite values. The tape
     keeps copies of ``params`` and of raw-array logits. With ``work`` the
-    tape's (M, .) arrays are views of its buffers, valid until the next
-    ``prior_weight`` on it.
+    tape's (M, .) arrays are views of its buffers (``e`` and ``q`` side by
+    side in slot ``a``, ``z`` in ``b``), valid until a later call fills
+    them: ``prior_backward`` on the tape, ``forward``, ``backbone_backward``
+    or ``prior_weight``.
     """
     params = PriorParams(**{k: t.copy() for k, t in params.tensors().items()}, b=params.b)
     params.validate()
@@ -167,8 +171,8 @@ def prior_weight(field_or_values, params: PriorParams, *,
     m, c = values.shape
     d = params.latent_dim
 
-    e = np.matmul(values, params.w_proj, out=work_array(work, "e", m, d))
-    q = np.matmul(e, params.w_q, out=work_array(work, "q", m, d))
+    e = np.matmul(values, params.w_proj, out=work_array(work, "a", m, d, part=0, parts=2))
+    q = np.matmul(e, params.w_q, out=work_array(work, "a", m, d, part=1, parts=2))
     keys = params.psi @ params.w_k
     vals = params.psi @ params.w_v
 
@@ -184,16 +188,15 @@ def prior_weight(field_or_values, params: PriorParams, *,
     np.exp(att, out=att)
     att /= att.sum(axis=1, keepdims=True)
 
-    z = np.matmul(att, vals, out=work_array(work, "z", m, d))
+    z = np.matmul(att, vals, out=work_array(work, "b", m, d))
     pre = e @ params.w_head[:d]
     pre += z @ params.w_head[d:]
     w = np.maximum(pre, 0.0)
     w += 1.0
 
-    if work is not None:
-        work.fills += 1
     tape = PriorTape(params=params, logits=values, e=e, q=q, keys=keys, vals=vals, att=att,
-                     z=z, pre=pre, work=work, fill=0 if work is None else work.fills)
+                     z=z, pre=pre, work=work,
+                     fill=() if work is None else work.stamp(*_TAPE_SLOTS))
     return w, tape
 
 
@@ -203,14 +206,17 @@ def prior_backward(tape: PriorTape, grad_w: np.ndarray) -> tuple[PriorParams, np
     Reads nothing but the tape, so edits to the caller's parameters or
     logits after ``prior_weight`` do not change the result. Returns
     (parameter gradients as a PriorParams-shaped container with the b slot
-    zero, gradients w.r.t. the input logits). Raises ContractError if a
-    later ``prior_weight`` refilled the tape's workspace. For a tape made in
-    a workspace the returned logit gradient is a view of its buffers, valid
-    until the next ``prior_weight`` or ``prior_backward`` on it.
+    zero, gradients w.r.t. the input logits). A tape made in a workspace
+    serves one call: a later ``forward``, ``backbone_backward`` or
+    ``prior_weight`` on its workspace overwrites the tape's buffers, and so
+    does this function, with its own arrays. Raises ContractError for such
+    a stale tape. For a tape made in a workspace the returned logit
+    gradient is a view of its ``datt`` slot, valid until the next call that
+    fills that slot.
     """
     params, work = tape.params, tape.work
-    if work is not None and work.fills != tape.fill:
-        raise ContractError("stale tape: a later prior_weight refilled its workspace")
+    if work is not None and work.stamp(*_TAPE_SLOTS) != tape.fill:
+        raise ContractError("stale tape: a later call refilled its workspace buffers")
     grad_w = np.asarray(grad_w, dtype=np.float64).reshape(-1)
     if grad_w.shape[0] != tape.pre.shape[0]:
         raise ContractError("grad_w length does not match the taped forward pass")
@@ -223,33 +229,37 @@ def prior_backward(tape: PriorTape, grad_w: np.ndarray) -> tuple[PriorParams, np
     g.w_head[d:] = tape.z.T @ dpre
 
     dpre = dpre[:, None]
-    # the bits of np.outer
-    de = np.multiply(dpre, params.w_head[:d], out=work_array(work, "de", m, d))
-    dz = np.multiply(dpre, params.w_head[d:], out=work_array(work, "dz", m, d))
+    # each (M, .) array is spent before a later one takes its buffer (or,
+    # without a workspace, its memory): dz takes z's, the softmax-backward
+    # product dz's and dq the product's; de takes q's half of slot a and
+    # dq @ w_q.T e's; dlogits takes datt's. Each product with dpre has the
+    # bits of np.outer.
+    dz = np.multiply(dpre, params.w_head[d:], out=work_array(work, "b", m, d))
 
     datt = np.matmul(dz, tape.vals.T, out=work_array(work, "datt", m, c))
     g_vals = tape.att.T @ dz                  # (C, d)
-    # each (M, .) array is spent before a later one takes its buffer (or,
-    # without a workspace, its memory): dq takes dz's, dlogits datt's
     del dz
 
     # softmax backward, row-wise, in datt's buffer
-    dot = (datt * tape.att).sum(axis=1, keepdims=True)
+    prod = np.multiply(datt, tape.att, out=work_array(work, "b", m, c))
+    dot = prod.sum(axis=1, keepdims=True)
+    del prod
     datt -= dot
     datt *= tape.att
 
     scale = 1.0 / np.sqrt(d)
-    dq = np.matmul(datt, tape.keys, out=work_array(work, "dz", m, d))
+    dq = np.matmul(datt, tape.keys, out=work_array(work, "b", m, d))
     dq *= scale
     g_keys = datt.T @ tape.q * scale
     del datt
 
+    de = np.multiply(dpre, params.w_head[:d], out=work_array(work, "a", m, d, part=1, parts=2))
     g.w_k[:] = params.psi.T @ g_keys
     g.w_v[:] = params.psi.T @ g_vals
     g.psi[:] = g_keys @ params.w_k.T + g_vals @ params.w_v.T
 
-    de += dq @ params.w_q.T
     g.w_q[:] = tape.e.T @ dq
+    de += np.matmul(dq, params.w_q.T, out=work_array(work, "a", m, d, part=0, parts=2))
     del dq
 
     g.w_proj[:] = tape.logits.T @ de

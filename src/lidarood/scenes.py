@@ -123,15 +123,15 @@ def _box_surface(rng, center, size, n):
     for f in range(5):
         m = faces == f
         if f == 0:    # +x wall
-            pts[m] = np.c_[np.full(m.sum(), w / 2), u[m] * d, v[m] * h]
+            pts[m] = np.column_stack((np.full(m.sum(), w / 2), u[m] * d, v[m] * h))
         elif f == 1:  # -x wall
-            pts[m] = np.c_[np.full(m.sum(), -w / 2), u[m] * d, v[m] * h]
+            pts[m] = np.column_stack((np.full(m.sum(), -w / 2), u[m] * d, v[m] * h))
         elif f == 2:  # +y wall
-            pts[m] = np.c_[u[m] * w, np.full(m.sum(), d / 2), v[m] * h]
+            pts[m] = np.column_stack((u[m] * w, np.full(m.sum(), d / 2), v[m] * h))
         elif f == 3:  # -y wall
-            pts[m] = np.c_[u[m] * w, np.full(m.sum(), -d / 2), v[m] * h]
+            pts[m] = np.column_stack((u[m] * w, np.full(m.sum(), -d / 2), v[m] * h))
         else:         # roof
-            pts[m] = np.c_[u[m] * w, (v[m] - 0.5) * d, np.full(m.sum(), h)]
+            pts[m] = np.column_stack((u[m] * w, (v[m] - 0.5) * d, np.full(m.sum(), h)))
     pts[:, 0] += center[0]
     pts[:, 1] += center[1]
     return pts
@@ -158,11 +158,11 @@ def generate_scene(config: SceneConfig) -> tuple[PointCloud, LabelMap]:
 
     # road plane fills the scene interior
     n_road = config.class_budget[ROAD]
-    road = np.c_[
+    road = np.column_stack((
         rng.uniform(-ext, ext, n_road),
         rng.uniform(-ext, ext, n_road),
         rng.normal(0.0, config.road_noise_sigma, n_road),
-    ]
+    ))
     add(road, ROAD, 0)
 
     # sidewalk strips along two opposite edges, slightly elevated
@@ -172,7 +172,7 @@ def generate_scene(config: SceneConfig) -> tuple[PointCloud, LabelMap]:
         edge = np.where(rng.random(n_side) < 0.5, 1.0, -1.0)
         side_x = edge * rng.uniform(ext * 1.02, ext * 1.15, n_side)
         side_z = 0.12 + rng.normal(0.0, config.road_noise_sigma, n_side)
-        add(np.c_[side_x, side_y, side_z], SIDEWALK, 0)
+        add(np.column_stack((side_x, side_y, side_z)), SIDEWALK, 0)
 
     # buildings: box surfaces placed beyond the road rectangle
     for k in _object_sizes(config.class_budget.get(BUILDING, 0), 400, most=4):
@@ -188,11 +188,11 @@ def generate_scene(config: SceneConfig) -> tuple[PointCloud, LabelMap]:
         cx, cy = rng.uniform(-ext * 0.9, ext * 0.9, size=2)
         radius = rng.uniform(0.8, 1.8)
         height = rng.uniform(1.2, 3.0)
-        blob = np.c_[
+        blob = np.column_stack((
             cx + rng.normal(0, radius / 2, k),
             cy + rng.normal(0, radius / 2, k),
             height / 2 + np.abs(rng.normal(0, height / 3, k)) + 0.4,
-        ]
+        ))
         add(blob, VEGETATION, next_instance)
         next_instance += 1
 
@@ -201,11 +201,11 @@ def generate_scene(config: SceneConfig) -> tuple[PointCloud, LabelMap]:
         nonlocal next_instance
         for k in _object_sizes(config.class_budget.get(class_id, 0), 25):
             cx, cy = rng.uniform(-ext * 0.8, ext * 0.8, size=2)
-            pts = np.c_[
+            pts = np.column_stack((
                 cx + rng.normal(0, spread_xy, k),
                 cy + rng.normal(0, spread_xy, k),
                 rng.uniform(z_lo, z_hi, k),
-            ]
+            ))
             add(pts, class_id, next_instance)
             next_instance += 1
 
@@ -218,11 +218,11 @@ def generate_scene(config: SceneConfig) -> tuple[PointCloud, LabelMap]:
     for k in _object_sizes(config.class_budget.get(VOID_ID, 0), 30):
         cx = (1.0 if rng.random() < 0.5 else -1.0) * rng.uniform(ext * 0.95, ext * 1.1)
         cy = rng.uniform(-ext, ext)
-        pts = np.c_[
+        pts = np.column_stack((
             cx + rng.normal(0, 0.12, k),
             cy + rng.normal(0, 0.12, k),
             rng.uniform(0.1, 0.9, k),
-        ]
+        ))
         add(pts, VOID_ID, 0)
 
     points = np.vstack(chunks)
@@ -245,11 +245,11 @@ def _anomaly_points(rng, kind: str, size: float, n: int) -> np.ndarray:
         cos_t = rng.uniform(0.0, 1.0, n)
         sin_t = np.sqrt(1.0 - cos_t**2)
         r = size / 2
-        pts = np.c_[r * sin_t * np.cos(phi), r * sin_t * np.sin(phi), r * cos_t]
+        pts = np.column_stack((r * sin_t * np.cos(phi), r * sin_t * np.sin(phi), r * cos_t))
     else:  # ramp: inclined plane rising from the road
         u = rng.uniform(0.0, 1.0, n)
         v = rng.uniform(-0.5, 0.5, n)
-        pts = np.c_[u * size - size / 2, v * size, u * size * 0.6]
+        pts = np.column_stack((u * size - size / 2, v * size, u * size * 0.6))
     return pts
 
 

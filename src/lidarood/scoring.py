@@ -21,7 +21,7 @@ import enum
 
 import numpy as np
 
-from .core import ContractError, LogitField, ScoreField, row_chunks
+from .core import ContractError, LogitField, ScoreField, Workspace, row_chunks, work_array
 
 __all__ = [
     "ScoreMethod",
@@ -83,22 +83,25 @@ def static_score(field: LogitField, method: ScoreMethod) -> np.ndarray:
     return _DISPATCH[method](field)
 
 
-def static_score_grad(field: LogitField, method: ScoreMethod) -> np.ndarray:
+def static_score_grad(field: LogitField, method: ScoreMethod, *,
+                      work: Workspace | None = None) -> np.ndarray:
     """d(score_i)/d(logit_i, :) for every point, shape (M, C).
 
     Each score is a per-point scalar, so the Jacobian is row-diagonal and is
-    returned as one gradient row per point.
+    returned as one gradient row per point. With ``work`` it is built in
+    the workspace's ``datt`` slot.
     """
     values = field.values
     k = field.class_spec.num_classes
     pos = field.inlier_softmax
+    grad = work_array(work, "datt", *values.shape)
 
     if method is ScoreMethod.EXTENDED_ENERGY:
         _require_extended(field)
-        grad = field.softmax.p()
+        field.softmax.p(out=grad)
         grad[:, :k] -= pos.p()
         return grad
-    grad = np.zeros_like(values)
+    grad.fill(0.0)
     if method is ScoreMethod.ENTROPY:
         logp = pos.logp()
         p = np.exp(logp)

@@ -55,7 +55,7 @@ def extract_features(cloud: PointCloud) -> np.ndarray:
     index = GridIndex(pts, cell_size=_FEATURE_RADIUS)
     density, zvar = index.ball_stats()
     radial = np.sqrt((pts**2).sum(axis=1))
-    return np.c_[pts[:, 2], radial, density, zvar]
+    return np.column_stack((pts[:, 2], radial, density, zvar))
 
 
 def _refresh_features(features: np.ndarray, cloud: PointCloud, *moved: np.ndarray) -> np.ndarray:
@@ -123,7 +123,7 @@ def _scaled(backbone: Backbone, x: np.ndarray, work: Workspace | None) -> np.nda
 
 def _hidden(backbone: Backbone, x: np.ndarray, work: Workspace | None) -> np.ndarray:
     """ReLU(x @ w1 + b1), built in one (M, H) buffer."""
-    h = np.matmul(x, backbone.w1, out=work_array(work, "h", x.shape[0], backbone.w1.shape[1]))
+    h = np.matmul(x, backbone.w1, out=work_array(work, "a", x.shape[0], backbone.w1.shape[1]))
     h += backbone.b1
     return np.maximum(h, 0.0, out=h)
 
@@ -311,11 +311,16 @@ def train(
 
     The call owns one ``Workspace``, sized to its largest scan, and drops it
     on return. The prior-head probe and every step fill their large (M, .)
-    arrays (scaled features, hidden layer and its gradient, the prior tape
-    and the prior's backward arrays) into its buffers, so steps after the
-    first allocate none of them, with the same bytes as fresh arrays. A
-    tape made in the workspace must not outlive it: ``prior_backward``
-    refuses a tape whose buffers a later ``prior_weight`` refilled.
+    arrays (scaled features, hidden layer and its gradient, the static
+    score gradient, the prior tape and the prior's backward arrays) into
+    its buffers, so steps after the first allocate none of them, with the
+    same bytes as fresh arrays. Arrays whose lifetimes do not overlap share
+    a buffer (the hidden layer and the prior network's ``e`` and ``q``, for
+    one: the backbone is done before the prior network runs), so the
+    buffers hold 4 + max(H, 2d) + max(d, C) + 2C float64 columns per row,
+    80 (640 B/point) at the default widths. A tape made in the workspace
+    serves one ``prior_backward``, before any other step function fills
+    the workspace; ``prior_backward`` refuses it after that.
     """
     if not scenes:
         raise ContractError("training requires at least one scene")

@@ -6,10 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from lidarood.core import ContractError, FormatError, Workspace
+from lidarood.core import ClassSpec, ContractError, FormatError, Workspace
 from lidarood.priornet import (
     init_params, load_params, prior_backward, prior_weight, save_params,
 )
+from lidarood.trainer import backbone_backward, forward, init_backbone
 
 
 def fd_max_rel_err(seed, h=1e-4, entries_per_group=None):
@@ -197,6 +198,50 @@ class TestBackward:
         with pytest.raises(ContractError, match="refilled"):
             prior_backward(first, np.ones(3))
         prior_backward(second, np.ones(5))
+
+    @pytest.mark.parametrize("step", ["forward", "backbone_backward"])
+    def test_tape_after_a_backbone_pass_on_its_workspace_rejected(self, step):
+        """The backbone's hidden layer shares a buffer with the tape's e and
+        q, so a backbone pass between the two prior passes overwrites them."""
+        rng = np.random.default_rng(8)
+        spec = ClassSpec(inlier_classes=(1, 2), void_id=0, ood_id=9, ignore_id=8,
+                         extended=True)
+        backbone = init_backbone(6, spec.logit_width, seed=2)
+        features = rng.normal(size=(5, 4))
+        params = init_params(spec.logit_width, d=3, seed=4)
+        params.w_head = rng.normal(size=6)
+        values = rng.normal(size=(5, spec.logit_width))
+        want = prior_backward(prior_weight(values, params)[1], np.ones(5))[1]
+
+        work = Workspace(5)
+        _, tape = prior_weight(values, params, work=work)
+        if step == "forward":
+            forward(backbone, features, spec, work=work)
+        else:
+            backbone_backward(backbone, features, rng.normal(size=(5, 4)), work=work)
+        with pytest.raises(ContractError, match="stale tape"):
+            prior_backward(tape, np.ones(5))
+        _, tape = prior_weight(values, params, work=work)
+        assert prior_backward(tape, np.ones(5))[1].tobytes() == want.tobytes()
+
+    def test_second_backward_on_one_tape_rejected(self):
+        """The backward pass overwrites its tape's buffers with its own arrays,
+        so a tape made in a workspace serves one backward pass; a tape made
+        without one serves any number, with the same bytes."""
+        rng = np.random.default_rng(9)
+        params = init_params(4, d=3, seed=4)
+        params.w_head = rng.normal(size=6)
+        values = rng.normal(size=(5, 4))
+        grad_w = rng.normal(size=5)
+
+        _, tape = prior_weight(values, params, work=Workspace(5))
+        first = prior_backward(tape, grad_w)[1].copy()
+        with pytest.raises(ContractError, match="stale tape"):
+            prior_backward(tape, grad_w)
+
+        _, fresh = prior_weight(values, params)
+        for _ in range(2):
+            assert prior_backward(fresh, grad_w)[1].tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_small(self, seed):

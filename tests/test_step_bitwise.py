@@ -406,6 +406,8 @@ def step_bytes(case, work) -> dict[str, bytes]:
     (400, [120, 301, 60]),       # M growing, then shrinking, within the capacity
     (64, [50, 180, 301, 90]),    # ... and past it
     (301, [301, 301]),           # two steps in a row
+    (9000, [4099, 9000]),        # one forward chunk with a folded rest, then three chunks
+    (4096, [9000, 4099]),        # past a one-chunk capacity, then back within it
 ])
 def test_workspace_keeps_bytes(rows, sizes):
     work = Workspace(rows)

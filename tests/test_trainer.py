@@ -280,6 +280,43 @@ class TestTrain:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "0e3c2823e10bbee61797ef0569d0857c54b99748c55cafaea3d9bc86fb689141"
 
+    def test_checkpoint_bytes_pinned_at_20k_points(self, tmp_path):
+        """Training on one CLI-default scene, past one 4096-row chunk, to the
+        byte. The hash was computed when every step array had a workspace
+        buffer of its own (numpy 2.4)."""
+        spec = default_class_spec(extended=True)
+        scene = generate_scene(SceneConfig(seed=1, extent=12.0,
+                                           class_budget=default_budget(20000)))
+        cfg = TrainConfig(lr=1e-3, epochs=2, seed=0, raise_per_scan=2)
+        bb, params, _ = train([scene], spec, cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, bb, params)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "ec3079792e6e8f78a0401b12129d75a025cde14a80fdce9fe0feecb89f75f294"
+
+    @pytest.mark.parametrize("total, extent, after_mb", [
+        pytest.param(3400, 5.0, 3.968, id="3.4k"),
+        pytest.param(20000, 12.0, 22.246, id="20k"),
+    ])
+    def test_peak_bounded(self, total, extent, after_mb):
+        """The tracemalloc peak of one ``train()`` call (2 epochs, two raises
+        per scan) on a seed-1 scene is at most ``after_mb``, the peak with
+        the workspace buffers shared by lifetime, plus 0.1 MB; with a buffer
+        per step array it was 5.83 and 33.74 MB. A first small call keeps
+        one-time set-up out of the peak."""
+        spec = default_class_spec(extended=True)
+        cfg = TrainConfig(lr=1e-3, epochs=2, seed=0, raise_per_scan=2)
+        train(small_scenes(1), spec, cfg)
+        scene = generate_scene(SceneConfig(seed=1, extent=extent,
+                                           class_budget=default_budget(total)))
+        tracemalloc.start()
+        try:
+            train([scene], spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (after_mb + 0.1) * 2**20, peak / 2**20
+
     def test_step_is_textbook_adam_bitwise(self):
         """One epoch without prior or raises equals, bitwise, the loop written
         out here: the seeded init and scan order, forward -> total_loss ->
