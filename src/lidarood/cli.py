@@ -32,7 +32,8 @@ from .losses import LossConfig, Orientation
 from .metrics import (IOU_THRESHOLD, EvalConfig, evaluate_scenes, pooled_points,
                       threshold_at_tpr, write_report)
 from .perlin import RaiseConfig, draw_raise, perlin_raise
-from .scenes import SceneConfig, default_budget, default_class_spec, generate_scene, inject_eval_anomaly
+from .scenes import (_ANOMALY_POINTS, SceneConfig, default_budget, default_class_spec,
+                     generate_scene, inject_eval_anomaly)
 from .scoring import ScoreMethod, reweighted_score, static_score
 from .trainer import TrainConfig, extract_features, forward, load_checkpoint, save_checkpoint, train
 
@@ -92,6 +93,10 @@ def cmd_synth(args) -> int:
     # point, 1.2 GB at 10**7
     if not 200 <= args.points <= 10**7:
         raise ContractError(f"--points must be in [200, 10000000], got {args.points}")
+    # each anomaly adds up to _ANOMALY_POINTS[1] points, within that budget too
+    most = (10**7 - args.points) // _ANOMALY_POINTS[1]
+    if not 0 <= args.anomalies <= most:
+        raise ContractError(f"--anomalies must be in [0, {most}], got {args.anomalies}")
     template = SceneConfig(seed=args.seed, extent=args.extent,
                            class_budget=default_budget(args.points),
                            road_noise_sigma=args.road_noise_sigma)

@@ -23,14 +23,13 @@ its own. Cells, not points, are counted and joined:
    points within eps: first the face, edge and corner pairs wholly within
    eps, with nothing measured, then in rounds of offsets nearest first
    (face, edge, corner, then the shell at 2), each measuring only the core
-   points of the cell pairs whose trees still differ and whose boxes lie
-   within eps, by min-label hooking with pointer jumping (Shiloach &
-   Vishkin 1982);
+   points of the cell pairs whose trees still differ, by min-label hooking
+   with pointer jumping (Shiloach & Vishkin 1982);
 4. clusters are numbered by their smallest core index. DBSCAN leaves border
    ownership open; here a border point joins the smallest cluster id among
    its core neighbors, as a sequential DBSCAN growing clusters from seeds
-   in ascending index order does: those of its own and its wholly-within
-   cells per cell, the others measured, non-core against core points only.
+   in ascending index order does: those of its own cell per cell, the
+   others measured, non-core against core points only.
 
 Output is a deterministic function of the input ordering; fewer points than
 ``min_pts`` are all noise, with no index built, and so is a cloud in which
@@ -98,7 +97,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     # cell pairs with a hopeful cell not full, and counted at both ends.
     whole = np.zeros(len(c), dtype=bool)
     touch = np.flatnonzero(dist2 <= 3)  # face, edge and corner pairs
-    whole[touch] = index.box_d2(c.take(touch), d.take(touch), farthest=True) <= r2
+    whole[touch] = index.box_d2(c.take(touch), d.take(touch)) <= r2
     wc, wd = c[whole], d[whole]
     known = size + _around(size, wc, wd)
     count = known.take(cell)
@@ -124,8 +123,6 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
         ra, rb = a[ring == r], b[ring == r]
         keep = label.take(ra) != label.take(rb)
         ra, rb = ra[keep], rb[keep]
-        keep = index.box_d2(ra, rb) <= r2
-        ra, rb = ra[keep], rb[keep]
         joins = np.zeros(len(ra), dtype=bool)
         for _, _, k in index.cell_pair_hits(ra, rb, eps, core_at, core_at):
             joins[k] = True
@@ -133,20 +130,16 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
 
     # (4): roots rank below k by their smallest core index, and ranks >= k
     # (the cells without core points) mark noise. A core point takes its
-    # cell's cluster; a point that is not, the smallest of its own cell's,
-    # its whole partner cells' and its measured core neighbors' clusters.
+    # cell's cluster; a point that is not, the smallest of its own cell's
+    # and its measured core neighbors' clusters.
     first = np.full(cells, n)
     np.minimum.at(first, label[cell[core_at]], index.order[core_at])
     k = int(np.count_nonzero(first < n))
-    own = np.argsort(np.argsort(first)).take(label)
-    best = own.copy()
-    np.minimum.at(best, wc, own.take(wd))
-    np.minimum.at(best, wd, own.take(wc))
-    cluster = np.where(core, own.take(cell), best.take(cell))
+    cluster = np.argsort(np.argsort(first)).take(label).take(cell)
     open_at = np.flatnonzero(~core)
     has_open = ~np.logical_and.reduceat(core, index.cell_bound[:-1])
-    to_d = ~whole & has_open.take(c) & has_core.take(d)
-    to_c = ~whole & has_core.take(c) & has_open.take(d)
+    to_d = has_open.take(c) & has_core.take(d)
+    to_c = has_core.take(c) & has_open.take(d)
     for p, q, _ in index.cell_pair_hits(np.concatenate((c[to_d], d[to_c])),
                                         np.concatenate((d[to_d], c[to_c])), eps,
                                         open_at, core_at):

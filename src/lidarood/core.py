@@ -300,6 +300,14 @@ class RowSoftmax:
         out = self.logp(out)
         return np.exp(out, out=out)
 
+    def _rows(self, rows: slice) -> RowSoftmax:
+        """The softmax parts of the ``rows`` of this block, over a view of
+        its values and slices of its reductions, so each is the same
+        floating-point expression as in the whole block."""
+        part = RowSoftmax(self._values[rows])
+        part.max, part._log_sum = self.max[rows], self._log_sum[rows]
+        return part
+
     @cached_property
     def entropy(self) -> np.ndarray:
         logp = self.logp()

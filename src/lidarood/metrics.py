@@ -69,6 +69,8 @@ class MatchResult:
 def pooled_points(scenes) -> tuple[ScoreField, np.ndarray, np.ndarray]:
     """The scores, OOD mask and ignore mask of every point of the
     (cloud, labels, scores) ``scenes``, concatenated in scene order."""
+    if not scenes:
+        raise ContractError("no scenes to pool")
     roles = [labels.role for _, labels, _ in scenes]
     return (ScoreField(scores=np.concatenate([scores.scores for _, _, scores in scenes])),
             np.concatenate([np.isin(role, OOD_ROLES) for role in roles]),

@@ -12,7 +12,8 @@ is refused with ``ContractError``.
 ``cell_pairs`` lists each pair of occupied cells within 2 cells on every
 axis once, with the squared length of their offset; ``cell_pair_hits``
 measures the point pairs of given cell pairs in blocks of bounded size,
-and ``box_d2`` bounds them per cell pair from the cells' point boxes.
+and ``box_d2`` bounds them from above per cell pair, from the farthest
+corners of the cells' point boxes.
 ``cluster.dbscan`` counts and joins over them on cells of side eps / 2.
 ``ball`` is a single centre's query, by a direct distance pass;
 ``near_boxes`` finds the points within one and two radii on x and on y of
@@ -162,20 +163,14 @@ class GridIndex:
         return (np.minimum.reduceat(self._xyz, start, axis=1),
                 np.maximum.reduceat(self._xyz, start, axis=1))
 
-    def box_d2(self, c: np.ndarray, d: np.ndarray, farthest: bool = False) -> np.ndarray:
-        """Squared distance between the point boxes of cells c and d, over
-        their nearest corners, or their farthest with ``farthest``. Each
-        axis term bounds that of every pair of their points, as rounding is
-        monotone, so the sum bounds every d2 ``cell_pair_hits`` measures."""
+    def box_d2(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Squared distance between the farthest corners of the point boxes
+        of cells c and d. Each axis term bounds that of every pair of their
+        points, as rounding is monotone, so the sum bounds every d2
+        ``cell_pair_hits`` measures from above."""
         lo, hi = self._boxes
-        axes = []
-        for k in range(3):
-            lo_c, hi_c, lo_d, hi_d = lo[k].take(c), hi[k].take(c), lo[k].take(d), hi[k].take(d)
-            if farthest:
-                axes.append(np.maximum(hi_d - lo_c, hi_c - lo_d))
-            else:
-                axes.append(np.maximum(np.maximum(lo_d - hi_c, lo_c - hi_d), 0.0))
-        return _d2(*axes)
+        return _d2(*(np.maximum(hi[k].take(d) - lo[k].take(c), hi[k].take(c) - lo[k].take(d))
+                     for k in range(3)))
 
     def cell_pair_hits(self, c: np.ndarray, d: np.ndarray, radius: float,
                        among_c: np.ndarray | None = None, among_d: np.ndarray | None = None):

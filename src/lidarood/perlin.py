@@ -158,9 +158,11 @@ def perlin_raise(
     ood_id and role AUX_OOD. Only road-class points are ever modified.
 
     Returns the input unchanged (with an empty report) when DBSCAN finds no
-    cluster; raises ContractError when there are fewer road points than
-    dbscan_min_pts.
+    cluster; raises ContractError when the labels and the cloud differ in
+    length or there are fewer road points than dbscan_min_pts.
     """
+    if labels.count != cloud.count:
+        raise ContractError(f"{labels.count} labels for {cloud.count} points")
     road_idx = np.flatnonzero(labels.semantic == ROAD)
     if road_idx.size < cfg.dbscan_min_pts:
         raise ContractError(

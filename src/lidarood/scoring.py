@@ -89,7 +89,9 @@ def static_score_grad(field: LogitField, method: ScoreMethod, *,
 
     Each score is a per-point scalar, so the Jacobian is row-diagonal and is
     returned as one gradient row per point. With ``work`` it is built in
-    the workspace's ``datt`` slot.
+    the workspace's ``datt`` slot; the extended-energy form subtracts the
+    inlier softmax from it in ``core.row_chunks``, with the bytes of one
+    whole-field pass.
     """
     values = field.values
     k = field.class_spec.num_classes
@@ -99,7 +101,9 @@ def static_score_grad(field: LogitField, method: ScoreMethod, *,
     if method is ScoreMethod.EXTENDED_ENERGY:
         _require_extended(field)
         field.softmax.p(out=grad)
-        grad[:, :k] -= pos.p()
+        # a chunk at a time: a whole (M, K) softmax would hold the step's peak
+        for rows in row_chunks(len(grad)):
+            grad[rows, :k] -= pos._rows(rows).p()
         return grad
     grad.fill(0.0)
     if method is ScoreMethod.ENTROPY:

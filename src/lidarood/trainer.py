@@ -201,8 +201,10 @@ class TrainConfig:
     head_init_scale: float = 1e-2
 
     def __post_init__(self):
-        if not 0.0 <= self.lr < np.inf:
-            raise ContractError("lr must be finite and >= 0")
+        # an Adam step moves each weight by about lr: far past 1 (1e300,
+        # say) the forward pass overflows float64 before a check sees it
+        if not 0.0 <= self.lr <= 1.0:
+            raise ContractError(f"lr must be in [0, 1], got {self.lr}")
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
         if self.seed < 0:
@@ -324,6 +326,9 @@ def train(
     """
     if not scenes:
         raise ContractError("training requires at least one scene")
+    for k, (cloud, labels) in enumerate(scenes):
+        if labels.count != cloud.count:
+            raise ContractError(f"scan {k}: {labels.count} labels for {cloud.count} points")
     if not spec.extended and cfg.method.requires_extended:
         raise ContractError("extended-energy training needs an extended class spec")
 

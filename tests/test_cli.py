@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline."""
 
+import argparse
 import dataclasses
 import enum
 import hashlib
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from lidarood import __version__, cli
-from lidarood.cli import main
+from lidarood.cli import build_parser, main
 from lidarood.core import format_record, parse_record
 from lidarood.metrics import read_report
 from lidarood.priornet import init_params, save_params
@@ -313,12 +314,16 @@ class TestBadNumericFlags:
                      id="export-map-resolution-huge"),
         pytest.param(["train", "--lr", "nan"], 1, id="train-lr-nan"),
         pytest.param(["train", "--lr", "inf"], 1, id="train-lr-inf"),
+        # weights of ~1e300 overflowed the forward pass with a RuntimeWarning
+        pytest.param(["train", "--lr", "1e300"], 1, id="train-lr-huge"),
         pytest.param(["train", "--ood-weight", "nan"], 1, id="train-ood-weight-nan"),
         pytest.param(["train", "--ood-weight", "inf"], 1, id="train-ood-weight-inf"),
         pytest.param(["synth", "--road-noise-sigma", "-1"], 1, id="synth-road-noise-negative"),
         pytest.param(["synth", "--road-noise-sigma", "nan"], 1, id="synth-road-noise-nan"),
         pytest.param(["synth", "--extent", "1e308"], 1, id="synth-extent-span-overflow"),
         pytest.param(["synth", "--anomalies", "-1"], 1, id="synth-anomalies-negative"),
+        # 600 points plus 300 points per anomaly would pass the 10**7 budget
+        pytest.param(["synth", "--anomalies", "33332"], 1, id="synth-anomalies-too-many"),
         pytest.param(["train", "--hidden", "-1"], 1, id="train-hidden-negative"),
         pytest.param(["train", "--hidden", "0"], 1, id="train-hidden-zero"),
         pytest.param(["train", "--hidden", "1000000000000"], 1, id="train-hidden-huge"),
@@ -360,6 +365,61 @@ class TestBadNumericFlags:
         assert main(["synth", "--out", str(tmp_path / "s"), "--points", points]) == 1
         assert "--points must be in [200, 10000000]" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_synth_anomalies_range_named(self, tmp_path, capsys):
+        """The range leaves room for 300 points per anomaly within the
+        budget of 10**7 points that --points sets."""
+        assert main(["synth", "--out", str(tmp_path / "s"), "--points", "20000",
+                     "--anomalies", "33267"]) == 1
+        assert "--anomalies must be in [0, 33266]" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_every_numeric_flag_fuzzed(self, pipeline, tmp_path, capsys):
+        """Each int and float flag of every subcommand, read from the parser,
+        on a small fixture: every run exits 0, 1 or 2 with at most one stderr
+        line and no traceback. Int flags get only the integer values (argparse
+        refuses the others); the work-scaling flags skip the huge ones."""
+        eval_dir, scores = pipeline / "eval", pipeline / "scores"
+        floats = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", str(2**63)]
+        ints = ["0", "-1", str(2**63)]
+        work_scaling = {"--scenes", "--epochs", "--raise-per-scan"}
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        cases = 0
+        for command, parser in subparsers.choices.items():
+            for action in parser._actions:
+                if action.type not in (int, float):
+                    continue
+                flag = action.option_strings[-1]
+                values = ints if action.type is int else floats
+                if flag in work_scaling:
+                    values = ["0", "-1"]
+                for value in values:
+                    out = tmp_path / f"{cases}"
+                    cases += 1
+                    required = {
+                        "synth": ["--out", str(out), "--scenes", "1", "--points", "600",
+                                  "--extent", "4"],
+                        "raise": ["--in", str(eval_dir), "--out", str(out)],
+                        "train": ["--data", str(eval_dir), "--out", str(out / "model.ckpt"),
+                                  "--epochs", "1"],
+                        "eval": ["--data", str(eval_dir), "--scores", str(scores),
+                                 "--report", str(out / "r.txt"),
+                                 *([] if flag.startswith("--gamma") else ["--gamma=-inf"])],
+                        "export-map": ["--cloud", str(eval_dir / "scene_000.bin"),
+                                       "--scores", str(scores / "scene_000.score"),
+                                       "--out", str(out / "m")],
+                    }[command]
+                    capsys.readouterr()
+                    try:
+                        code = main([command, *required, f"{flag}={value}"])
+                    except SystemExit as exc:  # argparse's usage errors
+                        code = exc.code
+                    err = capsys.readouterr().err
+                    case = f"{command} {flag}={value}: exit {code}, stderr {err!r}"
+                    assert code in (0, 1, 2), case
+                    assert err.count("\n") <= 1 and "Traceback" not in err, case
+        assert cases > 100
 
 
 class TestExportMap:

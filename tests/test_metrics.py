@@ -419,6 +419,12 @@ class TestEvaluateScenes:
         assert result["AUROC"] > 0.99
         assert result["PQ"] > 0.9
 
+    def test_no_scenes_rejected(self):
+        with pytest.raises(ContractError, match="no scenes"):
+            evaluate_scenes([], EvalConfig(gamma=0.0))
+        with pytest.raises(ContractError, match="no scenes"):
+            pooled_points([])
+
     def test_ignore_only_prediction_changes_nothing(self):
         cloud, labels, scores = self._scene(0)
         base = match_instances(cluster_predictions(

@@ -189,6 +189,14 @@ class TestPerlinRaise:
         with pytest.raises(ContractError):
             perlin_raise(cloud, labels, spec, starved)
 
+    def test_labels_of_another_length_rejected(self):
+        """A raise would return a cloud and labels of different lengths."""
+        cloud, labels = road_only_scene(5, n=6000)
+        short = LabelMap(semantic=labels.semantic[:-10], instance=labels.instance[:-10],
+                         role=labels.role[:-10])
+        with pytest.raises(ContractError, match="labels for"):
+            perlin_raise(cloud, short, default_class_spec(), RaiseConfig(r=1.0, seed=0))
+
 
 
 def lattice_scene():
