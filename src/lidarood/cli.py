@@ -146,9 +146,11 @@ def cmd_raise(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # a step holds an (M, max(H, 2d)) and an (M, d) float64 workspace
-    # buffer and an (M, H) bool array: at both caps, 0.33 + 0.08 + 0.04 GB
-    # for a CLI-default 20k-point scan (a 1-epoch train() peak of 0.49 GB)
+    # a step walks its scan in row chunks: it holds float64 workspace
+    # buffers of 4 + max(H, 2d) + max(d, C) + 2C columns and a (rows, H)
+    # bool array for one chunk of at most 4099 rows, at both caps 0.085 +
+    # 0.008 GB whatever the scan's size (a 1-epoch train() peak of 0.14 GB
+    # on a CLI-default 20k-point scan)
     for flag, width, cap in (("--hidden", args.hidden, 2048),
                              ("--latent-dim", args.latent_dim, 512)):
         if not 1 <= width <= cap:
@@ -170,8 +172,14 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt, backbone, params)
     _write_provenance(ckpt, "train", _record("train", tcfg))
     for i, ep in enumerate(train_log.epochs):
+        live = f" live={ep.live:.4g}" if tcfg.use_prior else ""
         print(f"epoch {i}: total={ep.total:.4f} ce={ep.ce:.4f} "
-              f"aux={ep.aux:.4f} void={ep.void:.4f} steps={ep.steps}")
+              f"aux={ep.aux:.4f} void={ep.void:.4f} steps={ep.steps}{live}")
+    last = train_log.epochs[-1]
+    if tcfg.use_prior and last.steps and last.live == 0.0:
+        print("warning: the prior's weight head is dead: no point of the last epoch had a "
+              "positive pre-activation, so w == 1 everywhere and the head gets no gradient",
+              file=sys.stderr)
     return 0
 
 

@@ -79,7 +79,11 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     noise = ClusterAssignment(cluster_id=np.full(n, NOISE, dtype=np.int64), num_clusters=0)
     if n < min_pts:  # no point can have min_pts neighbors
         return noise
-    index = GridIndex(points, cell_size=eps / 2 * _WIDEN)
+    try:
+        index = GridIndex(points, cell_size=eps / 2 * _WIDEN)
+    except (ContractError, ValueError):  # too many cells, or eps / 2 rounds to 0
+        raise ContractError(f"eps {eps} is too small for these points: they span too many "
+                            "cells of eps / 2 for exact int64 cell codes") from None
     size = np.diff(index.cell_bound)
     c, d, dist2 = index.cell_pairs()
     # a cell whose 5 x 5 x 5 block holds fewer than min_pts points has no

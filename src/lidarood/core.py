@@ -173,14 +173,14 @@ class Workspace:
     """Float64 buffers that the training step functions fill in place,
     shared by the arrays whose lifetimes do not overlap.
 
-    One ``trainer.train`` call owns one workspace and drops it on return.
-    Each named slot is one flat buffer, made on first use for ``rows``
-    rows (the call's largest scan), and a take hands out C-contiguous
-    (rows, cols) blocks from its start, so later steps fill the same memory
-    instead of allocating, and page-faulting, their (M, .) arrays again. A
-    view holds its values only until the next take of its slot that
-    overwrites them. The step functions share five slots, at widths H
-    (hidden), d (latent) and C (logits):
+    One ``trainer.train`` call owns one workspace of ``rows`` rows, its
+    largest row chunk, and drops it on return. Each named slot is one flat
+    buffer, made on first use, and a take hands out C-contiguous (rows,
+    cols) blocks from its start, so later chunks fill the same memory
+    instead of allocating, and page-faulting, their arrays again. A view
+    holds its values only until the next take of its slot that overwrites
+    them. The step functions share five slots, of widths in H
+    (``hidden``), d (``latent``) and C (``logits``):
 
     * ``x`` (4): the scaled features of ``forward`` and
       ``backbone_backward``;
@@ -193,31 +193,29 @@ class Workspace:
     * ``datt`` (C): the attention's channel-major copy, the static score
       gradient, ``datt`` and the prior network's logit gradient.
 
-    A take that needs more than its slot holds makes the slot again,
-    larger; the step functions take so only while the slot's earlier
-    contents are spent. The workspace counts the takes of each slot
-    (``stamp``), so a prior tape can tell that a later call refilled its
-    buffers.
+    A take that does not fit its slot raises ContractError. The workspace
+    counts the takes of each slot (``stamp``), so a prior tape can tell
+    that a later call refilled its buffers.
     """
 
-    def __init__(self, rows: int):
+    def __init__(self, rows: int, hidden: int, latent: int, logits: int):
         self.rows = rows
+        self.widths = {"x": 4, "a": max(hidden, 2 * latent), "b": max(latent, logits),
+                       "att": logits, "datt": logits}
         self._fills: dict[str, int] = {}
         self._slots: dict[str, np.ndarray] = {}
 
     def take(self, slot: str, rows: int, cols: int, part: int = 0,
              parts: int = 1) -> np.ndarray:
         """Block ``part`` of ``parts`` uninitialized (rows, cols) blocks laid
-        end to end at the start of slot ``slot``. A slot that holds fewer
-        than ``parts`` such blocks is made again for ``parts`` blocks of
-        max(rows, self.rows) rows, so a take of the same shape with another
-        ``part`` keeps the other blocks."""
-        size = rows * cols
-        buf = self._slots.get(slot)
-        if buf is None or buf.size < size * parts:
-            buf = self._slots[slot] = np.empty(max(rows, self.rows) * cols * parts)
+        end to end at the start of slot ``slot``."""
+        if rows > self.rows or cols * parts > self.widths[slot]:
+            raise ContractError(f"{parts} ({rows}, {cols}) blocks do not fit workspace slot {slot}")
+        if slot not in self._slots:
+            self._slots[slot] = np.empty(self.rows * self.widths[slot])
         self._fills[slot] = self._fills.get(slot, 0) + 1
-        return buf[part * size:(part + 1) * size].reshape(rows, cols)
+        size = rows * cols
+        return self._slots[slot][part * size:(part + 1) * size].reshape(rows, cols)
 
     def stamp(self, *slots: str) -> tuple[int, ...]:
         """The fill counts of ``slots``: a view of them is stale once this
@@ -243,10 +241,10 @@ _MIN_CHUNK_ROWS = 4
 def row_chunks(rows: int) -> list[slice]:
     """Slices that cover ``range(rows)`` in order: 4096 rows each, the last
     one holding what is left, with a rest of fewer than 4 rows folded into
-    the chunk before it. Row-independent array work walks them to keep its
-    temporaries chunk-sized, with the bytes of one whole-array pass; no
-    chunk for 0 rows."""
-    starts = list(range(0, rows, _CHUNK_ROWS))
+    the chunk before it, and one empty chunk for 0 rows. The row walk of
+    scoring and training: their row-independent work goes a chunk at a
+    time, with chunk-sized temporaries and a whole-array pass's bytes."""
+    starts = list(range(0, rows, _CHUNK_ROWS)) or [0]
     if len(starts) > 1 and rows - starts[-1] < _MIN_CHUNK_ROWS:
         del starts[-1]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
@@ -299,14 +297,6 @@ class RowSoftmax:
         """In ``out``, or a fresh writable (M, c) array."""
         out = self.logp(out)
         return np.exp(out, out=out)
-
-    def _rows(self, rows: slice) -> RowSoftmax:
-        """The softmax parts of the ``rows`` of this block, over a view of
-        its values and slices of its reductions, so each is the same
-        floating-point expression as in the whole block."""
-        part = RowSoftmax(self._values[rows])
-        part.max, part._log_sum = self.max[rows], self._log_sum[rows]
-        return part
 
     @cached_property
     def entropy(self) -> np.ndarray:

@@ -69,19 +69,21 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def ce_loss(field: LogitField, labels: LabelMap, spec: ClassSpec) -> tuple[float, np.ndarray]:
+def ce_loss(field: LogitField, labels: LabelMap, spec: ClassSpec,
+            n: int | None = None) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over INLIER-role points, with exact logit gradient.
 
     The softmax spans every channel of the field (``field.softmax``); for
     extended fields that is all 2K, and the target always lives in the
     positive half. Points of other roles contribute nothing. An inlier point
-    whose semantic id is not an inlier class is a contract violation.
+    whose semantic id is not an inlier class is a contract violation. The
+    mean is over ``n`` points (default: the inliers of ``labels``).
     """
     is_inlier = labels.role == Role.INLIER
     inliers = np.flatnonzero(is_inlier)
-    n = inliers.size
-    if n == 0:
+    if inliers.size == 0:
         return 0.0, np.zeros_like(field.values)
+    n = n or inliers.size
 
     sem = labels.semantic[inliers]
     unknown = ~np.isin(sem, list(spec.inlier_classes))
@@ -91,7 +93,7 @@ def ce_loss(field: LogitField, labels: LabelMap, spec: ClassSpec) -> tuple[float
 
     # the gradient is built in the log-softmax's own buffer
     grad = field.softmax.logp()
-    loss = float(-grad[inliers, targets].mean())
+    loss = float(-(grad[inliers, targets].sum() / n))
     np.exp(grad, out=grad)
     grad[inliers, targets] -= 1.0
     grad /= n
@@ -105,15 +107,18 @@ def aux_logistic_loss(
     b: float,
     orientation: Orientation = Orientation.ID_LOW,
     aux_weight: float = 1.0,
+    n_in: int | None = None, n_aux: int | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Binary logistic separation of inlier and synthetic-anomaly scores.
 
     Returns (loss, grad wrt scores_in, grad wrt scores_aux, grad wrt b).
     Either subset may be empty, in which case its term contributes zero.
     Stabilized through softplus identities: -log sigma(x) = softplus(-x).
+    The means are over ``n_in`` and ``n_aux`` points (default: the sizes).
     """
     s_in = np.asarray(scores_in, dtype=np.float64).reshape(-1)
     s_aux = np.asarray(scores_aux, dtype=np.float64).reshape(-1)
+    n_in, n_aux = n_in or s_in.size, n_aux or s_aux.size
     g_in = np.zeros_like(s_in)
     g_aux = np.zeros_like(s_aux)
     loss = 0.0
@@ -124,13 +129,13 @@ def aux_logistic_loss(
 
     if s_in.size:
         x = s_in + b
-        loss += float(_softplus(sign * x).mean())
-        g_in = sign * _sigmoid(sign * x) / s_in.size
+        loss += float(_softplus(sign * x).sum() / n_in)
+        g_in = sign * _sigmoid(sign * x) / n_in
         b_grad += float(g_in.sum())
     if s_aux.size:
         x = s_aux + b
-        loss += aux_weight * float(_softplus(-sign * x).mean())
-        g_aux = -sign * aux_weight * _sigmoid(-sign * x) / s_aux.size
+        loss += aux_weight * float(_softplus(-sign * x).sum() / n_aux)
+        g_aux = -sign * aux_weight * _sigmoid(-sign * x) / n_aux
         b_grad += float(g_aux.sum())
     return loss, g_in, g_aux, b_grad
 
@@ -141,15 +146,18 @@ def void_soft_loss(
     b: float,
     beta: float = 0.9,
     void_weight: float = 1.0,
+    n_in: int | None = None, n_void: int | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Soft exposure on void points: push sigma(S + b) of void points up to
     the soft target beta (hinge), and inlier sigma toward zero.
 
     Hinge subgradient at the kink is 0. Returns (loss, grad_in, grad_void,
-    grad_b); empty subsets contribute zero.
+    grad_b); empty subsets contribute zero. The means are over ``n_in`` and
+    ``n_void`` points (default: the sizes).
     """
     s_in = np.asarray(scores_in, dtype=np.float64).reshape(-1)
     s_void = np.asarray(scores_void, dtype=np.float64).reshape(-1)
+    n_in, n_void = n_in or s_in.size, n_void or s_void.size
     g_in = np.zeros_like(s_in)
     g_void = np.zeros_like(s_void)
     loss = 0.0
@@ -157,15 +165,15 @@ def void_soft_loss(
 
     if s_in.size:
         sig = _sigmoid(s_in + b)
-        loss += float(sig.mean())
-        g_in = sig * (1.0 - sig) / s_in.size
+        loss += float(sig.sum() / n_in)
+        g_in = sig * (1.0 - sig) / n_in
         b_grad += float(g_in.sum())
     if s_void.size:
         sig = _sigmoid(s_void + b)
         slack = beta - sig
         active = slack > 0.0
-        loss += void_weight * float(np.maximum(slack, 0.0).mean())
-        g_void = np.where(active, -void_weight * sig * (1.0 - sig) / s_void.size, 0.0)
+        loss += void_weight * float(np.maximum(slack, 0.0).sum() / n_void)
+        g_void = np.where(active, -void_weight * sig * (1.0 - sig) / n_void, 0.0)
         b_grad += float(g_void.sum())
     return loss, g_in, g_void, b_grad
 
@@ -178,6 +186,7 @@ class TotalLoss:
     void: float
     dlogits: np.ndarray           # (M, C)
     prior_grads: PriorParams      # gradients; .b carries the bias gradient
+    live: int                     # points with a positive prior pre-activation
 
 
 def total_loss(
@@ -190,6 +199,7 @@ def total_loss(
     use_prior: bool = True,
     *,
     work: Workspace | None = None,
+    counts: tuple[int, int, int] | None = None,
 ) -> TotalLoss:
     """Cross-entropy + logistic separation + void hinge, with all gradients
     composed through the active scoring method (and the prior weighting
@@ -200,9 +210,11 @@ def total_loss(
     ``params`` as they were at the call: the prior network's tape keeps its
     own copy. ``work`` is passed on to the prior network's forward pass,
     whose tape carries it to the backward pass, and to the static score
-    gradient.
+    gradient. The terms are means over ``counts`` INLIER, AUX_OOD and VOID
+    points (default: those of ``labels``); a scan's row chunk passes the scan's.
     """
-    ce, dlogits = ce_loss(field, labels, spec)
+    n_in, n_aux, n_void = counts or (None, None, None)
+    ce, dlogits = ce_loss(field, labels, spec, n=n_in)
 
     base = static_score(field, method)
     if use_prior:
@@ -217,11 +229,11 @@ def total_loss(
 
     aux, g_in_a, g_aux, b_grad_a = aux_logistic_loss(
         scores[in_mask], scores[aux_mask], params.b,
-        orientation=cfg.orientation, aux_weight=cfg.ood_weight,
+        orientation=cfg.orientation, aux_weight=cfg.ood_weight, n_in=n_in, n_aux=n_aux,
     )
     void, g_in_v, g_void, b_grad_v = void_soft_loss(
         scores[in_mask], scores[void_mask], params.b,
-        beta=cfg.beta, void_weight=cfg.ood_weight,
+        beta=cfg.beta, void_weight=cfg.ood_weight, n_in=n_in, n_void=n_void,
     )
 
     g_scores = np.zeros_like(scores)
@@ -248,4 +260,5 @@ def total_loss(
     return TotalLoss(
         total=ce + aux + void, ce=ce, aux=aux, void=void,
         dlogits=dlogits, prior_grads=prior_grads,
+        live=int(np.count_nonzero(tape.pre > 0.0)) if use_prior else 0,
     )

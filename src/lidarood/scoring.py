@@ -89,9 +89,8 @@ def static_score_grad(field: LogitField, method: ScoreMethod, *,
 
     Each score is a per-point scalar, so the Jacobian is row-diagonal and is
     returned as one gradient row per point. With ``work`` it is built in
-    the workspace's ``datt`` slot; the extended-energy form subtracts the
-    inlier softmax from it in ``core.row_chunks``, with the bytes of one
-    whole-field pass.
+    the workspace's ``datt`` slot. Training passes one row chunk's field,
+    so its softmax temporaries are chunk-sized.
     """
     values = field.values
     k = field.class_spec.num_classes
@@ -101,9 +100,7 @@ def static_score_grad(field: LogitField, method: ScoreMethod, *,
     if method is ScoreMethod.EXTENDED_ENERGY:
         _require_extended(field)
         field.softmax.p(out=grad)
-        # a chunk at a time: a whole (M, K) softmax would hold the step's peak
-        for rows in row_chunks(len(grad)):
-            grad[rows, :k] -= pos._rows(rows).p()
+        grad[:, :k] -= pos.p()
         return grad
     grad.fill(0.0)
     if method is ScoreMethod.ENTROPY:
@@ -130,13 +127,12 @@ def reweighted_score(field: LogitField, method: ScoreMethod, params) -> ScoreFie
     The rows are scored in ``core.row_chunks``, each written into one
     score vector, so the softmax temporaries and the prior tape stay
     chunk-sized; every score has the bytes of one whole-field pass. A field
-    of 4096 rows or fewer is one chunk, the field itself, and an empty
-    field one empty chunk, with the checks of a call.
+    of 4096 rows or fewer is one chunk, the field itself.
     """
     from .priornet import prior_weight
 
     scores = np.empty(field.count)
-    for rows in row_chunks(field.count) or [slice(0, 0)]:
+    for rows in row_chunks(field.count):
         part = field._rows(rows)
         np.multiply(static_score(part, method), prior_weight(part, params)[0], out=scores[rows])
     return ScoreField(scores=scores)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, Workspace,
+from .core import (ClassSpec, ContractError, LabelMap, LogitField, PointCloud, Role, Workspace,
                    read_float32, read_header, row_chunks, to_float32, work_array,
                    write_header)
 from .losses import LossConfig, total_loss
@@ -136,10 +136,10 @@ def forward(backbone: Backbone, features: np.ndarray, spec: ClassSpec, *,
     fresh (M, C) logit array, so the scaled features and the hidden layer
     are chunk-sized (in the buffers of ``work`` when it is given); the
     logits have the bytes of one whole-array pass. Up to 4096 rows are one
-    chunk, and no rows one empty chunk."""
+    chunk."""
     x = _feature_rows(features)
     logits = None
-    for rows in row_chunks(x.shape[0]) or [slice(0, 0)]:
+    for rows in row_chunks(x.shape[0]):
         h = _hidden(backbone, _scaled(backbone, x[rows], work), work)
         if logits is None:
             # made while the first hidden layer is alive, where the
@@ -159,8 +159,8 @@ def backbone_backward(
     """Exact gradients of sum(dlogits * logits) w.r.t. the backbone tensors.
 
     The hidden layer is recomputed, as ``forward`` builds it and in the same
-    ``work`` buffer, rather than kept from the forward pass: a kept (M, H)
-    array outlives the step and raises the peak memory of scoring."""
+    ``work`` buffer, rather than kept from the forward pass: a kept one
+    needs a buffer of its own, which raises a 3.4k-point ``train()`` peak."""
     x = _scaled(backbone, _feature_rows(features), work)
     if np.shape(dlogits) != (x.shape[0], backbone.out_width):
         raise ContractError(f"dlogits must be ({x.shape[0]}, {backbone.out_width}) for these "
@@ -236,6 +236,11 @@ class EpochStats:
     aux: float
     void: float
     steps: int
+    # the share of the steps' points with a positive prior pre-activation
+    # (0 without the prior), and the steps with none: a head at 0 on every
+    # point gets no gradient, and the prior stays the identity
+    live: float = 0.0
+    dead_steps: int = 0
 
 
 @dataclass
@@ -311,18 +316,15 @@ def train(
     sub-cloud within twice that (``near_boxes``), with a full extraction's
     bytes.
 
-    The call owns one ``Workspace``, sized to its largest scan, and drops it
-    on return. The prior-head probe and every step fill their large (M, .)
-    arrays (scaled features, hidden layer and its gradient, the static
-    score gradient, the prior tape and the prior's backward arrays) into
-    its buffers, so steps after the first allocate none of them, with the
-    same bytes as fresh arrays. Arrays whose lifetimes do not overlap share
-    a buffer (the hidden layer and the prior network's ``e`` and ``q``, for
-    one: the backbone is done before the prior network runs), so the
-    buffers hold 4 + max(H, 2d) + max(d, C) + 2C float64 columns per row,
-    80 (640 B/point) at the default widths. A tape made in the workspace
-    serves one ``prior_backward``, before any other step function fills
-    the workspace; ``prior_backward`` refuses it after that.
+    A step, and the prior-head probe, walk the scan in ``core.row_chunks``:
+    per chunk ``forward``, ``total_loss`` (with the scan's loss normalizers)
+    and ``backbone_backward``, the chunks' gradients added in row order, so
+    each per-point gradient keeps its bytes and a scan of up to 4096 rows is
+    one chunk. Their large arrays fill one ``Workspace`` (``core``'s slot
+    table: 80 float64 columns per row at the default widths) of the call's
+    largest chunk, dropped on return. One ``train()`` call (2 epochs, two
+    raises) on a seed-1 scene peaks at 1.16, 0.33 and 0.16 KB per point at
+    3.4k, 20k and 100k points (1.14-1.22 KB with whole-scan steps).
     """
     if not scenes:
         raise ContractError("training requires at least one scene")
@@ -333,8 +335,9 @@ def train(
         raise ContractError("extended-energy training needs an extended class spec")
 
     scan_features: dict[int, np.ndarray] = {}
-    # every step fills its (M, .) arrays into this, and it dies with the call
-    work = Workspace(max(cloud.count for cloud, _ in scenes))
+    # every step fills its chunks' arrays into this, and it dies with the call
+    work = Workspace(max(r.stop - r.start for c, _ in scenes for r in row_chunks(c.count)),
+                     cfg.hidden, cfg.latent_dim, spec.logit_width)
 
     def base_features(k: int) -> np.ndarray:
         if k not in scan_features:
@@ -353,11 +356,10 @@ def train(
         # the head only receives gradient through points with a positive
         # pre-activation; if the draw leaves every point of the first scan
         # inactive, flip its sign so the head is trainable
-        probe = forward(backbone, base_features(0), spec, work=work)
-        _, tape = prior_weight(probe, params, work=work)
-        if not np.any(tape.pre > 0.0):
+        probe = base_features(0)
+        fields = (forward(backbone, probe[r], spec, work=work) for r in row_chunks(len(probe)))
+        if not any(np.any(prior_weight(f, params, work=work)[1].pre > 0.0) for f in fields):
             params.w_head = -params.w_head
-        del probe, tape  # only the sign check reads them
 
     loop_rng = np.random.default_rng([cfg.seed, 2])
     tensors = dict(backbone.tensors())
@@ -373,7 +375,7 @@ def train(
     for epoch in range(cfg.epochs):
         order = loop_rng.permutation(len(scenes))
         sums = np.zeros(4)
-        steps = 0
+        steps = points = live = dead_steps = 0
         for scan_idx in order:
             cloud, labels = scenes[scan_idx]
             n_road = int(np.count_nonzero(labels.semantic == ROAD))
@@ -392,29 +394,39 @@ def train(
             features = base_features(int(scan_idx))
             if moved:
                 features = _refresh_features(features, cloud, *moved)
-            logits = forward(backbone, features, spec, work=work)
-            result = total_loss(logits, labels, spec, cfg.method, params,
-                                cfg.loss, use_prior=cfg.use_prior, work=work)
-            if not np.isfinite(result.total):
+            grads, terms, n_live = _step_grads(backbone, params, features, labels, spec, cfg, work)
+            if not np.isfinite(terms[0]):
                 raise ContractError(f"non-finite loss at epoch {epoch}")
-
-            grads = backbone_backward(backbone, features, result.dlogits, work=work)
-            grads["b"] = np.asarray(result.prior_grads.b)
-            if cfg.use_prior:
-                grads.update(result.prior_grads.tensors())
             opt.step(grads)
             params.b = float(tensors["b"])
 
-            sums += (result.total, result.ce, result.aux, result.void)
+            sums += terms
             steps += 1
+            points += labels.count
+            live += n_live
+            dead_steps += n_live == 0
 
-        if steps:
-            train_log.epochs.append(EpochStats(
-                total=sums[0] / steps, ce=sums[1] / steps,
-                aux=sums[2] / steps, void=sums[3] / steps, steps=steps))
-        else:
-            train_log.epochs.append(EpochStats(0.0, 0.0, 0.0, 0.0, 0))
+        train_log.epochs.append(EpochStats(*sums / max(steps, 1), steps, live / max(points, 1),
+                                           dead_steps))
     return backbone, params, train_log
+
+
+def _step_grads(backbone, params, features, labels, spec, cfg: TrainConfig, work):
+    """A step's gradients (the prior's zero without it), loss terms (total,
+    ce, aux, void) and points with a positive prior pre-activation: its row
+    chunks', each with the scan's loss normalizers, summed in row order."""
+    counts = [np.count_nonzero(labels.role == r) for r in (Role.INLIER, Role.AUX_OOD, Role.VOID)]
+    grads, terms, live = {}, np.zeros(3), 0
+    for rows in row_chunks(labels.count):
+        part = LabelMap(labels.semantic[rows], labels.instance[rows], labels.role[rows])
+        result = total_loss(forward(backbone, features[rows], spec, work=work), part, spec,
+                            cfg.method, params, cfg.loss, cfg.use_prior, work=work, counts=counts)
+        chunk = backbone_backward(backbone, features[rows], result.dlogits, work=work)
+        chunk.update(result.prior_grads.tensors(), b=np.asarray(result.prior_grads.b))
+        grads = {k: grads[k] + g if grads else g for k, g in chunk.items()}
+        terms += (result.ce, result.aux, result.void)
+        live += result.live
+    return grads, (terms[0] + terms[1] + terms[2], *terms), live
 
 
 # --------------------------------------------------------------------------

@@ -260,6 +260,21 @@ class TestBadInput:
         self.assert_one_line_error(capsys)
         assert not list(out.glob("*.score"))
 
+    @pytest.mark.parametrize("command", ["eval", "raise"])
+    def test_tiny_eps_named(self, pipeline, tmp_path, capsys, command):
+        """An eps whose DBSCAN cells are too many for int64 codes is refused
+        by the value given, not by the cell size made of it."""
+        data, out = pipeline / "eval", tmp_path / "out"
+        args = {"eval": ["eval", "--data", str(data), "--scores", str(pipeline / "scores"),
+                         "--gamma=-inf", "--report", str(out / "r.txt")],
+                "raise": ["raise", "--in", str(data), "--out", str(out)]}[command]
+        capsys.readouterr()
+        assert main([*args, "--eps", "1e-300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "eps 1e-300" in err and "Traceback" not in err, err
+        assert not out.exists()
+
     def test_gamma_from_tpr_with_every_point_ignored(self, pipeline, tmp_path, capsys):
         """Calibrating gamma needs an OOD point outside the ignore mask; an
         all-ignore label set has none and is refused."""
@@ -420,6 +435,40 @@ class TestBadNumericFlags:
                     assert code in (0, 1, 2), case
                     assert err.count("\n") <= 1 and "Traceback" not in err, case
         assert cases > 100
+
+
+class TestTrainEpochLines:
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("train") / "d"
+        assert main(["synth", "--out", str(out), "--scenes", "2", "--seed", "3",
+                     "--points", "1200", "--extent", "5"]) == 0
+        return out
+
+    @pytest.mark.parametrize("seed, dead", [("0", True), ("1", False)], ids=["dead", "live"])
+    def test_live_share_and_dead_head_warning(self, data, tmp_path, capsys, seed, dead):
+        """Each epoch line ends with the share of its points whose prior
+        weight exceeds 1; a last epoch with none warns in one stderr line."""
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                     "--epochs", "2", "--lr", "1e-3", "--seed", seed]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert [line.startswith(f"epoch {i}: ") and " live=" in line
+                for i, line in enumerate(lines)] == [True, True]
+        live = float(lines[-1].rsplit(" live=", 1)[1])
+        if dead:
+            assert live == 0.0
+            assert err.startswith("warning: ") and "dead" in err and err.count("\n") == 1, err
+        else:
+            assert 0.0 < live <= 1.0 and err == ""
+
+    def test_static_training_prints_no_share(self, data, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                     "--epochs", "1", "--lr", "1e-3", "--seed", "0", "--prior", "off"]) == 0
+        out, err = capsys.readouterr()
+        assert "live=" not in out and err == ""
 
 
 class TestExportMap:

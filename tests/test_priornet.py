@@ -192,7 +192,7 @@ class TestBackward:
     def test_tape_of_a_refilled_workspace_rejected(self):
         rng = np.random.default_rng(7)
         params = init_params(4, d=3, seed=4)
-        work = Workspace(5)
+        work = Workspace(5, 6, 3, 4)
         _, first = prior_weight(rng.normal(size=(3, 4)), params, work=work)
         _, second = prior_weight(rng.normal(size=(5, 4)), params, work=work)
         with pytest.raises(ContractError, match="refilled"):
@@ -213,7 +213,7 @@ class TestBackward:
         values = rng.normal(size=(5, spec.logit_width))
         want = prior_backward(prior_weight(values, params)[1], np.ones(5))[1]
 
-        work = Workspace(5)
+        work = Workspace(5, 6, 3, 4)
         _, tape = prior_weight(values, params, work=work)
         if step == "forward":
             forward(backbone, features, spec, work=work)
@@ -234,7 +234,7 @@ class TestBackward:
         values = rng.normal(size=(5, 4))
         grad_w = rng.normal(size=5)
 
-        _, tape = prior_weight(values, params, work=Workspace(5))
+        _, tape = prior_weight(values, params, work=Workspace(5, 6, 3, 4))
         first = prior_backward(tape, grad_w)[1].copy()
         with pytest.raises(ContractError, match="stale tape"):
             prior_backward(tape, grad_w)

@@ -91,7 +91,8 @@ class TestRowChunks:
         assert all(c.step is None for c in chunks)
 
     def test_empty(self):
-        assert row_chunks(0) == []
+        """One empty chunk, so a walk of no rows runs its body's checks once."""
+        assert row_chunks(0) == [slice(0, 0)]
 
     def test_fold(self):
         assert row_chunks(4099) == [slice(0, 4099)]

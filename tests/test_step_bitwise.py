@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from lidarood import trainer
-from lidarood.core import ClassSpec, ContractError, LabelMap, LogitField, Role, Workspace
+from lidarood.core import (ClassSpec, ContractError, LabelMap, LogitField, Role, Workspace,
+                           row_chunks)
 from lidarood.losses import (
     LossConfig, Orientation, aux_logistic_loss, total_loss, void_soft_loss,
 )
@@ -213,17 +214,22 @@ def ref_static_score_grad(values, k: int, method: ScoreMethod):
     return grad
 
 
-def ref_total_loss(values, labels, spec, method, params, cfg, use_prior):
+def ref_total_loss(values, labels, spec, method, params, cfg, use_prior, counts=None):
     """The three-term objective with each gradient in a fresh array; the
-    score and the two score-level terms are the library's own."""
+    score and the two score-level terms are the library's own. ``counts``
+    are the normalizers of a scan that ``values`` is a row chunk of."""
     inliers = np.flatnonzero(labels.role == Role.INLIER)
+    n_in, n_aux, n_void = counts or (None, None, None)
     targets = spec.class_index()[labels.semantic[inliers]]
     dlogits = np.zeros_like(values)
     logp = RefSoftmax(values).logp()
-    ce = float(-logp[inliers, targets].mean())
+    if counts is None:
+        ce = float(-logp[inliers, targets].mean())
+    else:  # a chunk's share of the scan's mean
+        ce = float(-(logp[inliers, targets].sum() / n_in)) if inliers.size else 0.0
     p = np.exp(logp[inliers])
     p[np.arange(inliers.size), targets] -= 1.0
-    dlogits[inliers] = p / inliers.size
+    dlogits[inliers] = p / (inliers.size if counts is None else n_in)
 
     base = static_score(LogitField(values=values, class_spec=spec), method)
     base_grad = ref_static_score_grad(values, spec.num_classes, method)
@@ -237,10 +243,10 @@ def ref_total_loss(values, labels, spec, method, params, cfg, use_prior):
     void_mask = labels.role == Role.VOID
     aux, g_in_a, g_aux, b_a = aux_logistic_loss(
         scores[in_mask], scores[aux_mask], params.b, orientation=cfg.orientation,
-        aux_weight=cfg.ood_weight)
+        aux_weight=cfg.ood_weight, n_in=n_in, n_aux=n_aux)
     void, g_in_v, g_void, b_v = void_soft_loss(
         scores[in_mask], scores[void_mask], params.b, beta=cfg.beta,
-        void_weight=cfg.ood_weight)
+        void_weight=cfg.ood_weight, n_in=n_in, n_void=n_void)
     g_scores = np.zeros_like(scores)
     g_scores[in_mask] = g_in_a + g_in_v
     g_scores[aux_mask] = g_aux
@@ -404,13 +410,11 @@ def step_bytes(case, work) -> dict[str, bytes]:
 @pytest.mark.parametrize("rows, sizes", [
     (400, [301]),                # capacity larger than M
     (400, [120, 301, 60]),       # M growing, then shrinking, within the capacity
-    (64, [50, 180, 301, 90]),    # ... and past it
     (301, [301, 301]),           # two steps in a row
-    (9000, [4099, 9000]),        # one forward chunk with a folded rest, then three chunks
-    (4096, [9000, 4099]),        # past a one-chunk capacity, then back within it
+    (4099, [4099, 301]),         # the largest row chunk (a folded rest), then a smaller scan
 ])
 def test_workspace_keeps_bytes(rows, sizes):
-    work = Workspace(rows)
+    work = Workspace(rows, 9, 5, 6)
     for i, m in enumerate(sizes):
         case = step_case(m, seed=30 + i)
         want = step_bytes(case, None)
@@ -419,12 +423,71 @@ def test_workspace_keeps_bytes(rows, sizes):
         assert not [name for name in want if got[name] != want[name]], (i, m)
 
 
+@pytest.mark.parametrize("call", ["forward", "backbone_backward", "prior_weight", "wide"])
+def test_take_past_the_workspace_rejected(call):
+    """A workspace does not grow: a step function of more rows than it
+    holds, or a take wider than its slot, raises ContractError."""
+    spec, bb, features, dlogits, values, labels, params, grad_w = step_case(65, seed=35)
+    work = Workspace(64, 9, 5, 6)
+    with pytest.raises(ContractError, match="workspace slot"):
+        if call == "forward":
+            forward(bb, features, spec, work=work)
+        elif call == "backbone_backward":
+            backbone_backward(bb, features, dlogits, work=work)
+        elif call == "prior_weight":
+            prior_weight(values, params, work=work)
+        else:
+            work.take("x", 64, 5)
+
+
+def ref_step(bb, params, features, labels, spec, cfg):
+    """One training step's gradients and loss terms: the reference
+    expressions on each row chunk, with the scan's loss normalizers, added
+    in row order onto the first chunk's; one chunk is the whole scan."""
+    counts = [np.count_nonzero(labels.role == r) for r in (Role.INLIER, Role.AUX_OOD, Role.VOID)]
+    grads, terms = None, np.zeros(4)
+    for rows in row_chunks(labels.count):
+        part = LabelMap(semantic=labels.semantic[rows], instance=labels.instance[rows],
+                        role=labels.role[rows])
+        values = ref_forward(bb, features[rows])
+        (total, ce, aux, void, b), dlogits, prior_grads = ref_total_loss(
+            values, part, spec, cfg.method, params, cfg.loss, True, counts)
+        chunk = dict(ref_backbone_backward(bb, features[rows], dlogits), b=np.asarray(b),
+                     **prior_grads)
+        if grads is None:
+            grads = chunk
+        else:
+            for name, g in chunk.items():
+                grads[name] = grads[name] + g
+        terms += (0.0, ce, aux, void)
+    terms[0] = terms[1] + terms[2] + terms[3]
+    return grads, terms
+
+
+@pytest.mark.parametrize("m", [301, 4099, 4100, 9000])
+def test_chunked_step_matches_reference(m):
+    """The step that ``train`` takes, a chunk at a time in a workspace of
+    one chunk, against the chunk-summed reference. At most 4099 rows are
+    one chunk, so that reference is the whole-array one: those steps keep
+    the bytes of a whole-scan step."""
+    spec, bb, features, _, _, labels, params, _ = step_case(m, seed=36)
+    cfg = trainer.TrainConfig(hidden=9, latent_dim=5, loss=LossConfig(beta=0.8, ood_weight=50.0))
+    rows = max(r.stop - r.start for r in row_chunks(m))
+    got, terms, live = trainer._step_grads(bb, params, features, labels, spec, cfg,
+                                           Workspace(rows, 9, 5, spec.logit_width))
+    want, want_terms = ref_step(bb, params, features, labels, spec, cfg)
+    assert_same_bytes(got, want)
+    assert np.array(terms).tobytes() == want_terms.tobytes()
+    pre = ref_prior_weight(ref_forward(bb, features), params)[1]["pre"]
+    assert 0 < live == np.count_nonzero(pre > 0.0) < m
+
+
 def test_train_drops_its_workspace(monkeypatch):
     made = []
 
     class Recorded(Workspace):
-        def __init__(self, rows):
-            super().__init__(rows)
+        def __init__(self, *args):
+            super().__init__(*args)
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(trainer, "Workspace", Recorded)
@@ -434,3 +497,23 @@ def test_train_drops_its_workspace(monkeypatch):
     trainer.train(data, spec, trainer.TrainConfig(lr=1e-3, epochs=2, seed=3))
     assert len(made) == 1
     assert made[0]() is None  # freed on return, without waiting for the cycle collector
+
+
+@pytest.mark.parametrize("totals", [[1200, 1500], [5000, 1200]], ids=["one-chunk", "two-chunks"])
+def test_train_sizes_its_workspace_to_one_chunk(monkeypatch, totals):
+    """A scan of 4099 rows or fewer is one chunk, and its workspace holds
+    only its rows; a larger scan's holds its largest chunk's."""
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self.rows)
+
+    monkeypatch.setattr(trainer, "Workspace", Recorded)
+    data = [generate_scene(SceneConfig(seed=100 + i, extent=5.0,
+                                       class_budget=default_budget(total)))
+            for i, total in enumerate(totals)]
+    trainer.train(data, default_class_spec(extended=True), trainer.TrainConfig(epochs=1, seed=3))
+    counts = [cloud.count for cloud, _ in data]
+    assert made == [max(counts) if max(counts) <= 4099 else 4096]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidarood import trainer
+from lidarood import losses, trainer
 from lidarood.core import ContractError, FormatError, LabelMap, PointCloud
 from lidarood.losses import total_loss
 from lidarood.perlin import draw_raise, perlin_raise
@@ -212,6 +212,32 @@ class TestTrain:
         assert log_s == log_z
         assert not pp_z.w_head.any()
 
+    @pytest.mark.parametrize("seed, dead", [(0, True), (1, False)], ids=["dead", "live"])
+    def test_live_share_of_the_prior_head(self, monkeypatch, seed, dead):
+        """Each epoch reports the share of its steps' points with a positive
+        head pre-activation, and its steps with none, as counted here on
+        the tapes of the loss's prior passes (one row chunk per step, two
+        steps per epoch). Seed 0's head is dead by its last epoch, so the
+        prior is the identity; seed 1's is live."""
+        real, tapes = losses.prior_weight, []
+
+        def spy(*args, **kwargs):
+            w, tape = real(*args, **kwargs)
+            tapes.append((np.count_nonzero(tape.pre > 0.0), tape.pre.size))
+            return w, tape
+
+        monkeypatch.setattr(losses, "prior_weight", spy)
+        spec = default_class_spec(extended=True)
+        _, _, tlog = train(small_scenes(2), spec, TrainConfig(lr=1e-3, epochs=3, seed=seed))
+        assert len(tapes) == 6
+        for k, ep in enumerate(tlog.epochs):
+            live, points = np.sum(tapes[2 * k:2 * k + 2], axis=0)
+            assert ep.live == live / points
+            assert ep.dead_steps == sum(n == 0 for n, _ in tapes[2 * k:2 * k + 2])
+        last = tlog.epochs[-1]
+        assert (last.live == 0.0, last.dead_steps) == ((True, 2) if dead else (False, 0))
+        assert last.live <= 1.0
+
     def test_no_road_scan_skipped(self):
         spec = default_class_spec(extended=True)
         scenes = small_scenes(2)
@@ -305,17 +331,17 @@ class TestTrain:
         assert digest == "ec3079792e6e8f78a0401b12129d75a025cde14a80fdce9fe0feecb89f75f294"
 
     @pytest.mark.parametrize("total, extent, after_mb", [
-        pytest.param(3400, 5.0, 3.968, id="3.4k"),
-        pytest.param(20000, 12.0, 21.681, id="20k"),
+        pytest.param(3400, 5.0, 3.760, id="3.4k"),
+        pytest.param(20000, 12.0, 6.243, id="20k"),
+        pytest.param(100000, 12.0, 15.618, id="100k"),
     ])
     def test_peak_bounded(self, total, extent, after_mb):
         """The tracemalloc peak of one ``train()`` call (2 epochs, two raises
         per scan) on a seed-1 scene is at most ``after_mb``, the peak with
-        the workspace buffers shared by lifetime and the static score
-        gradient's inlier softmax taken a row chunk at a time, plus 0.1 MB.
-        With a buffer per step array it was 5.83 and 33.74 MB; with a whole
-        (M, K) inlier softmax, 3.97 and 22.25 MB. A first small call keeps
-        one-time set-up out of the peak."""
+        each step walked in row chunks through a workspace of one chunk,
+        plus 0.1 MB. With whole-scan steps it was 3.97, 21.68 and 113.1 MB;
+        with a buffer per step array, 5.83, 33.74 and 173 MB. A first small
+        call keeps one-time set-up out of the peak."""
         spec = default_class_spec(extended=True)
         cfg = TrainConfig(lr=1e-3, epochs=2, seed=0, raise_per_scan=2)
         train(small_scenes(1), spec, cfg)
@@ -502,7 +528,8 @@ class TestFeatureCache:
                                                   scan_20k):
         """Each step's features are bitwise those of its raised cloud, and
         features are extracted at most once per scan plus once per step
-        whose raises moved points."""
+        whose raises moved points. A step's ``forward`` calls take its
+        features a row chunk at a time, in row order."""
         spec = default_class_spec(extended=True)
         scenes = small_scenes(3)
         if scan_20k:  # a CLI-default scan in place of the last small one
@@ -513,6 +540,7 @@ class TestFeatureCache:
         step_raises = []  # (cloud, raised_count) of the raises since the last forward
         extracted = []    # clouds extract_features ran on
         moved_steps = still_steps = 0
+        step_rows = []    # the current step's fresh features and the rows its chunks took
 
         def spy_raise(*args):
             out = real_raise(*args)
@@ -525,14 +553,19 @@ class TestFeatureCache:
 
         def spy_forward(backbone, features, spec_, **kw):
             nonlocal moved_steps, still_steps
-            if step_raises:  # a training step, not the prior-head probe
-                fresh = real_features(step_raises[-1][0])
-                assert features.tobytes() == fresh.tobytes()
+            if step_raises:  # the first chunk of a training step
+                if step_rows:  # the step before took all its rows
+                    assert step_rows[1] == len(step_rows[0])
+                step_rows[:] = [real_features(step_raises[-1][0]), 0]
                 if any(count > 0 for _, count in step_raises):
                     moved_steps += 1
                 else:
                     still_steps += 1
                 step_raises.clear()
+            if step_rows:  # not the prior-head probe, which runs before any step
+                fresh, start = step_rows
+                assert features.tobytes() == fresh[start:start + len(features)].tobytes()
+                step_rows[1] += len(features)
             return real_forward(backbone, features, spec_, **kw)
 
         monkeypatch.setattr(trainer, "perlin_raise", spy_raise)
@@ -545,6 +578,7 @@ class TestFeatureCache:
         assert len({id(c) for c in base}) == len(base)  # each scan at most once
         assert len(extracted) - len(base) == moved_steps
         assert moved_steps + still_steps == 9
+        assert step_rows[1] == len(step_rows[0])  # the last step took all its rows
         assert (moved_steps > 0) == hits
         assert (still_steps > 0) == misses
         if not hits:
