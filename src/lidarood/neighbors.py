@@ -85,8 +85,10 @@ class GridIndex:
             raise ValueError(f"cell_size must be finite and positive, got {cell_size}")
         self.points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         self.cell_size = float(cell_size)
-        # per axis, one contiguous row: reductions along rows are fast
-        keys = np.ascontiguousarray(np.floor(self.points / self.cell_size).T)
+        # per axis, one contiguous row: reductions along rows are fast; a key
+        # that overflows to inf is refused below
+        with np.errstate(over="ignore"):
+            keys = np.ascontiguousarray(np.floor(self.points / self.cell_size).T)
         # an empty cloud gets origin 0 and dims 2
         lo, hi = (keys.min(axis=1), keys.max(axis=1)) if keys.size else (np.ones(3), np.zeros(3))
         # the keys must stay precise and the int64 codes, also a few cells

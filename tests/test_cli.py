@@ -395,7 +395,8 @@ class TestBadNumericFlags:
         line and no traceback. Int flags get only the integer values (argparse
         refuses the others); the work-scaling flags skip the huge ones."""
         eval_dir, scores = pipeline / "eval", pipeline / "scores"
-        floats = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", str(2**63)]
+        floats = ["nan", "inf", "-inf", "0", "-1", "1e-300", "2.2250738585072014e-308", "5e-324",
+                  "1e300", str(2**63)]
         ints = ["0", "-1", str(2**63)]
         work_scaling = {"--scenes", "--epochs", "--raise-per-scan"}
         subparsers = next(a for a in build_parser()._actions

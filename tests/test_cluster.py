@@ -149,12 +149,13 @@ class TestDbscan:
         with pytest.raises(ContractError, match="cell"):
             dbscan(points, eps=1e-3, min_pts=2)
 
-    @pytest.mark.parametrize("eps", [1e-300, 5e-324])
+    @pytest.mark.parametrize("eps", [1e-300, 2.2250738585072014e-308, 5e-324])
     def test_tiny_eps_named(self, eps):
-        """An eps whose cells of eps / 2 the points span too many of, or
-        round to 0, is refused by the value given."""
+        """An eps whose cells of eps / 2 the points span too many of, whose
+        cell keys overflow, or whose half rounds to 0, is refused by the
+        value given, with no warning."""
         with pytest.raises(ContractError, match=f"eps {eps} is too small"):
-            dbscan(np.random.default_rng(0).uniform(0, 1, size=(10, 3)), eps=eps, min_pts=2)
+            dbscan(np.random.default_rng(0).uniform(0, 5, size=(10, 3)), eps=eps, min_pts=2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_points_not_finite(self, bad):
