@@ -24,7 +24,8 @@ its own. Cells, not points, are counted and joined:
    eps, with nothing measured, then in rounds of offsets nearest first
    (face, edge, corner, then the shell at 2), each measuring only the core
    points of the cell pairs whose trees still differ, by min-label hooking
-   with pointer jumping (Shiloach & Vishkin 1982);
+   with pointer jumping (Shiloach & Vishkin 1982), each round jumping
+   until every cell points at its root;
 4. clusters are numbered by their smallest core index. DBSCAN leaves border
    ownership open; here a border point joins the smallest cluster id among
    its core neighbors, as a sequential DBSCAN growing clusters from seeds
@@ -84,7 +85,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     except (ContractError, ValueError):  # too many cells, or eps / 2 rounds to 0
         raise ContractError(f"eps {eps} is too small for these points: they span too many "
                             "cells of eps / 2 for exact int64 cell codes") from None
-    size = np.diff(index.cell_bound)
+    size = index.cell_bound[1:] - index.cell_bound[:-1]
     c, d, dist2 = index.cell_pairs()
     # a cell whose 5 x 5 x 5 block holds fewer than min_pts points has no
     # core point
@@ -92,7 +93,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     if not hopeful.any():
         return noise
     cells = len(size)
-    cell = np.repeat(np.arange(cells), size)  # positions in cell order
+    cell = np.arange(cells).repeat(size)  # positions in cell order
     r2 = eps * eps
 
     # (1), (2): a point's neighbors in its own cell and in the cells wholly
@@ -100,7 +101,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     # full, all core. The rest are measured block by block, only over the
     # cell pairs with a hopeful cell not full, and counted at both ends.
     whole = np.zeros(len(c), dtype=bool)
-    touch = np.flatnonzero(dist2 <= 3)  # face, edge and corner pairs
+    touch = (dist2 <= 3).nonzero()[0]  # face, edge and corner pairs
     whole[touch] = index.box_d2(c.take(touch), d.take(touch)) <= r2
     wc, wd = c[whole], d[whole]
     known = size + _around(size, wc, wd)
@@ -117,7 +118,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
 
     # (3): the whole pairs of core cells at once, then the near pairs of
     # core cells whose trees differ, by rings
-    core_at = np.flatnonzero(core)
+    core_at = core.nonzero()[0]
     has_core = np.logical_or.reduceat(core, index.cell_bound[:-1])
     free = has_core.take(wc) & has_core.take(wd)
     label = _join(np.arange(cells), wc[free], wd[free])
@@ -139,8 +140,8 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     first = np.full(cells, n)
     np.minimum.at(first, label[cell[core_at]], index.order[core_at])
     k = int(np.count_nonzero(first < n))
-    cluster = np.argsort(np.argsort(first)).take(label).take(cell)
-    open_at = np.flatnonzero(~core)
+    cluster = first.argsort().argsort().take(label).take(cell)
+    open_at = (~core).nonzero()[0]
     has_open = ~np.logical_and.reduceat(core, index.cell_bound[:-1])
     to_d = has_open.take(c) & has_core.take(d)
     to_c = has_core.take(c) & has_open.take(d)
@@ -166,15 +167,16 @@ def _join(label, a, b):
 
     label[c] <= c points toward c's root, the smallest node of its tree.
     Each round hooks each pair's larger root onto its smaller and jumps
-    every pointer to its root, until no pair joins two trees.
+    every pointer up until each points at its root (a root points at
+    itself), until no pair joins two trees.
     """
-    jumps = len(label).bit_length()  # 2 ** jumps > nodes > any depth
     a, b = label.take(a), label.take(b)
     while a.size:
         a, b = np.minimum(a, b), np.maximum(a, b)
         np.minimum.at(label, b, a)
-        for _ in range(jumps):
-            label = label.take(label)
+        jumped = label.take(label)
+        while (jumped != label).any():
+            label, jumped = jumped, jumped.take(jumped)
         a, b = label.take(a), label.take(b)
         keep = a != b
         a, b = a[keep], b[keep]

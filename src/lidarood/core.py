@@ -62,6 +62,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _run_bounds(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal adjacent values of the 1-D ``values``
+    starts, then len(values)."""
+    start = np.ones(len(values) + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=start[1:-1])
+    return start.nonzero()[0]
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """A set of 3D points in meters with optional per-point intensity.

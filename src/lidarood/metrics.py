@@ -17,13 +17,15 @@ Predictions lying wholly inside ignore regions are not penalized.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cluster import dbscan
-from .core import ContractError, LabelMap, PointCloud, Role, ScoreField, format_record, parse_record
+from .core import (ContractError, LabelMap, PointCloud, Role, ScoreField, _run_bounds,
+                   format_record, parse_record)
 from .scoring import classify
 
 __all__ = [
@@ -71,10 +73,26 @@ def pooled_points(scenes) -> tuple[ScoreField, np.ndarray, np.ndarray]:
     (cloud, labels, scores) ``scenes``, concatenated in scene order."""
     if not scenes:
         raise ContractError("no scenes to pool")
-    roles = [labels.role for _, labels, _ in scenes]
+    role = np.concatenate([labels.role for _, labels, _ in scenes])
     return (ScoreField(scores=np.concatenate([scores.scores for _, _, scores in scenes])),
-            np.concatenate([np.isin(role, OOD_ROLES) for role in roles]),
-            np.concatenate([role == Role.IGNORE for role in roles]))
+            _is_ood(role), role == int(Role.IGNORE))
+
+
+def _is_ood(role: np.ndarray) -> np.ndarray:
+    """Per point, whether its role is one of OOD_ROLES. The roles compare
+    as plain ints: numpy probes an enum member for array attributes on
+    every compare, which costs more than the compare."""
+    aux, real = map(int, OOD_ROLES)
+    return (role == aux) | (role == real)
+
+
+def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the 1-D integer ``keys`` ascending and how
+    often each occurs, as ``np.unique(keys, return_counts=True)``; sorts
+    ``keys`` in place."""
+    keys.sort()
+    bound = _run_bounds(keys)
+    return keys.take(bound[:-1]), bound[1:] - bound[:-1]
 
 
 def _ranked(scores: ScoreField, is_ood, ignore):
@@ -92,15 +110,14 @@ def _ranked(scores: ScoreField, is_ood, ignore):
     if not (s.shape == pos.shape == ignore.shape):
         raise ContractError("scores, is_ood, and ignore must have equal length")
     s, pos = s[~ignore], pos[~ignore]
-    order = np.argsort(-s)
+    order = (-s).argsort()
     s_sorted = s[order]
-    # scores are finite, so the first point always opens a block
-    starts = np.flatnonzero(np.diff(s_sorted, prepend=np.inf) != 0)
-    n_above = np.append(starts, s.size)
-    tp_above = np.concatenate([[0], np.cumsum(pos[order])])[n_above]
+    # the points above a tie block are those before its start
+    n_above = _run_bounds(s_sorted)
+    tp_above = np.concatenate(([0], pos[order].cumsum()))[n_above]
     n_pos = int(tp_above[-1])
-    return (np.append(s_sorted[starts], -np.inf), tp_above, n_above - tp_above,
-            n_pos, s.size - n_pos)
+    return (np.concatenate((s_sorted[n_above[:-1]], [-np.inf])), tp_above,
+            n_above - tp_above, n_pos, s.size - n_pos)
 
 
 def _auroc(sweep) -> float:
@@ -180,7 +197,7 @@ def cluster_predictions(
     """Binarize at cfg.gamma, DBSCAN the flagged points, and return one
     original-index array per non-noise cluster, ascending, in cluster id
     order. Noise points are discarded."""
-    flagged = np.flatnonzero(classify(scores, cfg.gamma))
+    flagged = classify(scores, cfg.gamma).nonzero()[0]
     if flagged.size == 0:
         return []
     assign = dbscan(cloud.points[flagged], eps=cfg.dbscan_eps, min_pts=cfg.dbscan_min_pts)
@@ -189,8 +206,9 @@ def cluster_predictions(
     cluster = assign.cluster_id
     kept = cluster >= 0
     # a stable sort keeps each cluster's points in index order
-    members = flagged[kept][np.argsort(cluster[kept], kind="stable")]
-    return np.split(members, np.cumsum(assign.sizes())[:-1])
+    members = flagged[kept][cluster[kept].argsort(kind="stable")]
+    ends = assign.sizes().cumsum().tolist()
+    return [members[lo:hi] for lo, hi in itertools.pairwise([0, *ends])]
 
 
 def match_instances(
@@ -209,25 +227,25 @@ def match_instances(
     the predictions' points; IoU divides the integer counts, which gives the
     correctly rounded quotient."""
     if ignore is None:
-        ignore = gt.role == Role.IGNORE
+        ignore = gt.role == int(Role.IGNORE)
     ignore = np.asarray(ignore, dtype=bool)
 
-    counted = np.isin(gt.role, OOD_ROLES) & ~ignore
-    gt_ids, gt_of = np.unique(gt.instance[counted], return_inverse=True)
-    gt_size = np.bincount(gt_of, minlength=gt_ids.size)
+    counted = _is_ood(gt.role) & ~ignore
+    instance = gt.instance[counted]
+    gt_ids, gt_size = _tally(instance.copy())
     gt_index = np.full(gt.count, -1)  # per point: its gt instance's position in gt_ids
-    gt_index[counted] = gt_of
+    gt_index[counted] = gt_ids.searchsorted(instance)
 
     preds = [np.asarray(p, dtype=np.intp) for p in pred_instances]
     points = np.concatenate([np.empty(0, np.intp), *preds])
-    owner = np.repeat(np.arange(len(preds)), [p.size for p in preds])
+    owner = np.arange(len(preds)).repeat([p.size for p in preds])
     seen = ~ignore[points]
     points, owner = points[seen], owner[seen]
     pred_size = np.bincount(owner, minlength=len(preds))
 
     point_gt = gt_index[points]
     hit = point_gt >= 0
-    pair, inter = np.unique(owner[hit] * gt_ids.size + point_gt[hit], return_counts=True)
+    pair, inter = _tally(owner[hit] * gt_ids.size + point_gt[hit])
     pi, gi = np.divmod(pair, gt_ids.size)
     iou = inter / (pred_size[pi] + gt_size[gi] - inter)
     order = np.lexsort((pi, gi, -iou))
@@ -242,7 +260,7 @@ def match_instances(
             tp.append((p, ids[g], v))
             pred_free[p] = gt_free[g] = False
 
-    return MatchResult(tp=tuple(tp), fp=tuple(np.flatnonzero(pred_free).tolist()),
+    return MatchResult(tp=tuple(tp), fp=tuple(pred_free.nonzero()[0].tolist()),
                        fn=tuple(gt_ids[gt_free].tolist()))
 
 

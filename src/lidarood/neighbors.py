@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .core import ContractError
+from .core import ContractError, _run_bounds
 
 __all__ = ["GridIndex", "ball", "near_boxes"]
 
@@ -67,14 +67,18 @@ _CHUNK = 1 << 15
 _REACH = 2
 
 
+@cache
 def _half_block(reach: int):
     """(dx, dy, dz_lo) of the columns of half the block of cells within
     reach on every axis: the cells above in the own column and all of the
     columns after it in lexicographic order, which give each unordered pair
-    of cells once."""
+    of cells once. Made once per reach, read-only."""
     span = range(-reach, reach + 1)
     dx, dy = np.array([(0, 0), *((a, b) for a in span for b in span if (a, b) > (0, 0))]).T
-    return dx, dy, np.where(dx | dy, -reach, 1)
+    columns = dx, dy, np.where(dx | dy, -reach, 1)
+    for a in columns:
+        a.setflags(write=False)
+    return columns
 
 
 class GridIndex:
@@ -103,16 +107,12 @@ class GridIndex:
         origin = lo.astype(np.int64) - 1
         self._dims = (hi - lo).astype(np.int64) + 3
         code = self._encode(*(keys.astype(np.int64) - origin[:, None]))
-        self.order = np.argsort(code, kind="stable")
+        self.order = code.argsort(kind="stable")
         code = code[self.order]
-        new = np.empty(len(code), dtype=bool)
-        new[:1] = True
-        np.not_equal(code[1:], code[:-1], out=new[1:])
-        cell_start = np.flatnonzero(new)
-        self._cell_code = code[cell_start]
         # cell c holds the points at positions cell_bound[c]:cell_bound[c + 1]
         # of order; a run of cells c..d those at cell_bound[c]:cell_bound[d + 1]
-        self.cell_bound = np.append(cell_start, len(code))
+        self.cell_bound = _run_bounds(code)
+        self._cell_code = code[self.cell_bound[:-1]]
 
     def _encode(self, kx, ky, kz):
         return (kx * self._dims[1] + ky) * self._dims[2] + kz
@@ -126,8 +126,8 @@ class GridIndex:
         # one row of ascending lookups per column, which searchsorted takes
         # faster than rows of mixed columns
         column = self._cell_code + self._encode(dx, dy, 0)[:, None]
-        first = np.searchsorted(self._cell_code, column + dz_lo[:, None])
-        end = np.searchsorted(self._cell_code, column + reach, side="right")
+        first = self._cell_code.searchsorted(column + dz_lo[:, None])
+        end = self._cell_code.searchsorted(column + reach, side="right")
         return first, end
 
     def cell_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,10 +147,13 @@ class GridIndex:
         first, end = self._column_runs(_REACH)
         lens = end - first
         d = _ranges(first.ravel(), lens.ravel())
-        c = np.repeat(np.tile(np.arange(len(self._cell_code)), len(dx)), lens.ravel())
+        cells = len(self._cell_code)
+        c = np.arange(len(dx) * cells)  # each lookup's cell
+        c %= cells
+        c = c.repeat(lens.ravel())
         kz = self._cell_code % self._dims[2]
         dz = kz.take(d) - kz.take(c)
-        dist2 = np.repeat(dx * dx + dy * dy, lens.sum(axis=1)) + dz * dz
+        dist2 = (dx * dx + dy * dy).repeat(np.add.reduce(lens, axis=1)) + dz * dz
         return c, d, dist2
 
     @cached_property
@@ -171,8 +174,8 @@ class GridIndex:
         points, as rounding is monotone, so the sum bounds every d2
         ``cell_pair_hits`` measures from above."""
         lo, hi = self._boxes
-        return _d2(*(np.maximum(hi[k].take(d) - lo[k].take(c), hi[k].take(c) - lo[k].take(d))
-                     for k in range(3)))
+        return _d2(*[np.maximum(hi[k].take(d) - lo[k].take(c), hi[k].take(c) - lo[k].take(d))
+                     for k in range(3)])
 
     def cell_pair_hits(self, c: np.ndarray, d: np.ndarray, radius: float,
                        among_c: np.ndarray | None = None, among_d: np.ndarray | None = None):
@@ -181,13 +184,17 @@ class GridIndex:
         boundary inclusive, as positions in cell order, by ascending k.
         ``among_c`` and ``among_d``, ascending positions in cell order, limit
         p and q to those points. A block holds whole cell pairs up to about
-        ``_CHUNK`` candidates.
+        ``_CHUNK`` candidates; no cell pairs give one empty block.
         """
+        if not len(c):
+            none = np.zeros(0, dtype=np.intp)
+            yield none, none, none
+            return
         # the members of cell e are among[bound[e]:bound[e + 1]], or the
         # positions bound[e]:bound[e + 1] themselves
-        bound_c, bound_d = (self.cell_bound if among is None else
-                            np.searchsorted(among, self.cell_bound) for among in (among_c, among_d))
-        size_c, size_d = np.diff(bound_c), np.diff(bound_d)
+        bound_c = self.cell_bound if among_c is None else among_c.searchsorted(self.cell_bound)
+        bound_d = self.cell_bound if among_d is None else among_d.searchsorted(self.cell_bound)
+        size_c, size_d = bound_c[1:] - bound_c[:-1], bound_d[1:] - bound_d[:-1]
         cand = size_c.take(c)
         cand *= size_d.take(d)
         x, y, z = self._xyz
@@ -197,7 +204,9 @@ class GridIndex:
             cc = c[lo:hi]
             rows = size_c.take(cc)
             rows_p = _ranges(bound_c.take(cc), rows)
-            rows_k = np.repeat(np.arange(len(cc)), rows)
+            if among_c is not None:
+                rows_p = among_c.take(rows_p)
+            rows_k = np.arange(len(cc)).repeat(rows)
             dd = d[lo:hi].take(rows_k)
             start, lens = bound_d.take(dd), size_d.take(dd)
             # whole rows, so one cell pair of more candidates is split too
@@ -205,12 +214,10 @@ class GridIndex:
                 span = lens[rlo:rhi]
                 q = _ranges(start[rlo:rhi], span)
                 p, k = rows_p[rlo:rhi].repeat(span), rows_k[rlo:rhi].repeat(span)
-                if among_c is not None:
-                    p = among_c.take(p)
                 if among_d is not None:
                     q = among_d.take(q)
-                hit = np.flatnonzero(_d2(x.take(p) - x.take(q), y.take(p) - y.take(q),
-                                         z.take(p) - z.take(q)) <= r2)
+                hit = (_d2(x.take(p) - x.take(q), y.take(p) - y.take(q),
+                           z.take(p) - z.take(q)) <= r2).nonzero()[0]
                 yield p.take(hit), q.take(hit), k.take(hit) + lo
 
     def query_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
@@ -237,7 +244,7 @@ class GridIndex:
         x, y, z = self._xyz
         n = len(x)
         r2 = self.cell_size * self.cell_size
-        cell = np.repeat(np.arange(len(self._cell_code)), np.diff(self.cell_bound))
+        cell = np.arange(len(self._cell_code)).repeat(self.cell_bound[1:] - self.cell_bound[:-1])
         # per cell and column, the start and end of the column's run of points
         first, end = (self.cell_bound[run.T] for run in self._column_runs(1))
         # a point's candidates: its cell's runs, less the (0, 0) run through it
@@ -255,12 +262,12 @@ class GridIndex:
             dx, dy = x[lo:hi].repeat(span), y[lo:hi].repeat(span)
             dx -= x.take(q)
             dy -= y.take(q)
-            near = np.flatnonzero(_d2(dx, dy) <= r2)
+            near = (_d2(dx, dy) <= r2).nonzero()[0]
             p, q = rows.repeat(span).take(near), q.take(near)
             dz = z.take(p)
             dz -= z.take(q)
             # IEEE addition commutes: this is (dx * dx + dy * dy) + dz * dz
-            hit = np.flatnonzero(_d2(dz) + dx.take(near) <= r2)
+            hit = (_d2(dz) + dx.take(near) <= r2).nonzero()[0]
             return rows, p.take(hit), q.take(hit)
 
         for lo, hi in _blocks(per_point):
@@ -347,13 +354,18 @@ def _d2(dx: np.ndarray, *axes: np.ndarray) -> np.ndarray:
 
 def _blocks(counts: np.ndarray):
     """(lo, hi) of consecutive runs of items, whole items up to about
-    ``_CHUNK`` of ``counts`` per run."""
-    cum = np.concatenate(([0], np.cumsum(counts)))
-    cuts = np.unique(np.searchsorted(cum, np.arange(_CHUNK, cum[-1], _CHUNK)))
+    ``_CHUNK`` of ``counts`` per run: a run ends after each item whose
+    running total first reaches a multiple of ``_CHUNK`` below the grand
+    total."""
+    cum = counts.cumsum()
+    if not len(cum) or cum[-1] <= _CHUNK:  # one run, nothing searched
+        return ((0, len(counts)),)
+    # an item that reaches several multiples ends one run
+    cuts = dict.fromkeys((cum.searchsorted(np.arange(_CHUNK, cum[-1], _CHUNK)) + 1).tolist())
     return itertools.pairwise([0, *cuts, len(counts)])
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """arange(s, s + n) for each (s, n) of starts and lens, concatenated."""
-    offsets = np.cumsum(lens) - lens
-    return np.arange(lens.sum()) - np.repeat(offsets - starts, lens)
+    ends = lens.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) - (ends - lens - starts).repeat(lens)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidarood import perlin
-from lidarood.cluster import ClusterAssignment, dbscan, largest_cluster
+from lidarood.cluster import ClusterAssignment, _join, dbscan, largest_cluster
 from lidarood.core import ContractError
 from lidarood.perlin import draw_raise, perlin_raise
 from lidarood.scenes import SceneConfig, default_budget, default_class_spec, generate_scene
@@ -360,6 +360,49 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 2**20
+
+
+def union_find(n, a, b):
+    """Each node's smallest component member, by a plain union-find that
+    roots every tree at its smallest node."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in zip(a, b):
+        rx, ry = find(x), find(y)
+        parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
+
+
+class TestJoin:
+    """``_join`` against a plain union-find on random pair lists."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n, pairs", [(1, 0), (1, 3), (10, 0), (10, 4), (50, 30),
+                                          (200, 150), (200, 600), (1000, 900)])
+    def test_matches_union_find(self, seed, n, pairs):
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, n, size=(2, pairs))
+        want = union_find(n, a.tolist(), b.tolist())
+        assert _join(np.arange(n), a, b).tolist() == want
+        # in two calls, the second starting from the first one's forest
+        half = pairs // 2
+        label = _join(np.arange(n), a[:half], b[:half])
+        assert _join(label, a[half:], b[half:]).tolist() == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scrambled_chain(self, seed):
+        """A path over the nodes in random order: deep trees, many jumps."""
+        rng = np.random.default_rng(seed)
+        path = rng.permutation(500)
+        a, b = path[:-1], path[1:]
+        assert _join(np.arange(500), a, b).tolist() == [0] * 500
+        assert _join(np.arange(500), a[::2], b[::2]).tolist() == \
+            union_find(500, a[::2].tolist(), b[::2].tolist())
 
 
 class TestLargestCluster:

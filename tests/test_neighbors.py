@@ -1,5 +1,6 @@
 """Sorted-cell spatial index vs brute-force distance checks."""
 
+import itertools
 from functools import partial
 
 import numpy as np
@@ -473,6 +474,62 @@ class TestCellPairHits:
         xyz = index.points[index.order]
         d2 = ((xyz[p] - xyz[q]) ** 2).sum(axis=1)
         assert np.all(d2 <= index.box_d2(c, d)[k])
+
+
+def reference_blocks(counts):
+    """``_blocks`` as np.unique over the searchsorted cuts of the running
+    total, with a leading 0."""
+    cum = np.concatenate(([0], np.cumsum(counts)))
+    chunk = neighbors._CHUNK
+    cuts = np.unique(np.searchsorted(cum, np.arange(chunk, cum[-1], chunk)))
+    return list(itertools.pairwise([0, *cuts.tolist(), len(counts)]))
+
+
+class TestBlocks:
+    """The block cuts behind ``unique_pairs`` and ``cell_pair_hits``."""
+
+    @staticmethod
+    def check(counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        got = [(int(lo), int(hi)) for lo, hi in neighbors._blocks(counts)]
+        assert got == reference_blocks(counts)
+        return got
+
+    C = neighbors._CHUNK
+
+    @pytest.mark.parametrize("counts", [
+        pytest.param([], id="empty"),
+        pytest.param([0] * 5, id="all-zeros"),
+        pytest.param([C + 1], id="one-over"),
+        pytest.param([0, 3 * C + 5, 0], id="one-of-several-chunks"),
+        pytest.param([2, C + 1, 3], id="one-over-between"),
+        pytest.param([C - 1], id="one-under"),
+        pytest.param([C], id="one-at"),
+        pytest.param([C // 2, C // 2 - 1], id="total-under"),
+        pytest.param([C // 2, C // 2], id="total-at"),
+        pytest.param([C // 2, C // 2 + 1], id="total-over"),
+        pytest.param([C // 2, C // 2, 0, 0], id="total-at-zeros-after"),
+        pytest.param([1] * (2 * C + 1), id="ones"),
+    ])
+    def test_edges_match_reference(self, counts):
+        got = self.check(counts)
+        assert got[0][0] == 0 and got[-1][1] == len(counts)
+        assert all(a[1] == b[0] for a, b in itertools.pairwise(got))
+
+    def test_one_block_when_the_total_fits(self):
+        counts = np.full(8, neighbors._CHUNK // 8)
+        assert self.check(counts) == [(0, 8)]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_counts_match_reference(self, chunk, seed, monkeypatch):
+        monkeypatch.setattr(neighbors, "_CHUNK", chunk)
+        rng = np.random.default_rng(seed)
+        for n in (0, 1, 2, 5, 50, 300):
+            # zeros, counts below, at and far above the chunk
+            counts = rng.choice([0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk], size=n)
+            self.check(counts)
+            self.check(rng.integers(0, 2 * chunk + 2, size=n))
 
 
 class TestCellCodeRange:
