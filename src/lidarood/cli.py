@@ -125,7 +125,8 @@ def cmd_raise(args) -> int:
     r_range = (args.r_min, args.r_max)
     settings = {"alpha": args.alpha, "rho": args.rho,
                 "dbscan_eps": args.eps, "dbscan_min_pts": args.min_pts}
-    RaiseConfig(r=args.r_min, seed=args.seed, **settings)  # checks them before any file is written
+    for r in r_range:  # checks them before any file is written
+        RaiseConfig(r=r, seed=args.seed, **settings)
     spec = default_class_spec()
     src, out = Path(args.input), Path(args.out)
     rng = np.random.default_rng(args.seed)

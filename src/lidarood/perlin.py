@@ -108,8 +108,10 @@ class RaiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.r < np.inf:
-            raise ContractError("patch radius r must be finite and positive")
+        # perlin_raise draws the noise origin over 256 noise cells of r / 2
+        if not (0.0 < self.r and 256.0 * (self.r / 2.0) < np.inf):
+            raise ContractError(
+                f"patch radius r must be positive with 128 * r finite, got {self.r}")
         if not 0.0 <= self.alpha < np.inf:
             raise ContractError("alpha must be finite and >= 0")
         if not (0.0 < self.rho <= 1.0):

@@ -92,6 +92,8 @@ class SceneConfig:
         if not 0.0 <= self.road_noise_sigma < np.inf:
             raise ContractError(
                 f"road_noise_sigma must be finite and >= 0, got {self.road_noise_sigma}")
+        if self.road_noise_sigma == 0.0:  # -0.0 too, which rng.normal refuses as a scale
+            object.__setattr__(self, "road_noise_sigma", 0.0)
         if ROAD not in self.class_budget:
             raise ContractError("class budget must include the road class")
         if any(v <= 0 for v in self.class_budget.values()):

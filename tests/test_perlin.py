@@ -100,6 +100,14 @@ class TestRaiseConfig:
         with pytest.raises(ContractError):
             RaiseConfig(**{field: value})
 
+    def test_r_whose_noise_origin_span_overflows_rejected(self):
+        """The noise origin is drawn over 256 cells of r / 2, so 128 * r
+        must be finite."""
+        RaiseConfig(r=1.4e306)
+        for r in (1.41e306, 1e308):
+            with pytest.raises(ContractError, match="128 \\* r finite"):
+                RaiseConfig(r=r)
+
 
 class TestPerlinRaise:
     def test_alpha_zero_flips_labels_only(self):

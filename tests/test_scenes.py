@@ -66,6 +66,16 @@ class TestGenerateScene:
         with pytest.raises(ContractError):
             SceneConfig(seed=-1)
 
+    def test_negative_zero_road_noise_is_zero(self):
+        """-0.0 passes the >= 0 check; it is kept as +0.0, a scale that
+        rng.normal takes, and gives the scene of 0.0."""
+        cfg = SceneConfig(seed=2, class_budget={ROAD: 500}, road_noise_sigma=-0.0)
+        assert np.copysign(1.0, cfg.road_noise_sigma) == 1.0
+        cloud, _ = generate_scene(cfg)
+        zero, _ = generate_scene(SceneConfig(seed=2, class_budget={ROAD: 500},
+                                             road_noise_sigma=0.0))
+        assert cloud.points.tobytes() == zero.points.tobytes()
+
     # 1e308: finite, but the sampled span 2 * extent overflows
     @pytest.mark.parametrize("extent", [0.0, -3.0, float("nan"), float("inf"), 1e308])
     def test_extent_not_finite_positive(self, extent):
